@@ -11,8 +11,8 @@ compound through the safe set and the acquisition.
 
 The contract of this module, asserted by ``tests/test_state.py``:
 
-* every float array is serialised **verbatim** (base64 of the raw
-  little-endian bytes, not a decimal rendering);
+* every array is serialised **verbatim** (its raw little-endian
+  bytes, never a decimal rendering);
 * RNG stream positions are captured via
   ``Generator.bit_generator.state`` and restored exactly;
 * GP internals (``_chol``/``_alpha``/``_factor_version``) are restored
@@ -26,17 +26,31 @@ The contract of this module, asserted by ``tests/test_state.py``:
   function of the delay/mAP surrogates and the constraints, both of
   which are snapshotted.
 
-Snapshot *payloads* are plain JSON-able dicts; :func:`encode_snapshot`
-frames one with a SHA-256 checksum so :func:`decode_snapshot` detects
-corruption (:class:`SnapshotCorruptionError`) instead of restoring
-garbage — the supervisor then falls back to an older checkpoint.
+Snapshot *payloads* are JSON-able dicts whose arrays hold their raw
+bytes (:func:`_encode_array`).  :func:`encode_snapshot` frames one as a
+binary blob::
+
+    frame = b"SNAP2:" + <SHA-256 hex digest of body> + newline + body
+    body  = <u64 LE header length> + <compact JSON header> + <array bytes>
+
+The JSON header carries every scalar, and each array's bytes become a
+``{"$buf": [offset, nbytes]}`` reference into the concatenated buffer
+section.  Arrays travel outside the JSON because they are nearly all
+of a warm agent's snapshot (the engine-cache solves): as text (base64)
+they would be a third larger, and the JSON encoder would scan them
+character by character, while raw bytes are only copied and hashed.
+The digest covers every byte of the body — header and buffers — so
+:func:`decode_snapshot` detects corruption
+(:class:`SnapshotCorruptionError`) before parsing anything instead of
+restoring garbage; the supervisor then falls back to an older
+checkpoint.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import struct
 from collections import deque
 
 import numpy as np
@@ -69,10 +83,16 @@ __all__ = [
 ]
 
 #: Format tag stamped on framed snapshots (bump on layout changes).
-SNAPSHOT_FORMAT = "edgebol-snapshot-v1"
+SNAPSHOT_FORMAT = "edgebol-snapshot-v2"
 
 #: Framing magic of :func:`encode_snapshot`.
-_MAGIC = b"SNAP1:"
+_MAGIC = b"SNAP2:"
+
+#: Length prefix of the JSON header inside a frame body.
+_HEADER_LEN = struct.Struct("<Q")
+
+#: Offset of the body in a frame: magic, hex digest, newline.
+_BODY_AT = len(_MAGIC) + 2 * hashlib.sha256().digest_size + 1
 
 #: RunLog per-period series, in schema order (``safe_set_size`` is int).
 _RUNLOG_FIELDS = (
@@ -94,20 +114,27 @@ class SnapshotCorruptionError(SnapshotError):
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    """Bit-exact JSON-able form of one array (raw bytes, base64)."""
-    arr = np.ascontiguousarray(arr)
+    """Bit-exact form of one array: dtype, shape and a copy of its bytes.
+
+    The copy is required — the live buffers keep changing after the
+    checkpoint.  :func:`encode_snapshot` moves ``data`` out of the JSON.
+    """
     return {
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "data": arr.tobytes(),
     }
+
+
+def _array_view(payload: dict) -> np.ndarray:
+    """Zero-copy array over an :func:`_encode_array` payload's bytes."""
+    arr = np.frombuffer(payload["data"], dtype=np.dtype(payload["dtype"]))
+    return arr.reshape(tuple(payload["shape"]))
 
 
 def _decode_array(payload: dict) -> np.ndarray:
     """Rebuild an array from :func:`_encode_array` output, verbatim."""
-    raw = base64.b64decode(payload["data"].encode("ascii"))
-    arr = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return arr.reshape(tuple(payload["shape"])).copy()
+    return _array_view(payload).copy()
 
 
 def _maybe_encode(arr) -> "dict | None":
@@ -546,41 +573,100 @@ def restore_runlog_state(log, state: dict) -> None:
 
 
 def encode_snapshot(payload: dict) -> bytes:
-    """Frame a snapshot payload: magic + SHA-256 + canonical JSON."""
-    body = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
+    """Frame a snapshot payload: magic, SHA-256 hex, newline, body.
+
+    The body is the length-prefixed compact JSON header followed by the
+    raw bytes of every array in the payload, concatenated; in the
+    header each ``bytes`` value becomes ``{"$buf": [offset, nbytes]}``
+    into that buffer section.  The digest covers the whole body.
+    """
+    buffers = []
+    offset = 0
+
+    def move_out(value):
+        nonlocal offset
+        if not isinstance(value, bytes):
+            raise TypeError(
+                f"snapshot payloads hold JSON values and bytes, not "
+                f"{type(value).__name__}"
+            )
+        ref = {"$buf": [offset, len(value)]}
+        buffers.append(value)
+        offset += len(value)
+        return ref
+
+    header = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=move_out
     ).encode("utf-8")
-    digest = hashlib.sha256(body).hexdigest()
-    return _MAGIC + digest.encode("ascii") + b"\n" + body
+    chunks = [_HEADER_LEN.pack(len(header)), header, *buffers]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return b"".join(
+        [_MAGIC, digest.hexdigest().encode("ascii"), b"\n", *chunks]
+    )
 
 
 def decode_snapshot(blob: bytes) -> dict:
     """Verify and parse a framed snapshot.
 
-    Raises :class:`SnapshotCorruptionError` on any framing, checksum or
-    JSON failure — the caller (the supervisor) treats that as "this
-    checkpoint is unusable, try an older one".
+    The digest is checked over the whole body before anything is
+    parsed.  Array ``data`` comes back as zero-copy ``memoryview``
+    slices of ``blob`` (:func:`_decode_array` copies them out).  Raises
+    :class:`SnapshotCorruptionError` on any framing, checksum, JSON or
+    structural failure — the caller (the supervisor) treats that as
+    "this checkpoint is unusable, try an older one".
     """
     if not isinstance(blob, (bytes, bytearray)):
         raise SnapshotCorruptionError(
             f"snapshot must be bytes, got {type(blob).__name__}"
         )
-    blob = bytes(blob)
     if not blob.startswith(_MAGIC):
         raise SnapshotCorruptionError("snapshot magic missing")
-    header, sep, body = blob[len(_MAGIC):].partition(b"\n")
-    if not sep:
+    if blob[_BODY_AT - 1:_BODY_AT] != b"\n":
         raise SnapshotCorruptionError("snapshot header is unterminated")
+    body = memoryview(blob)[_BODY_AT:]
     digest = hashlib.sha256(body).hexdigest().encode("ascii")
-    if header != digest:
+    if blob[len(_MAGIC):_BODY_AT - 1] != digest:
         raise SnapshotCorruptionError(
             "snapshot checksum mismatch — the blob was corrupted"
         )
+    if len(body) < _HEADER_LEN.size:
+        raise SnapshotCorruptionError("snapshot body has no header length")
+    (header_len,) = _HEADER_LEN.unpack_from(body)
+    buffers_at = _HEADER_LEN.size + header_len
+    if buffers_at > len(body):
+        raise SnapshotCorruptionError(
+            f"snapshot header length {header_len} runs past the body"
+        )
+    buffers = body[buffers_at:]
+
+    def resolve(obj: dict):
+        ref = obj.get("$buf")
+        if ref is not None:
+            if (not isinstance(ref, list) or len(ref) != 2
+                    or not all(type(v) is int and v >= 0 for v in ref)
+                    or ref[0] + ref[1] > len(buffers)):
+                raise SnapshotCorruptionError(
+                    f"snapshot buffer reference {ref!r} is out of range"
+                )
+            return buffers[ref[0]:ref[0] + ref[1]]
+        if isinstance(obj.get("data"), memoryview):
+            try:
+                _array_view(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SnapshotCorruptionError(
+                    f"snapshot array does not match its buffer: {exc}"
+                ) from exc
+        return obj
+
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(
+            bytes(body[_HEADER_LEN.size:buffers_at]), object_hook=resolve
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotCorruptionError(
-            f"snapshot body is not valid JSON: {exc}"
+            f"snapshot header is not valid JSON: {exc}"
         ) from exc
     if not isinstance(payload, dict):
         raise SnapshotCorruptionError("snapshot payload must be an object")

@@ -385,8 +385,9 @@ class FleetSupervisor:
     def _recover(self, cell, books, t: int) -> bool:
         """Warm-restore ``cell`` at period ``t`` and replay the gap.
 
-        Restores the newest intact snapshot (checksum failures fall
-        back to older checkpoints; none intact quarantines the cell),
+        Restores the newest intact snapshot (checksum, framing and
+        format-tag failures fall back to older checkpoints; none intact
+        quarantines the cell),
         then replays every period from the snapshot horizon to ``t``
         through :meth:`FleetRuntime._cell_period` — suppressed for
         periods the run already emitted, fresh for missed ones.
@@ -395,12 +396,15 @@ class FleetSupervisor:
         payload = None
         for snap_t, blob in reversed(books.snapshots):
             try:
-                payload = snapshots.decode_snapshot(blob)
+                candidate = snapshots.decode_snapshot(blob)
             except snapshots.SnapshotCorruptionError:
-                books.corrupt_detected += 1
-                self._emit("snapshot_corrupt", t, cell, snapshot_t=snap_t)
-                continue
-            break
+                candidate = None
+            if (candidate is not None
+                    and candidate.get("format") == snapshots.SNAPSHOT_FORMAT):
+                payload = candidate
+                break
+            books.corrupt_detected += 1
+            self._emit("snapshot_corrupt", t, cell, snapshot_t=snap_t)
         if payload is None:
             self._quarantine(cell, books, t, "no intact snapshot")
             return False

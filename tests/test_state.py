@@ -7,6 +7,8 @@ differs in the last bits from a fresh factorisation, so every test here
 compares with ``==`` / ``array_equal``, never ``allclose``.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,15 +48,31 @@ def run_periods(env, agent, n):
     return rows
 
 
+def frame_round_trip(arr):
+    """``arr`` through the array codec and the binary snapshot frame."""
+    blob = state.encode_snapshot({"a": state._maybe_encode(arr)})
+    return state._maybe_decode(state.decode_snapshot(blob)["a"])
+
+
 class TestArrayCodec:
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((7, 3))
         arr[0, 0] = -0.0
         arr[1, 1] = np.nan
-        out = state._decode_array(state._encode_array(arr))
-        assert out.dtype == arr.dtype and out.shape == arr.shape
-        assert arr.tobytes() == out.tobytes()
+        cases = [
+            arr,
+            rng.standard_normal(5),                     # float64 series
+            np.array([3, 0, 2**40], dtype=np.int64),    # safe_set_size
+            np.empty((0, 3)),                           # 0-row cache slice
+        ]
+        for case in cases:
+            for out in (state._decode_array(state._encode_array(case)),
+                        frame_round_trip(case)):
+                assert out.dtype == case.dtype and out.shape == case.shape
+                assert case.tobytes() == out.tobytes()
+                assert out.flags.writeable and out.flags.owndata
+        assert frame_round_trip(None) is None
 
     def test_rng_state_round_trip(self):
         gen = np.random.default_rng(42)
@@ -218,6 +236,23 @@ class TestRunLogState:
         assert log.cost == costs and len(log) == 4
 
 
+#: The array every corruption case frames (512 raw bytes).
+FRAMED_ARRAY = np.arange(64, dtype=np.float64)
+
+
+def flip(blob, at):
+    """``blob`` with the byte at ``at`` inverted."""
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
+def forge(header, buffers, header_len=None):
+    """A frame with a *valid* digest around an arbitrary header."""
+    length = len(header) if header_len is None else header_len
+    body = length.to_bytes(8, "little") + header + buffers
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return state._MAGIC + digest + b"\n" + body
+
+
 class TestFraming:
     def test_round_trip(self):
         payload = {"t": 3, "nested": {"a": [1.5, None]}}
@@ -227,16 +262,56 @@ class TestFraming:
         lambda b: b[:-1] + bytes([b[-1] ^ 0xFF]),   # flipped byte
         lambda b: b[:len(b) // 2],                  # truncation
         lambda b: b"JUNK" + b,                      # bad magic
-        lambda b: b"SNAP1:deadbeef",                # unterminated header
+        lambda b: b[:len(state._MAGIC) + 8],        # unterminated header
+        pytest.param(lambda b: flip(b, len(b) - FRAMED_ARRAY.nbytes // 2),
+                     id="buffer-byte-flip"),
+        pytest.param(lambda b: flip(b, state._BODY_AT + 8 + 3),
+                     id="header-byte-flip"),
+        pytest.param(lambda b: b[:-FRAMED_ARRAY.nbytes // 3],
+                     id="buffer-truncation"),
+        pytest.param(lambda b: forge(b'{"a":{"dtype":"float64","shape":[4],'
+                                     b'"data":{"$buf":[0,32]}}}', bytes(16)),
+                     id="forged-buffer-past-end"),
+        pytest.param(lambda b: forge(b'{"a":{"dtype":"float64","shape":[3],'
+                                     b'"data":{"$buf":[0,16]}}}', bytes(16)),
+                     id="forged-shape-mismatch"),
+        pytest.param(lambda b: forge(b'{"a":{"dtype":"bogus","shape":[2],'
+                                     b'"data":{"$buf":[0,16]}}}', bytes(16)),
+                     id="forged-unknown-dtype"),
+        pytest.param(lambda b: forge(b'{"t":0}', b"", header_len=1 << 40),
+                     id="forged-header-length-past-body"),
     ])
     def test_corruption_is_detected(self, mutate):
-        blob = mutate(state.encode_snapshot({"t": 0}))
+        blob = mutate(state.encode_snapshot(
+            {"t": 0, "a": state._encode_array(FRAMED_ARRAY)}
+        ))
         with pytest.raises(state.SnapshotCorruptionError):
             state.decode_snapshot(blob)
 
     def test_non_bytes_rejected(self):
         with pytest.raises(state.SnapshotCorruptionError):
             state.decode_snapshot("not-bytes")
+
+    def test_warm_snapshot_is_raw_bytes_plus_a_small_header(self):
+        # Guards against a text encoding of the arrays creeping back:
+        # base64 alone would add a third of the raw bytes.
+        env, agent = make_world(seed=0, levels=4)
+        run_periods(env, agent, 20)
+        payload = {"agent": state.agent_state(agent)}
+
+        def raw_bytes(node):
+            if isinstance(node, dict):
+                if set(node) == {"dtype", "shape", "data"}:  # one array
+                    count = int(np.prod(node["shape"]))
+                    return np.dtype(node["dtype"]).itemsize * count
+                return sum(raw_bytes(value) for value in node.values())
+            if isinstance(node, list):
+                return sum(raw_bytes(value) for value in node)
+            return 0
+
+        raw = raw_bytes(payload)
+        assert raw > 200_000  # the warm engine cache dominates
+        assert len(state.encode_snapshot(payload)) <= raw + 16_384
 
 
 class TestInjectorState:

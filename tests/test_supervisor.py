@@ -161,6 +161,27 @@ class TestSnapshotCorruption:
         assert stats["snapshot_corrupt"] == 1
         assert stats["recovered"] and stats["quarantined"] is None
 
+    def test_stale_format_falls_back_to_older(self, clean_run, monkeypatch):
+        # A blob with a valid checksum but another layout's format tag
+        # must not be restored: it counts as corrupt, like a bad digest.
+        encode = state.encode_snapshot
+
+        def stale_at_horizon_4(payload):
+            if payload["cell"] == "cell001" and payload["t"] == 4:
+                payload = {**payload, "format": "edgebol-snapshot-v1"}
+            return encode(payload)
+
+        monkeypatch.setattr(state, "encode_snapshot", stale_at_horizon_4)
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="cell", mode="crash", target="cell001",
+                      at=(6,), max_events=1),
+        ))
+        chaos = run_chaos(plan)
+        assert series(chaos) == series(clean_run)
+        stats = chaos.recovery["cell001"]
+        assert stats["snapshot_corrupt"] == 1
+        assert stats["recovered"] and stats["quarantined"] is None
+
     def test_all_snapshots_corrupt_quarantines(self):
         plan = FaultPlan(specs=(
             FaultSpec(kind="snapshot", mode="corrupt", target="cell000",
