@@ -13,17 +13,14 @@ mode:
   bit-identity reference), including the incremental cross-kernel and
   solve extension for the observation added that period, plus the pure
   cache-hit re-query path;
-* **batched** — the same sweep through stacked multi-head linear
-  algebra (``REPRO_BATCHED_HEADS``); its :class:`EngineStats` counters
-  are asserted identical to the dense ones, tally for tally;
 * **sparse** — heads bounded to a 200-observation budget with the
   inducing-subset eviction policy of :mod:`repro.core.sparse`; this is
   the mode whose per-period cost must stay *flat* as the nominal N
   grows (the flat-cost claim: N = 2000 within 1.5x of N = 250).
 
 Emits ``BENCH_posterior.json`` at the repo root and asserts the >= 5x
-engine-vs-direct speedup at N = 500, non-zero cache hits, dense/batched
-counter identity, and the sparse flat-cost bound.
+engine-vs-direct speedup at N = 500, non-zero cache hits and the
+sparse flat-cost bound.
 """
 
 import json
@@ -117,15 +114,12 @@ def time_mode(mode, x, y, context, adds, grid, n_reps):
     """Per-period engine/hit seconds for one numerics mode.
 
     Every mode replays a prefix of the identical observation stream, so
-    counters and moments are comparable across modes (dense and batched
-    replay the same ``n_reps``).  Reports the median (typical period)
+    counters and moments are comparable across modes.  Reports the median (typical period)
     and the minimum (noise-robust intrinsic cost).  Returns the mode
     row plus the live engine and last batch for cross-mode assertions.
     """
     heads = build_heads(x, y, sparse=(mode == "sparse"))
-    engine = SurrogateEngine(
-        heads, grid, context_dim=CONTEXT_DIM, batched=(mode == "batched")
-    )
+    engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
     engine.posterior(context)  # amortised first-contact rebuild, untimed
 
     engine_times, hit_times = [], []
@@ -165,11 +159,6 @@ def time_direct(heads, joint):
     return time.perf_counter() - started, posteriors
 
 
-def _counters(stats):
-    """Engine counters without the (non-deterministic) wall time."""
-    return {k: v for k, v in stats.items() if k != "wall_time_s"}
-
-
 def bench_one_n(n_obs, rng, grid):
     """All modes at one retained-observation count N."""
     x, y, context, adds = make_dataset(n_obs, rng)
@@ -178,30 +167,10 @@ def bench_one_n(n_obs, rng, grid):
         "dense", x, y, context, adds, grid, REPS[n_obs]
     )
     modes["dense"] = dense_row
-    batched_row, _, batched_batch = time_mode(
-        "batched", x, y, context, adds, grid, REPS[n_obs]
-    )
-    modes["batched"] = batched_row
     sparse_row, _, _ = time_mode(
         "sparse", x, y, context, adds, grid, SPARSE_REPS
     )
     modes["sparse"] = sparse_row
-
-    # Batched mode must count work identically and agree numerically.
-    assert _counters(batched_row["engine_stats"]) == \
-        _counters(dense_row["engine_stats"]), (
-            f"batched counters diverged at N={n_obs}: "
-            f"{batched_row['engine_stats']} vs {dense_row['engine_stats']}"
-        )
-    for name in dense_batch.heads:
-        np.testing.assert_allclose(
-            batched_batch.mean(name), dense_batch.mean(name),
-            atol=1e-6, rtol=1e-9,
-        )
-        np.testing.assert_allclose(
-            batched_batch.variance(name), dense_batch.variance(name),
-            atol=1e-8, rtol=1e-9,
-        )
 
     direct_s = None
     if n_obs <= DIRECT_MAX_N:
@@ -246,7 +215,6 @@ def test_perf_posterior_sweep():
         "unit": "seconds (median per period)",
         "modes": {
             "dense": "per-head loops (bit-identity reference)",
-            "batched": "stacked multi-head solves (REPRO_BATCHED_HEADS=1)",
             "sparse": (
                 f"subset-of-data, budget {SPARSE_BUDGET} + "
                 f"block {SPARSE_BLOCK} inducing-subset eviction"
@@ -257,7 +225,7 @@ def test_perf_posterior_sweep():
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
-    print(f"{'N':>6} {'direct s':>10} {'dense s':>10} {'batched s':>10} "
+    print(f"{'N':>6} {'direct s':>10} {'dense s':>10} "
           f"{'sparse s':>10} {'hit s':>10} {'speedup':>9}")
     for row in rows:
         direct = (f"{row['direct_s']:>10.4f}"
@@ -266,7 +234,6 @@ def test_perf_posterior_sweep():
                    if row["speedup"] is not None else f"{'-':>9}")
         print(f"{row['n_observations']:>6} {direct} "
               f"{row['modes']['dense']['engine_s']:>10.4f} "
-              f"{row['modes']['batched']['engine_s']:>10.4f} "
               f"{row['modes']['sparse']['engine_s']:>10.4f} "
               f"{row['engine_hit_s']:>10.4f} {speedup}")
 

@@ -27,18 +27,17 @@ trace of spans + metrics, see ``docs/OBSERVABILITY.md``) /
 round — safe set, margins, calibration, drift, regret — merged across
 sweep cells) / ``--faults plan.json`` (install a deterministic
 fault-injection plan for the run, see ``docs/ROBUSTNESS.md``) /
-``--numerics MODE`` + ``--gp-budget N`` + ``--backend NAME`` (GP
-numerics mode: batched multi-head solves and/or a sparse observation
-budget, exported via environment so sweep workers inherit it — see
-``docs/NUMERICS.md``) / ``--store DIR`` + ``--no-store``
-(content-addressed experiment store: cells whose exact configuration
-was already computed are served from the store instead of re-run, see
-``docs/STORE.md``); ``telemetry-report`` renders a recorded trace,
-``diagnose`` renders a decision trace (one file or a directory of
-per-cell traces) as a dashboard with anomaly flags, ``fleet-status``
-renders a fleet metrics dump (``repro run fleet --set metrics=DIR``)
-as an SLO burn-rate and energy-savings dashboard, and ``results``
-queries the experiment store (list/show/gc/verify).
+``--numerics MODE`` + ``--gp-budget N`` (GP numerics mode: dense, or
+a sparse observation budget, exported via environment so sweep
+workers inherit it — see ``docs/NUMERICS.md``) / ``--store DIR`` +
+``--no-store`` (content-addressed experiment store: cells whose exact
+configuration was already computed are served from the store instead
+of re-run, see ``docs/STORE.md``); ``telemetry-report`` renders a
+recorded trace, ``diagnose`` renders a decision trace (one file or a
+directory of per-cell traces) as a dashboard with anomaly flags,
+``fleet-status`` renders a fleet metrics dump (``repro run fleet --set
+metrics=DIR``) as an SLO burn-rate and energy-savings dashboard, and
+``results`` queries the experiment store (list/show/gc/verify).
 """
 
 from __future__ import annotations
@@ -91,20 +90,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--numerics", default=None,
-        choices=("dense", "batched", "sparse", "sparse-batched"),
-        help="GP numerics mode: dense (default, bit-identical reference), "
-             "batched (stacked multi-head solves), sparse (bounded "
-             "observation budget, flat per-period cost), or both "
-             "(see docs/NUMERICS.md)",
+        choices=("dense", "sparse"),
+        help="GP numerics mode: dense (default, bit-identical reference) "
+             "or sparse (bounded observation budget, flat per-period "
+             "cost; see docs/NUMERICS.md)",
     )
     parser.add_argument(
         "--gp-budget", type=int, default=None, metavar="N",
         help="sparse-mode observation budget per GP head (default 256)",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the GP stack (default numpy; see "
-             "docs/NUMERICS.md for registering cupy/torch)",
     )
     parser.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
@@ -409,26 +402,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_numerics_flags(args) -> None:
-    """Export ``--numerics``/``--gp-budget``/``--backend`` to the env.
+    """Export ``--numerics``/``--gp-budget`` to the environment.
 
     The selection is written to ``os.environ`` (via
-    :func:`repro.core.backend.numerics_env`) rather than threaded
+    :func:`repro.core.numerics.numerics_env`) rather than threaded
     through every constructor: sweep worker processes inherit the
     environment, so agents built deep inside parallel cells pick the
-    mode up through :func:`repro.core.backend.active_numerics`.
+    mode up through :func:`repro.core.numerics.active_numerics`.
     """
     mode = getattr(args, "numerics", None)
     budget = getattr(args, "gp_budget", None)
-    backend = getattr(args, "backend", None)
-    if mode is None and budget is None and backend is None:
+    if mode is None and budget is None:
         return
-    from repro.core.backend import numerics_env
+    from repro.core.numerics import numerics_env
 
     try:
-        config = numerics_env(mode, backend=backend, sparse_budget=budget)
+        config = numerics_env(mode, sparse_budget=budget)
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}") from None
-    print(f"numerics mode: {config.mode} (backend {config.backend})")
+    print(f"numerics mode: {config.mode}")
 
 
 def main(argv=None) -> int:

@@ -8,39 +8,30 @@ online loop of Algorithm 1.
 """
 
 from repro.core.alternative import PowerBudgetedEdgeBOL, PowerBudgets
-from repro.core.backend import (
-    ArrayBackend,
-    NumericsConfig,
-    NumpyBackend,
-    active_numerics,
-    available_backends,
-    get_backend,
-    install_numerics,
-    register_backend,
-    uninstall_numerics,
-    use_numerics,
-)
 from repro.core.diagnostics import calibration_report, interval_coverage
 from repro.core.sparse import greedy_inducing_indices, make_eviction_policy
 from repro.core.kernels import Kernel, Matern, RBF
 from repro.core.persistence import load_edgebol, save_edgebol
 from repro.core.gp import GaussianProcess
 from repro.core.likelihood import fit_hyperparameters, log_marginal_likelihood
-from repro.core.numerics import NumericalInstabilityError, robust_cholesky
+from repro.core.numerics import (
+    NumericalInstabilityError,
+    NumericsConfig,
+    active_numerics,
+    install_numerics,
+    robust_cholesky,
+    uninstall_numerics,
+    use_numerics,
+)
 from repro.core.posterior import EngineStats, PosteriorBatch, SurrogateEngine
 from repro.core.safeset import SafeSetEstimator
 from repro.core.acquisition import safe_lcb_index, safe_lcb_index_from_posterior
 from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 
 __all__ = [
-    "ArrayBackend",
     "NumericsConfig",
-    "NumpyBackend",
     "active_numerics",
-    "available_backends",
-    "get_backend",
     "install_numerics",
-    "register_backend",
     "uninstall_numerics",
     "use_numerics",
     "greedy_inducing_indices",

@@ -3,7 +3,11 @@
 The paper adopts the *contextual Lower Confidence Bound* of Krause &
 Ong (2011), restricted to the estimated safe set (eq. 9):
 
-``x_t = argmin_{x in S_t}  mu_0(c_t, x) - sqrt(beta) * sigma_0(c_t, x)``
+``x_t = argmin_{x in S_t}  mu_0(c_t, x) - beta * sigma_0(c_t, x)``
+
+Here ``beta`` multiplies sigma directly: it plays the role of the
+paper's ``beta^{1/2}`` (2.5 in the evaluation), exactly as in the
+eq.-8 widths of :mod:`repro.core.safeset`.
 
 Minimising an optimistic (lower) bound of the cost both exploits
 low-cost regions and explores uncertain ones; because low-power
@@ -23,22 +27,16 @@ from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_non_negative
 
 
-def lcb_values(mean: np.ndarray, std: np.ndarray, beta: float = 2.5,
-               std_scale: float = 1.0) -> np.ndarray:
-    """Full-grid LCB surface ``mu - sqrt(beta) * sigma`` (eq. 9 objective).
+def lcb_values(mean: np.ndarray, std: np.ndarray,
+               beta: float = 2.5) -> np.ndarray:
+    """Full-grid LCB surface ``mu - beta * sigma`` (eq. 9 objective).
 
     Decision traces record this surface's value at the chosen control
     and at the unconstrained minimiser (the "price of safety"); the
     selection itself goes through :func:`safe_lcb_index_from_values`.
-    ``std_scale`` rescales the posterior std before the bound is formed
-    (1.0 is the exact eq. 9; sparse modes may inflate, see
-    ``docs/NUMERICS.md``).
     """
     check_non_negative(beta, "beta")
-    std = np.asarray(std, dtype=float)
-    if std_scale != 1.0:
-        std = check_non_negative(std_scale, "std_scale") * std
-    return np.asarray(mean, dtype=float) - beta * std
+    return np.asarray(mean, dtype=float) - beta * np.asarray(std, dtype=float)
 
 
 def safe_lcb_index_from_values(lcb: np.ndarray, safe_mask: np.ndarray) -> int:
@@ -63,21 +61,19 @@ def safe_lcb_index_from_posterior(
     std: np.ndarray,
     safe_mask: np.ndarray,
     beta: float = 2.5,
-    std_scale: float = 1.0,
 ) -> int:
     """Eq. 9 applied to precomputed full-grid posterior moments.
 
     This is the hot-path variant consuming a
     :class:`~repro.core.posterior.SurrogateEngine` sweep; the moments
     must cover the *whole* grid (same length as ``safe_mask``).
-    ``std_scale`` is forwarded to :func:`lcb_values`.
     """
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     if mean.size != std.size:
         raise ValueError("safe_mask and posterior moments must have equal length")
     return safe_lcb_index_from_values(
-        lcb_values(mean, std, beta, std_scale=std_scale), safe_mask
+        lcb_values(mean, std, beta), safe_mask
     )
 
 

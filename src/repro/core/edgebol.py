@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.acquisition import lcb_values, safe_lcb_index_from_posterior
-from repro.core.backend import NumericsConfig, active_numerics
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Kernel, Matern
 from repro.core.likelihood import fit_hyperparameters
-from repro.core.numerics import NumericalInstabilityError
+from repro.core.numerics import (
+    NumericalInstabilityError,
+    NumericsConfig,
+    active_numerics,
+)
 from repro.core.posterior import PosteriorBatch, SurrogateEngine
 from repro.core.safeset import SafeSetEstimator
 from repro.core.sparse import make_eviction_policy
@@ -121,13 +124,13 @@ class EdgeBOLConfig:
         value here takes precedence over the sparse-mode budget of
         ``numerics``.
     numerics:
-        Numerics-mode override (:class:`~repro.core.backend.
-        NumericsConfig`): array backend, batched multi-head solves and
-        the sparse observation budget.  ``None`` (default) follows the
-        process-wide :func:`~repro.core.backend.active_numerics`
-        resolution (installed config, else environment variables, else
-        dense numpy) — which is how the experiment CLIs' ``--numerics``
-        flags reach agents constructed deep inside sweep workers.
+        Numerics-mode override (:class:`~repro.core.numerics.
+        NumericsConfig`): dense, or sparse with an observation budget.
+        ``None`` (default) follows the process-wide
+        :func:`~repro.core.numerics.active_numerics` resolution
+        (installed config, else environment variables, else dense) —
+        which is how the experiment CLIs' ``--numerics`` flags reach
+        agents constructed deep inside sweep workers.
     quarantine_spike_factor:
         Robust outlier gate: once ``quarantine_min_history`` clean
         observations exist, a cost exceeding this multiple of the
@@ -252,9 +255,9 @@ class EdgeBOL:
         self._gp_fault_hook = (
             gp_injector.gp_hook if gp_injector is not None else None
         )
-        # Numerics mode (backend / batched sweeps / sparse budget): an
-        # explicit config wins, else the process-wide resolution
-        # (installed config > environment > dense-numpy defaults).
+        # Numerics mode (dense / sparse budget): an explicit config
+        # wins, else the process-wide resolution (installed config >
+        # environment > dense defaults).
         self.numerics = (
             self.config.numerics if self.config.numerics is not None
             else active_numerics()
@@ -302,8 +305,7 @@ class EdgeBOL:
         if self._power_gps is not None:
             heads.update(zip(POWER_HEAD_NAMES, self._power_gps))
         self._engine = SurrogateEngine(
-            heads, grid, context_dim=self.context_dim,
-            batched=self.numerics.batched_heads,
+            heads, grid, context_dim=self.context_dim
         )
         self._safe_estimator = SafeSetEstimator(
             delay_gp=self._gps[DELAY],
@@ -312,7 +314,6 @@ class EdgeBOL:
             noise_beta=self.config.noise_beta,
             delay_noise_rel=self.config.delay_noise_rel,
             map_noise_std=float(np.sqrt(self.config.map_noise)),
-            variance_inflation=self.numerics.variance_inflation,
         )
         self._sync_delay_pessimism()
         self._s0_index = nearest_grid_index(
@@ -371,7 +372,7 @@ class EdgeBOL:
 
     @property
     def numerics_mode(self) -> str:
-        """Active numerics mode label (``dense``/``batched``/``sparse``...).
+        """Active numerics mode label (``dense`` or ``sparse``).
 
         Stamped on decision-trace records so ``repro diagnose`` can
         attribute anomalies to sparse approximation error.
@@ -523,7 +524,6 @@ class EdgeBOL:
                     index = safe_lcb_index_from_posterior(
                         batch.mean("cost"), batch.std("cost"), mask,
                         beta=self.config.beta,
-                        std_scale=self.numerics.variance_inflation,
                     )
             except NumericalInstabilityError:
                 self._mark_surrogate_down()
@@ -599,8 +599,7 @@ class EdgeBOL:
         d1, d2 = self.cost_weights.delta1, self.cost_weights.delta2
         mean = d1 * s_mean + d2 * b_mean
         std = np.sqrt((d1 * s_std) ** 2 + (d2 * b_std) ** 2)
-        lcb = lcb_values(mean, std, beta=self.config.beta,
-                         std_scale=self.numerics.variance_inflation)
+        lcb = lcb_values(mean, std, beta=self.config.beta)
         return int(safe_indices[int(np.argmin(lcb))])
 
     def cost_lcb_values(self, batch: PosteriorBatch) -> np.ndarray:
@@ -615,16 +614,14 @@ class EdgeBOL:
         """
         if self._power_gps is None:
             return lcb_values(
-                batch.mean("cost"), batch.std("cost"), beta=self.config.beta,
-                std_scale=self.numerics.variance_inflation,
+                batch.mean("cost"), batch.std("cost"), beta=self.config.beta
             )
         s_mean, s_std = batch.moments("server_power")
         b_mean, b_std = batch.moments("bs_power")
         d1, d2 = self.cost_weights.delta1, self.cost_weights.delta2
         mean = d1 * s_mean + d2 * b_mean
         std = np.sqrt((d1 * s_std) ** 2 + (d2 * b_std) ** 2)
-        return lcb_values(mean, std, beta=self.config.beta,
-                          std_scale=self.numerics.variance_inflation)
+        return lcb_values(mean, std, beta=self.config.beta)
 
     def update(
         self,

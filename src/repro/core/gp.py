@@ -23,8 +23,8 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from repro.core.backend import get_backend
 from repro.core.kernels import Kernel
 from repro.core.numerics import NumericalInstabilityError, robust_cholesky
 from repro.telemetry import runtime as telemetry
@@ -200,9 +200,7 @@ class GaussianProcess:
             raise ValueError(f"prior_mean must be finite, got {prior_mean}")
         self.prior_mean = float(prior_mean)
         if self._y is not None and self._chol is not None:
-            self._alpha = get_backend().cho_solve(
-                self._chol, self._y - self.prior_mean, lower=True
-            )
+            self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
         """Replace the training set and refactorise (O(N^3) Cholesky)."""
@@ -288,11 +286,10 @@ class GaussianProcess:
                 self._fault_hook("rank1", 0)
             except np.linalg.LinAlgError:
                 return False
-        backend = get_backend()
         cross = self.kernel(self._x, x_new[None, :]).ravel()
         self_var = float(self.kernel.diag(x_new[None, :])[0]) + self.noise_variance
         try:
-            row = backend.solve_triangular(self._chol, cross, lower=True)
+            row = solve_triangular(self._chol, cross, lower=True)
         except np.linalg.LinAlgError:
             return False
         pivot_sq = self_var - float(row @ row)
@@ -312,9 +309,7 @@ class GaussianProcess:
         self._chol = chol
         self._x = np.vstack([self._x, x_new[None, :]])
         self._y = np.append(self._y, float(y_new))
-        self._alpha = backend.cho_solve(
-            self._chol, self._y - self.prior_mean, lower=True
-        )
+        self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
         return True
 
     def _maybe_evict(self) -> None:
@@ -367,9 +362,7 @@ class GaussianProcess:
         self._jitter_retries += retries
         self._last_jitter = jitter
         self._chol = chol
-        self._alpha = get_backend().cho_solve(
-            self._chol, self._y - self.prior_mean, lower=True
-        )
+        self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
         self._factor_version += 1
 
     # -- prediction -----------------------------------------------------
@@ -401,10 +394,9 @@ class GaussianProcess:
                 "posterior unavailable: the Cholesky factor was invalidated "
                 "by a failed refactorisation; call fit() to rebuild it"
             )
-        backend = get_backend()
         cross = self.kernel(self._x, x_star)
         mean = self.prior_mean + cross.T @ self._alpha
-        v = backend.solve_triangular(self._chol, cross, lower=True)
+        v = solve_triangular(self._chol, cross, lower=True)
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 0.0)
         return mean, variance
 
@@ -421,14 +413,13 @@ class GaussianProcess:
         x_star = np.asarray(x_star, dtype=float)
         if x_star.ndim == 1:
             x_star = x_star[None, :]
-        backend = get_backend()
         mean, _ = self.predict(x_star)
         cov = self.kernel(x_star, x_star)
         if self._x is not None:
             cross = self.kernel(self._x, x_star)
-            v = backend.solve_triangular(self._chol, cross, lower=True)
+            v = solve_triangular(self._chol, cross, lower=True)
             cov = cov - v.T @ v
         cov[np.diag_indices_from(cov)] += 1e-10
-        chol = backend.cholesky(cov, lower=True)
+        chol = cholesky(cov, lower=True)
         draws = generator.standard_normal((x_star.shape[0], n_samples))
         return mean[:, None] + chol @ draws

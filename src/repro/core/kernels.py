@@ -8,12 +8,6 @@ ablation study.
 
 All kernels expose their hyperparameters as a flat log-vector so the
 marginal-likelihood optimiser can treat them generically.
-
-Array math routes through the active :mod:`repro.core.backend` — the
-default numpy backend performs exactly the operations this module
-always performed, and :func:`stacked_cross` evaluates many same-family
-kernels against a shared grid in one batched pass for the multi-head
-posterior engine.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ import abc
 
 import numpy as np
 
-from repro.core.backend import get_backend
 from repro.utils.validation import check_positive
 
 _SQRT3 = np.sqrt(3.0)
@@ -66,14 +59,12 @@ class Kernel(abc.ABC):
             raise ValueError(
                 f"inputs must have {self.n_dims} dims, got {xs.shape[1]} and {ys.shape[1]}"
             )
-        bk = get_backend()
-        xp = bk.xp
         sq = (
-            xp.sum(xs**2, axis=1)[:, None]
-            + xp.sum(ys**2, axis=1)[None, :]
-            - 2.0 * bk.matmul(xs, ys.T)
+            np.sum(xs**2, axis=1)[:, None]
+            + np.sum(ys**2, axis=1)[None, :]
+            - 2.0 * (xs @ ys.T)
         )
-        return xp.sqrt(xp.maximum(sq, 0.0))
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Covariance matrix between two sets of points."""
@@ -155,77 +146,3 @@ class RBF(Kernel):
     def _correlation(self, distance: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * distance**2)
 
-
-# -- batched evaluation across same-family kernels -----------------------
-
-
-def batch_key(kernel: Kernel) -> "tuple | None":
-    """Hashable stacking key for ``kernel``, or ``None`` if unbatchable.
-
-    Kernels with equal keys share a correlation function and may be
-    evaluated together through :func:`stacked_cross`; subclasses other
-    than the stock :class:`Matern`/:class:`RBF` return ``None`` so the
-    multi-head engine falls back to per-head evaluation rather than
-    assume an overridden ``_correlation``.
-    """
-    if type(kernel) is Matern:
-        return ("matern", kernel.nu)
-    if type(kernel) is RBF:
-        return ("rbf",)
-    return None
-
-
-def stacked_cross(kernels, xs, y: np.ndarray) -> np.ndarray:
-    """Cross-covariances of H same-family kernels in one batched pass.
-
-    Parameters
-    ----------
-    kernels:
-        Sequence of H kernels sharing one :func:`batch_key` (same
-        family and smoothness; lengthscales and output scales may
-        differ per head).
-    xs:
-        Sequence of H training-input arrays, each ``(n, d)`` with the
-        same ``n`` and ``d`` (the engine groups heads by ``n``).
-    y:
-        Shared evaluation grid ``(m, d)``.
-
-    Returns
-    -------
-    ``(H, n, m)`` array where slice ``h`` equals ``kernels[h](xs[h], y)``
-    up to floating-point reassociation of the batched matmul.
-    """
-    if len(kernels) == 0 or len(kernels) != len(xs):
-        raise ValueError(
-            f"need one input set per kernel, got {len(kernels)} kernels "
-            f"and {len(xs)} input sets"
-        )
-    keys = {batch_key(k) for k in kernels}
-    if len(keys) != 1 or None in keys:
-        raise ValueError(
-            f"kernels must share one batchable family, got keys {keys}"
-        )
-    bk = get_backend()
-    xp = bk.xp
-    lengthscales = bk.stack([k.lengthscales for k in kernels])  # (H, d)
-    x_stack = bk.stack([_as_2d(x) for x in xs])                 # (H, n, d)
-    y2d = _as_2d(y)
-    if x_stack.shape[2] != lengthscales.shape[1] \
-            or y2d.shape[1] != lengthscales.shape[1]:
-        raise ValueError(
-            f"inputs must have {lengthscales.shape[1]} dims, got "
-            f"{x_stack.shape[2]} and {y2d.shape[1]}"
-        )
-    xs_s = x_stack / lengthscales[:, None, :]                   # (H, n, d)
-    ys_s = y2d[None, :, :] / lengthscales[:, None, :]           # (H, m, d)
-    sq = (
-        xp.sum(xs_s**2, axis=2)[:, :, None]
-        + xp.sum(ys_s**2, axis=2)[:, None, :]
-        - 2.0 * bk.matmul(xs_s, xp.swapaxes(ys_s, 1, 2))
-    )
-    distance = xp.sqrt(xp.maximum(sq, 0.0))
-    correlation = kernels[0]._correlation(distance)
-    output_scales = bk.stack(
-        [np.asarray(k.output_scale, dtype=float) for k in kernels]
-    )
-    return output_scales[:, None, None] * correlation

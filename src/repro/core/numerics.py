@@ -1,4 +1,4 @@
-"""Robust numerical primitives shared by the GP stack.
+"""Robust numerical primitives and the numerics mode of the GP stack.
 
 Centralises the degradation ladder for Cholesky factorisation: a bare
 attempt first, then escalating diagonal jitter with bounded retries,
@@ -8,13 +8,39 @@ fit (:mod:`repro.core.likelihood`) factor through here, so a
 near-singular Gram matrix degrades the posterior slightly (jitter)
 instead of killing the run — the paper's §5 "Practical Issues" stance
 that the learner must survive numerical adversity.
+
+All GP linear algebra is dense numpy/scipy.  The one numerics choice a
+run makes is whether each GP head keeps every observation (``dense``,
+the default) or a bounded inducing subset (``sparse``, see
+:mod:`repro.core.sparse`).  :class:`NumericsConfig` describes that
+choice; it is resolved in priority order from an explicitly installed
+config (:func:`install_numerics` / :func:`use_numerics`), then from
+environment variables, then from the dense defaults.  The environment
+is what carries a CLI ``--numerics`` choice into sweep worker processes
+(the environment is inherited; an installed config is not).  The config
+is read once per agent, store key or sweep, never per kernel call.
+
+Environment variables
+---------------------
+
+``REPRO_SPARSE_GP``
+    ``1``/``true`` enables the inducing-subset sparse mode (observation
+    budget per GP head).
+``REPRO_GP_BUDGET``
+    Sparse-mode observation budget (default 256).
+
+See ``docs/NUMERICS.md`` for the full selection and trade-off guide.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
-from repro.core.backend import get_backend
+import numpy as np
+from scipy.linalg import cholesky
+
 from repro.telemetry import runtime as telemetry
 
 __all__ = [
@@ -22,6 +48,14 @@ __all__ = [
     "robust_cholesky",
     "MAX_JITTER_RETRIES",
     "BASE_JITTER_REL",
+    "NumericsConfig",
+    "active_numerics",
+    "install_numerics",
+    "uninstall_numerics",
+    "use_numerics",
+    "numerics_env",
+    "ENV_SPARSE",
+    "ENV_BUDGET",
 ]
 
 #: Bounded retry budget of the jitter escalation ladder.
@@ -29,6 +63,14 @@ MAX_JITTER_RETRIES = 4
 
 #: First jitter level, relative to the mean Gram diagonal.
 BASE_JITTER_REL = 1e-10
+
+#: Environment variable enabling the sparse observation-budget mode.
+ENV_SPARSE = "REPRO_SPARSE_GP"
+#: Environment variable overriding the sparse observation budget.
+ENV_BUDGET = "REPRO_GP_BUDGET"
+
+#: Values of a boolean environment variable that count as "on".
+_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -78,7 +120,6 @@ def robust_cholesky(
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    backend = get_backend()
     diag_scale = float(np.mean(np.diag(gram))) if gram.size else 1.0
     if not np.isfinite(diag_scale) or diag_scale <= 0.0:
         diag_scale = 1.0
@@ -92,7 +133,7 @@ def robust_cholesky(
             if jitter > 0.0:
                 target = gram.copy()
                 target[np.diag_indices_from(target)] += jitter
-            chol = backend.cholesky(target, lower=True)
+            chol = cholesky(target, lower=True)
         except np.linalg.LinAlgError as exc:
             last_error = exc
             telemetry.inc("core.gp.jitter_retries")
@@ -104,3 +145,167 @@ def robust_cholesky(
         f"matrix failed at site '{site}' after {max_retries} jittered "
         f"retries (final jitter {jitter:.3e})"
     ) from last_error
+
+
+# -- numerics-mode configuration ----------------------------------------
+
+
+@dataclass(frozen=True)
+class NumericsConfig:
+    """Process-level description of the GP numerics mode.
+
+    Attributes
+    ----------
+    sparse:
+        Bound every GP head to ``sparse_budget`` retained observations,
+        evicting via the inducing-subset policy of
+        :mod:`repro.core.sparse` — per-period cost stays flat as the
+        nominal history grows.
+    sparse_budget:
+        Observation budget per head in sparse mode.
+    sparse_block:
+        Eviction granularity (points dropped per eviction are
+        amortised over this many periods).
+    recent_fraction:
+        Fraction of the budget reserved for the newest observations in
+        sparse mode (stream continuity under drift).
+    """
+
+    sparse: bool = False
+    sparse_budget: int = 256
+    sparse_block: int = 64
+    recent_fraction: float = 0.25
+
+    def __post_init__(self) -> None:
+        """Validate the budget, the block and the recent fraction."""
+        if self.sparse_budget < 1:
+            raise ValueError(
+                f"sparse_budget must be >= 1, got {self.sparse_budget}"
+            )
+        if self.sparse_block < 1:
+            raise ValueError(
+                f"sparse_block must be >= 1, got {self.sparse_block}"
+            )
+        if not 0.0 <= self.recent_fraction <= 1.0:
+            raise ValueError(
+                f"recent_fraction must be in [0, 1], got {self.recent_fraction}"
+            )
+
+    @property
+    def mode(self) -> str:
+        """Canonical mode label: ``dense`` or ``sparse``."""
+        return "sparse" if self.sparse else "dense"
+
+    @classmethod
+    def from_mode(cls, mode: str, *,
+                  sparse_budget: int | None = None) -> "NumericsConfig":
+        """Config from a CLI-style mode label (``dense`` or ``sparse``)."""
+        if mode not in ("dense", "sparse"):
+            raise ValueError(
+                f"unknown numerics mode '{mode}' (expected dense or sparse)"
+            )
+        kwargs = {"sparse": mode == "sparse"}
+        if sparse_budget is not None:
+            kwargs["sparse_budget"] = sparse_budget
+        return cls(**kwargs)
+
+    @classmethod
+    def from_env(cls, environ=None) -> "NumericsConfig":
+        """Config read from the selection environment variables."""
+        environ = os.environ if environ is None else environ
+        kwargs = {}
+        sparse = environ.get(ENV_SPARSE)
+        if sparse is not None:
+            kwargs["sparse"] = sparse.strip().lower() in _TRUTHY
+        budget = environ.get(ENV_BUDGET)
+        if budget:
+            try:
+                kwargs["sparse_budget"] = int(budget)
+            except ValueError:
+                raise ValueError(
+                    f"{ENV_BUDGET} must be an integer, got {budget!r}"
+                ) from None
+        return cls(**kwargs)
+
+    def env_vars(self) -> dict:
+        """The environment variables that reproduce this config.
+
+        Setting these in ``os.environ`` is how the CLI carries a
+        ``--numerics`` selection into sweep worker processes.
+        """
+        return {
+            ENV_SPARSE: "1" if self.sparse else "0",
+            ENV_BUDGET: str(self.sparse_budget),
+        }
+
+
+#: Explicitly installed process-local config (overrides the environment).
+_ACTIVE: NumericsConfig | None = None
+
+
+def active_numerics() -> NumericsConfig:
+    """The resolved numerics config: installed > environment > defaults."""
+    if _ACTIVE is not None:
+        return _ACTIVE
+    return NumericsConfig.from_env()
+
+
+def install_numerics(config: NumericsConfig) -> None:
+    """Install ``config`` as the process-local numerics default.
+
+    Note that an installed config does **not** propagate to sweep
+    worker processes — use :func:`numerics_env` (or the CLI flags,
+    which set the environment) for multi-process runs.
+    """
+    global _ACTIVE
+    if not isinstance(config, NumericsConfig):
+        raise TypeError(
+            f"expected a NumericsConfig, got {type(config).__name__}"
+        )
+    _ACTIVE = config
+
+
+def uninstall_numerics() -> None:
+    """Remove an installed config (environment/defaults apply again)."""
+    global _ACTIVE
+    _ACTIVE = None
+
+
+@contextmanager
+def use_numerics(config: NumericsConfig):
+    """Context manager: install ``config`` for the block, then restore."""
+    global _ACTIVE
+    previous = _ACTIVE
+    install_numerics(config)
+    try:
+        yield config
+    finally:
+        _ACTIVE = previous
+
+
+def numerics_env(mode: str | None = None, *,
+                 sparse_budget: int | None = None,
+                 environ=None) -> NumericsConfig:
+    """Resolve CLI-style numerics flags and export them to ``environ``.
+
+    ``mode``/``sparse_budget`` override the corresponding
+    environment-derived values; an unspecified one keeps its current
+    environment (or default) setting.  The resolved config's
+    :meth:`NumericsConfig.env_vars` are written back to ``environ``
+    (default ``os.environ``) so worker processes inherit the selection,
+    and the config is returned.
+    """
+    environ = os.environ if environ is None else environ
+    config = NumericsConfig.from_env(environ)
+    if mode is not None:
+        config = NumericsConfig.from_mode(
+            mode,
+            sparse_budget=(
+                sparse_budget if sparse_budget is not None
+                else config.sparse_budget
+            ),
+        )
+    elif sparse_budget is not None:
+        config = replace(config, sparse_budget=sparse_budget)
+    environ.update(config.env_vars())
+    return config

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import NumericsConfig
 from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
+from repro.core.numerics import NumericsConfig
 from repro.testbed.config import CostWeights, ServiceConstraints
 
-#: Format marker for forward compatibility.
-_FORMAT_VERSION = 1
+#: Format marker for forward compatibility.  Version 2 shrank the
+#: numerics config to the sparse-budget fields of ``NumericsConfig``.
+_FORMAT_VERSION = 2
 
 #: GP slots serialised, in order.
 _GP_SLOTS = ("cost", "delay", "map")
@@ -40,8 +41,17 @@ def _config_from_json(raw: str) -> EdgeBOLConfig:
     payload = json.loads(raw)
     if payload.get("lengthscales") is not None:
         payload["lengthscales"] = np.asarray(payload["lengthscales"], dtype=float)
-    if payload.get("numerics") is not None:
-        payload["numerics"] = NumericsConfig(**payload["numerics"])
+    numerics = payload.get("numerics")
+    if numerics is not None:
+        known = {f.name for f in dataclasses.fields(NumericsConfig)}
+        unknown = sorted(set(numerics) - known)
+        if unknown:
+            raise ValueError(
+                f"checkpoint numerics config has unknown key(s) "
+                f"{', '.join(map(repr, unknown))} (known: "
+                f"{', '.join(sorted(known))})"
+            )
+        payload["numerics"] = NumericsConfig(**numerics)
     return EdgeBOLConfig(**payload)
 
 

@@ -41,16 +41,6 @@ consume directly.  Results are numerically interchangeable with direct
 ``predict`` calls (same factor, same kernel rows, same matrix-vector
 products).
 
-In *batched* mode (``REPRO_BATCHED_HEADS=1`` or the ``batched``
-constructor flag) heads needing the same kind of work — a rebuild at
-the same ``n``, or an extension over the same ``(k0, n)`` row range —
-with same-family kernels are grouped and served through one stacked
-cross-kernel build (:func:`repro.core.kernels.stacked_cross`) plus one
-batched triangular solve, instead of three-plus sequential per-head
-sweeps.  Heads with custom kernels fall back to the per-head path, and
-every :class:`EngineStats` counter is incremented per head exactly as
-the per-head loop would, so run logs stay comparable across modes.
-
 Timing and cache counters are kept in :class:`EngineStats` and surfaced
 through :class:`repro.experiments.recorder.RunLog`.
 """
@@ -63,10 +53,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from repro.core.backend import active_numerics, get_backend
 from repro.core.gp import GaussianProcess
-from repro.core.kernels import batch_key, stacked_cross
+from repro.core.numerics import NumericalInstabilityError
 from repro.telemetry import runtime as telemetry
 
 
@@ -201,12 +191,6 @@ class SurrogateEngine:
         solves are retained.  Each entry costs
         ``O(heads * N * M)`` floats, so the bound caps memory on long
         runs with many distinct contexts.
-    batched:
-        Serve same-shaped head groups through stacked linear algebra
-        (see the module docstring).  ``None`` (default) follows the
-        active :class:`~repro.core.backend.NumericsConfig`
-        (``REPRO_BATCHED_HEADS``); pass ``True``/``False`` to pin the
-        mode regardless of the environment.
     """
 
     def __init__(
@@ -215,7 +199,6 @@ class SurrogateEngine:
         control_grid: np.ndarray,
         context_dim: int,
         max_cached_contexts: int = 16,
-        batched: bool | None = None,
     ) -> None:
         if not heads:
             raise ValueError("at least one GP head is required")
@@ -242,9 +225,6 @@ class SurrogateEngine:
         self.control_grid = grid
         self.context_dim = int(context_dim)
         self.max_cached_contexts = int(max_cached_contexts)
-        self.batched = (
-            active_numerics().batched_heads if batched is None else bool(batched)
-        )
         # context key -> (joint grid, head name -> _HeadState), LRU order.
         self._cache: OrderedDict[bytes, tuple[np.ndarray, dict[str, _HeadState]]]
         self._cache = OrderedDict()
@@ -315,70 +295,6 @@ class SurrogateEngine:
             states[name] = state
         return state
 
-    @staticmethod
-    def _raise_no_factor(name: str) -> None:
-        from repro.core.numerics import NumericalInstabilityError
-
-        raise NumericalInstabilityError(
-            f"head '{name}' has no usable Cholesky factor (a "
-            "refactorisation exhausted the jitter ladder); refit the "
-            "surrogate before sweeping the grid"
-        )
-
-    def _prior_moments(self, gp: GaussianProcess, state: _HeadState,
-                       joint: np.ndarray, factor_version: int):
-        """Empty-head moments: the prior, with the version kept current."""
-        if state.factor_version != factor_version:
-            # Covers a kernel/noise swap while the head is empty.
-            state.prior_var = gp.kernel.diag(joint)
-            state.factor_version = factor_version
-        state.n = 0
-        mean = np.full(joint.shape[0], gp.prior_mean)
-        return mean, state.prior_var.copy()
-
-    def _rebuild_state(self, gp: GaussianProcess, state: _HeadState,
-                       x: np.ndarray, chol: np.ndarray,
-                       factor_version: int, joint: np.ndarray) -> None:
-        """Rebuild one head's cache entry exactly (cold or invalidated)."""
-        n = x.shape[0]
-        state.prior_var = gp.kernel.diag(joint)
-        state._reserve(n)
-        state.cross[:n] = gp.kernel(x, joint)
-        state.v[:n] = get_backend().solve_triangular(
-            chol, state.cross[:n], lower=True
-        )
-        state.n = n
-        state.factor_version = factor_version
-        self.stats.kernel_evals += n * joint.shape[0]
-        self.stats.rebuilds += 1
-
-    def _extend_state(self, gp: GaussianProcess, state: _HeadState,
-                      x: np.ndarray, chol: np.ndarray,
-                      joint: np.ndarray) -> None:
-        """Extend one head's solves by the rank-1 rows added since cached."""
-        n = x.shape[0]
-        k0 = state.n
-        state._reserve(n)
-        state.cross[k0:n] = gp.kernel(x[k0:], joint)
-        block = state.cross[k0:n] - chol[k0:n, :k0] @ state.v[:k0]
-        state.v[k0:n] = get_backend().solve_triangular(
-            chol[k0:n, k0:n], block, lower=True
-        )
-        state.n = n
-        self.stats.kernel_evals += (n - k0) * joint.shape[0]
-        self.stats.extensions += 1
-
-    @staticmethod
-    def _assemble_moments(gp: GaussianProcess, state: _HeadState,
-                          alpha: np.ndarray):
-        """Posterior moments from a current cache entry and live alpha."""
-        n = state.n
-        cross = state.cross[:n]
-        v = state.v[:n]
-        mean = gp.prior_mean + cross.T @ alpha
-        variance = np.maximum(state.prior_var - np.sum(v**2, axis=0), 0.0)
-        return mean, variance
-
     def _head_moments(
         self,
         name: str,
@@ -390,128 +306,52 @@ class SurrogateEngine:
 
         x, chol, alpha, factor_version = gp._posterior_state()
         if x is None:
-            return self._prior_moments(gp, state, joint, factor_version)
+            if state.factor_version != factor_version:
+                # Covers a kernel/noise swap while the head is empty.
+                state.prior_var = gp.kernel.diag(joint)
+                state.factor_version = factor_version
+            state.n = 0
+            mean = np.full(joint.shape[0], gp.prior_mean)
+            return mean, state.prior_var.copy()
         if chol is None:
-            self._raise_no_factor(name)
+            raise NumericalInstabilityError(
+                f"head '{name}' has no usable Cholesky factor (a "
+                "refactorisation exhausted the jitter ladder); refit the "
+                "surrogate before sweeping the grid"
+            )
 
+        n = x.shape[0]
         if state.factor_version != factor_version:
             # Cold cache, or the factor lineage broke (fit / eviction /
             # hyperparameter change): rebuild this entry exactly.
-            self._rebuild_state(gp, state, x, chol, factor_version, joint)
-        elif state.n < x.shape[0]:
+            state.prior_var = gp.kernel.diag(joint)
+            state._reserve(n)
+            state.cross[:n] = gp.kernel(x, joint)
+            state.v[:n] = solve_triangular(chol, state.cross[:n], lower=True)
+            state.n = n
+            state.factor_version = factor_version
+            self.stats.kernel_evals += n * joint.shape[0]
+            self.stats.rebuilds += 1
+        elif state.n < n:
             # Same factor lineage, k new rank-1 rows: extend the solves.
-            self._extend_state(gp, state, x, chol, joint)
+            k0 = state.n
+            state._reserve(n)
+            state.cross[k0:n] = gp.kernel(x[k0:], joint)
+            block = state.cross[k0:n] - chol[k0:n, :k0] @ state.v[:k0]
+            state.v[k0:n] = solve_triangular(
+                chol[k0:n, k0:n], block, lower=True
+            )
+            state.n = n
+            self.stats.kernel_evals += (n - k0) * joint.shape[0]
+            self.stats.extensions += 1
         else:
             self.stats.cache_hits += 1
 
-        return self._assemble_moments(gp, state, alpha)
-
-    def _batched_moments(
-        self,
-        names: tuple[str, ...],
-        joint: np.ndarray,
-        states: dict[str, _HeadState],
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """All heads' moments via grouped stacked linear algebra.
-
-        Heads are classified exactly as the per-head loop would classify
-        them (prior / rebuild / extend / hit); rebuilds sharing ``n``
-        and a kernel family, and extensions sharing ``(k0, n)`` and a
-        family, are served by one stacked cross-kernel build and one
-        batched triangular solve.  Unbatchable heads (custom kernels)
-        take the per-head path.  Counters are bumped per head, matching
-        the per-head loop tally for tally.
-        """
-        means: dict[str, np.ndarray] = {}
-        variances: dict[str, np.ndarray] = {}
-        rebuilds: dict[tuple, list] = {}
-        extensions: dict[tuple, list] = {}
-        live: list[tuple] = []
-        for name in names:
-            gp = self._heads[name]
-            state = self._state_for(name, joint, states)
-            x, chol, alpha, factor_version = gp._posterior_state()
-            if x is None:
-                means[name], variances[name] = self._prior_moments(
-                    gp, state, joint, factor_version
-                )
-                continue
-            if chol is None:
-                self._raise_no_factor(name)
-            live.append((name, gp, state, alpha))
-            n = x.shape[0]
-            if state.factor_version != factor_version:
-                key = batch_key(gp.kernel)
-                if key is None:
-                    self._rebuild_state(
-                        gp, state, x, chol, factor_version, joint
-                    )
-                else:
-                    rebuilds.setdefault((n, key), []).append(
-                        (gp, state, x, chol, factor_version)
-                    )
-            elif state.n < n:
-                key = batch_key(gp.kernel)
-                if key is None:
-                    self._extend_state(gp, state, x, chol, joint)
-                else:
-                    extensions.setdefault((state.n, n, key), []).append(
-                        (gp, state, x, chol)
-                    )
-            else:
-                self.stats.cache_hits += 1
-
-        backend = get_backend()
-        m = joint.shape[0]
-        for (n, _key), group in rebuilds.items():
-            cross_stack = stacked_cross(
-                [gp.kernel for gp, *_ in group],
-                [x for _, _, x, _, _ in group],
-                joint,
-            )
-            chol_stack = backend.stack([chol for *_, chol, _ in group])
-            v_stack = backend.solve_triangular(
-                chol_stack, cross_stack, lower=True
-            )
-            for i, (gp, state, x, chol, factor_version) in enumerate(group):
-                state.prior_var = gp.kernel.diag(joint)
-                state._reserve(n)
-                state.cross[:n] = cross_stack[i]
-                state.v[:n] = v_stack[i]
-                state.n = n
-                state.factor_version = factor_version
-                self.stats.kernel_evals += n * m
-                self.stats.rebuilds += 1
-
-        for (k0, n, _key), group in extensions.items():
-            cross_stack = stacked_cross(
-                [gp.kernel for gp, *_ in group],
-                [x[k0:] for _, _, x, _ in group],
-                joint,
-            )
-            # The correction against the already-solved rows is cheap and
-            # head-local; only the (n-k0)-sized L22 solve is batched.
-            blocks = backend.stack([
-                cross_stack[i] - chol[k0:n, :k0] @ state.v[:k0]
-                for i, (_, state, _, chol) in enumerate(group)
-            ])
-            l22_stack = backend.stack(
-                [chol[k0:n, k0:n] for *_, chol in group]
-            )
-            v_stack = backend.solve_triangular(l22_stack, blocks, lower=True)
-            for i, (gp, state, x, chol) in enumerate(group):
-                state._reserve(n)
-                state.cross[k0:n] = cross_stack[i]
-                state.v[k0:n] = v_stack[i]
-                state.n = n
-                self.stats.kernel_evals += (n - k0) * m
-                self.stats.extensions += 1
-
-        for name, gp, state, alpha in live:
-            means[name], variances[name] = self._assemble_moments(
-                gp, state, alpha
-            )
-        return means, variances
+        cross = state.cross[:n]
+        v = state.v[:n]
+        mean = gp.prior_mean + cross.T @ alpha
+        variance = np.maximum(state.prior_var - np.sum(v**2, axis=0), 0.0)
+        return mean, variance
 
     def posterior(
         self,
@@ -542,17 +382,12 @@ class SurrogateEngine:
                     raise KeyError(
                         f"unknown head {name!r}; engine heads are {tuple(self._heads)}"
                     )
-            if self.batched and len(names) > 1:
-                means, variances = self._batched_moments(names, joint, states)
-                means = {name: means[name] for name in names}
-                variances = {name: variances[name] for name in names}
-            else:
-                means = {}
-                variances = {}
-                for name in names:
-                    means[name], variances[name] = self._head_moments(
-                        name, joint, states
-                    )
+            means = {}
+            variances = {}
+            for name in names:
+                means[name], variances[name] = self._head_moments(
+                    name, joint, states
+                )
             self.stats.queries += 1
             self.stats.head_queries += len(names)
             self.stats.wall_time_s += time.perf_counter() - started

@@ -35,8 +35,9 @@ class SafeSetEstimator:
     map_gp:
         GP over the joint space predicting mAP.
     beta:
-        Confidence-bound width multiplier (the paper's ``beta^{1/2}``,
-        2.5 in the evaluation).
+        Confidence-bound width multiplier: it multiplies sigma
+        directly, playing the role of the paper's ``beta^{1/2}`` (2.5 in
+        the evaluation).
     noise_beta:
         Multiplier of the *aleatoric* (observation-noise) margin added
         to the confidence bound.  The constraints of problem (2) apply
@@ -50,14 +51,6 @@ class SafeSetEstimator:
         ``noise_beta * delay_noise_rel * mu_delay``.
     map_noise_std:
         Absolute std of a batch mAP measurement.
-    variance_inflation:
-        Multiplier applied to the posterior standard deviations before
-        the eq.-8 widths are formed.  1.0 (default) is the exact paper
-        test and adds no work; values above 1.0 widen the bounds —
-        provided for sparse approximations whose variances may
-        under-cover (the subset-of-data mode of
-        :mod:`repro.core.sparse` does *not* need it: its variances are
-        already conservative).
     """
 
     def __init__(
@@ -68,7 +61,6 @@ class SafeSetEstimator:
         noise_beta: float = 1.0,
         delay_noise_rel: float = 0.05,
         map_noise_std: float = 0.02,
-        variance_inflation: float = 1.0,
     ) -> None:
         self.delay_gp = delay_gp
         self.map_gp = map_gp
@@ -80,9 +72,6 @@ class SafeSetEstimator:
             raise ValueError("noise levels must be >= 0")
         self.delay_noise_rel = float(delay_noise_rel)
         self.map_noise_std = float(map_noise_std)
-        self.variance_inflation = check_positive(
-            variance_inflation, "variance_inflation"
-        )
 
     def safe_mask(
         self,
@@ -132,9 +121,6 @@ class SafeSetEstimator:
         map_std: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Confidence-bound half-widths of the two eq.-8 tests."""
-        if self.variance_inflation != 1.0:
-            delay_std = self.variance_inflation * delay_std
-            map_std = self.variance_inflation * map_std
         delay_width = self.beta * delay_std + (
             self.noise_beta * self.delay_noise_rel * np.abs(delay_mean)
         )

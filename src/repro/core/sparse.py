@@ -24,11 +24,7 @@ Two properties make this safe to plumb into the certification path:
   ``sigma``.  The eq.-8 safe-set test therefore stays *valid*: a
   control certified safe under the inflated uncertainty would also be
   certified by wider evidence, never the other way round.  The means
-  do move (that is the approximation error); the
-  ``variance_inflation`` knob of
-  :class:`~repro.core.backend.NumericsConfig` exists for future
-  parametric sparse modes whose variances can under-cover, and
-  defaults to the no-op 1.0 here.
+  do move (that is the approximation error).
 
 The retained subset is chosen by a deterministic greedy max-min
 (farthest-point) rule in the kernel's ARD-scaled metric — the classic

@@ -252,7 +252,7 @@ def engine_state(engine) -> dict:
 
     The cache is *causal* state, not just a speed-up: a cached entry's
     solves were built by incremental blocked extensions
-    (:meth:`SurrogateEngine._extend_state`), which differ in the last
+    (:meth:`SurrogateEngine.posterior`), which differ in the last
     float bits from the single full triangular solve a cold rebuild
     performs over the same factor.  Dropping the cache on restore and
     rebuilding would therefore perturb posteriors by ~1e-13 — enough to

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import active_numerics
+from repro.core.numerics import active_numerics
 from repro.experiments import spec as registry
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import runtime as faults

@@ -227,7 +227,7 @@ class DecisionTracer:
         record = {
             "t": self._t,
             **({"agent": self.label} if self.label is not None else {}),
-            # Active numerics mode (dense/batched/sparse...): lets
+            # Active numerics mode (dense or sparse): lets
             # `repro diagnose` attribute anomalies to sparse
             # approximation error rather than the learner itself.
             "numerics_mode": getattr(agent, "numerics_mode", None),

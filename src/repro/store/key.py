@@ -3,7 +3,7 @@
 A sweep cell is uniquely determined by six ingredients: the spec name,
 the fully-resolved cell parameters, the cell's seed-tree node (root
 entropy + spawn key), the installed fault plan, the active
-:class:`~repro.core.backend.NumericsConfig`, and a fingerprint of the
+:class:`~repro.core.numerics.NumericsConfig`, and a fingerprint of the
 code that will execute it.  :func:`cell_key` folds all six into one
 SHA-256 hex digest through :func:`canonical_json` — a deterministic
 serialisation (sorted keys, tuples as lists, numpy scalars coerced,
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import NumericsConfig, active_numerics
+from repro.core.numerics import NumericsConfig, active_numerics
 
 __all__ = [
     "canonical_json",
@@ -144,9 +144,9 @@ def cell_key(
         key with a clean one.
     numerics:
         The active numerics configuration (every field participates:
-        conservative invalidation — a batched or sparse run is keyed
-        apart from the dense reference even where results are proven
-        equal).  Defaults to :func:`repro.core.backend.active_numerics`.
+        conservative invalidation — a sparse run is keyed apart from
+        the dense reference even where results are proven equal).
+        Defaults to :func:`repro.core.numerics.active_numerics`.
     code:
         Code fingerprint; defaults to :func:`code_fingerprint`.
     """

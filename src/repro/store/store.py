@@ -17,7 +17,7 @@ params, payload checksum — appended in one flushed write; duplicate
 keys are resolved last-wins at read time and squashed by
 :meth:`ExperimentStore.gc` compaction.
 
-Store resolution mirrors :class:`~repro.core.backend.NumericsConfig`:
+Store resolution mirrors :class:`~repro.core.numerics.NumericsConfig`:
 an explicit CLI path (``--store DIR``) wins, then the ``REPRO_STORE``
 environment variable, and with neither the store is disabled
 (``--no-store`` force-disables).  See ``docs/STORE.md`` for the key

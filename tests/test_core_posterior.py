@@ -318,6 +318,19 @@ class TestValidationAndStats:
         with pytest.raises(KeyError):
             engine.posterior(rng.random(CONTEXT_DIM), heads=("bogus",))
 
+    def test_subset_head_query_preserves_order(self):
+        rng = np.random.default_rng(3)
+        grid = make_grid(rng, n_points=20)
+        engine, heads = make_engine(grid)
+        context = rng.random(CONTEXT_DIM)
+        z = np.concatenate([context, grid[0]])
+        for gp in heads.values():
+            gp.add(z, 1.0)
+        batch = engine.posterior(context, heads=("delay", "cost"))
+        assert batch.heads == ("delay", "cost")
+        with pytest.raises(KeyError):
+            engine.posterior(context, heads=("bogus",))
+
     def test_context_shape_and_finiteness(self):
         rng = np.random.default_rng(15)
         engine, _ = make_engine(make_grid(rng))

@@ -1,32 +1,22 @@
-"""Tests for the pluggable numerics backend layer and the sparse policy.
+"""Tests for the numerics-mode configuration and the sparse policy.
 
-Covers the :mod:`repro.core.backend` contract — the NumpyBackend's
-bit-identity with the scipy routines it replaced, the backend registry,
-:class:`NumericsConfig` construction/validation/environment resolution
-and the install/use precedence — plus the deterministic inducing-subset
-selection of :mod:`repro.core.sparse` and its conservative-variance
-property (the argument that makes sparse mode safe for eq.-8
-certification).
+Covers :class:`~repro.core.numerics.NumericsConfig`
+construction/validation/environment resolution and the install/use
+precedence — plus the deterministic inducing-subset selection of
+:mod:`repro.core.sparse` and its conservative-variance property (the
+argument that makes sparse mode safe for eq.-8 certification).
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from repro.core.backend import (
-    ENV_BACKEND,
-    ENV_BATCHED,
+from repro.core.numerics import (
     ENV_BUDGET,
     ENV_SPARSE,
-    ArrayBackend,
     NumericsConfig,
-    NumpyBackend,
     active_numerics,
-    available_backends,
-    get_backend,
     install_numerics,
     numerics_env,
-    register_backend,
     uninstall_numerics,
     use_numerics,
 )
@@ -43,155 +33,29 @@ def _no_installed_config():
     uninstall_numerics()
 
 
-def spd(rng, n):
-    a = rng.normal(size=(n, n))
-    return a @ a.T + n * np.eye(n)
-
-
-class TestNumpyBackendOps:
-    """The default backend delegates to the exact pre-refactor routines."""
-
-    def test_cholesky_bit_identical_to_scipy(self, rng):
-        m = spd(rng, 6)
-        for lower in (True, False):
-            np.testing.assert_array_equal(
-                NumpyBackend().cholesky(m, lower=lower),
-                cholesky(m, lower=lower),
-            )
-
-    def test_cholesky_batched_loops_leading_axis(self, rng):
-        stack = np.stack([spd(rng, 5) for _ in range(3)])
-        out = NumpyBackend().cholesky(stack, lower=True)
-        assert out.shape == stack.shape
-        for got, m in zip(out, stack):
-            np.testing.assert_array_equal(got, cholesky(m, lower=True))
-
-    def test_cholesky_raises_linalgerror_on_indefinite(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            NumpyBackend().cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_solve_triangular_bit_identical(self, rng):
-        m = np.tril(spd(rng, 6))
-        b = rng.normal(size=(6, 4))
-        np.testing.assert_array_equal(
-            NumpyBackend().solve_triangular(m, b, lower=True),
-            solve_triangular(m, b, lower=True),
-        )
-
-    def test_solve_triangular_batched(self, rng):
-        mats = np.stack([np.tril(spd(rng, 5)) for _ in range(3)])
-        rhs = rng.normal(size=(3, 5, 2))
-        out = NumpyBackend().solve_triangular(mats, rhs, lower=True)
-        assert out.shape == rhs.shape
-        for got, m, b in zip(out, mats, rhs):
-            np.testing.assert_array_equal(
-                got, solve_triangular(m, b, lower=True)
-            )
-
-    def test_cho_solve_bit_identical(self, rng):
-        m = spd(rng, 6)
-        chol = cholesky(m, lower=True)
-        b = rng.normal(size=6)
-        np.testing.assert_array_equal(
-            NumpyBackend().cho_solve(chol, b, lower=True),
-            cho_solve((chol, True), b),
-        )
-
-    def test_array_helpers(self, rng):
-        bk = NumpyBackend()
-        assert bk.xp is np
-        assert bk.name == "numpy"
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(bk.matmul(a, b), a @ b)
-        np.testing.assert_array_equal(
-            bk.einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b)
-        )
-        np.testing.assert_array_equal(
-            bk.stack([a, a]), np.stack([a, a])
-        )
-        assert bk.asarray([1, 2]).dtype == float
-
-
-class TestRegistry:
-    def test_default_backend_is_numpy(self):
-        backend = get_backend()
-        assert isinstance(backend, NumpyBackend)
-        # Instances are cached: same object every call.
-        assert get_backend("numpy") is backend
-
-    def test_builtin_names_advertised(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "cupy" in names
-        assert "torch" in names
-
-    def test_unknown_name_raises_keyerror(self):
-        with pytest.raises(KeyError, match="numpy"):
-            get_backend("fortran77")
-
-    def test_register_custom_backend(self):
-        calls = []
-
-        class Custom(NumpyBackend):
-            name = "custom-test"
-
-        def factory():
-            calls.append(1)
-            return Custom()
-
-        register_backend("custom-test", factory)
-        assert "custom-test" in available_backends()
-        first = get_backend("custom-test")
-        assert isinstance(first, Custom)
-        assert get_backend("custom-test") is first
-        assert len(calls) == 1  # lazy + cached
-
-    def test_register_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", NumpyBackend)
-
-    @pytest.mark.parametrize("name", ["cupy", "torch"])
-    def test_unavailable_accelerator_backends_raise_actionably(self, name):
-        # Whether the library is absent (placeholder backend) or present
-        # (factory refuses: not implemented), use must raise RuntimeError
-        # rather than fail deep inside a solve.
-        try:
-            backend = get_backend(name)
-        except RuntimeError:
-            return
-        assert isinstance(backend, ArrayBackend)
-        with pytest.raises(RuntimeError, match=name):
-            backend.matmul(np.eye(2), np.eye(2))
-
-
 class TestNumericsConfig:
     def test_defaults_are_dense_numpy(self):
         config = NumericsConfig()
-        assert config.backend == "numpy"
-        assert not config.batched_heads and not config.sparse
+        assert not config.sparse
+        assert config.sparse_budget == 256
         assert config.mode == "dense"
 
-    @pytest.mark.parametrize("batched,sparse,mode", [
-        (False, False, "dense"),
-        (True, False, "batched"),
-        (False, True, "sparse"),
-        (True, True, "sparse+batched"),
+    @pytest.mark.parametrize("sparse,mode", [
+        (False, "dense"),
+        (True, "sparse"),
     ])
-    def test_mode_labels(self, batched, sparse, mode):
-        assert NumericsConfig(
-            batched_heads=batched, sparse=sparse
-        ).mode == mode
+    def test_mode_labels(self, sparse, mode):
+        assert NumericsConfig(sparse=sparse).mode == mode
 
-    @pytest.mark.parametrize("label", [
-        "dense", "batched", "sparse", "sparse-batched", "sparse+batched",
-    ])
+    @pytest.mark.parametrize("label", ["dense", "sparse"])
     def test_from_mode_round_trips(self, label):
         config = NumericsConfig.from_mode(label)
-        assert config.mode == label.replace("-", "+")
+        assert config.mode == label
 
     def test_from_mode_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown numerics mode"):
-            NumericsConfig.from_mode("lightspeed")
+        for label in ("lightspeed", "batched", "sparse-batched"):
+            with pytest.raises(ValueError, match="unknown numerics mode"):
+                NumericsConfig.from_mode(label)
 
     def test_from_mode_overrides(self):
         config = NumericsConfig.from_mode("sparse", sparse_budget=32)
@@ -204,18 +68,11 @@ class TestNumericsConfig:
             NumericsConfig(sparse_block=0)
         with pytest.raises(ValueError):
             NumericsConfig(recent_fraction=1.5)
-        with pytest.raises(ValueError):
-            NumericsConfig(variance_inflation=0.5)
 
     def test_from_env_parses_variables(self):
-        environ = {
-            ENV_BACKEND: "numpy",
-            ENV_BATCHED: "true",
-            ENV_SPARSE: "0",
-            ENV_BUDGET: "77",
-        }
+        environ = {ENV_SPARSE: "true", ENV_BUDGET: "77"}
         config = NumericsConfig.from_env(environ)
-        assert config.batched_heads and not config.sparse
+        assert config.sparse
         assert config.sparse_budget == 77
 
     def test_from_env_bad_budget_raises(self):
@@ -223,36 +80,34 @@ class TestNumericsConfig:
             NumericsConfig.from_env({ENV_BUDGET: "many"})
 
     def test_env_vars_round_trip(self):
-        config = NumericsConfig(batched_heads=True, sparse=True,
-                                sparse_budget=128)
+        config = NumericsConfig(sparse=True, sparse_budget=128)
         assert NumericsConfig.from_env(config.env_vars()) == config
 
     def test_install_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_BATCHED, "1")
-        assert active_numerics().batched_heads
+        monkeypatch.setenv(ENV_SPARSE, "1")
+        assert active_numerics().sparse
         install_numerics(NumericsConfig())
-        assert not active_numerics().batched_heads
+        assert not active_numerics().sparse
         uninstall_numerics()
-        assert active_numerics().batched_heads
+        assert active_numerics().sparse
 
     def test_install_rejects_non_config(self):
         with pytest.raises(TypeError):
-            install_numerics({"backend": "numpy"})
+            install_numerics({"sparse": True})
 
     def test_use_numerics_restores_previous(self):
         outer = NumericsConfig(sparse=True)
         install_numerics(outer)
-        with use_numerics(NumericsConfig(batched_heads=True)) as inner:
+        with use_numerics(NumericsConfig(sparse_budget=8)) as inner:
             assert active_numerics() is inner
         assert active_numerics() is outer
 
     def test_numerics_env_resolves_and_exports(self):
         environ = {ENV_BUDGET: "99"}
-        config = numerics_env("sparse-batched", environ=environ)
-        assert config.mode == "sparse+batched"
+        config = numerics_env("sparse", environ=environ)
+        assert config.mode == "sparse"
         assert config.sparse_budget == 99  # env value kept
         assert environ[ENV_SPARSE] == "1"
-        assert environ[ENV_BATCHED] == "1"
 
     def test_numerics_env_flag_overrides_win(self):
         environ = {ENV_SPARSE: "1", ENV_BUDGET: "99"}
@@ -263,10 +118,10 @@ class TestNumericsConfig:
         assert environ[ENV_BUDGET] == "11"
 
     def test_numerics_env_without_flags_keeps_environment(self):
-        environ = {ENV_BATCHED: "yes"}
+        environ = {ENV_SPARSE: "yes"}
         config = numerics_env(environ=environ)
-        assert config.batched_heads
-        assert environ[ENV_BATCHED] == "1"  # normalised back
+        assert config.sparse
+        assert environ[ENV_SPARSE] == "1"  # normalised back
 
 
 class TestGreedyInducingSelection:

@@ -1,13 +1,8 @@
-"""Integration tests for the numerics modes (batched, sparse, dense).
+"""Integration tests for the numerics modes (dense and sparse).
 
 The dense default is the bit-identity reference, so these tests pin the
-three claims the numerics refactor makes:
+claims the sparse observation budget makes:
 
-* **batched == dense** — the stacked multi-head engine path produces
-  the same moments as the per-head loop (1e-9) and counts work on the
-  :class:`EngineStats` counters tally-for-tally, through rebuilds,
-  extensions, cache hits, evictions, empty (prior) heads and
-  custom-kernel heads that fall back to the per-head path;
 * **eviction is replay-stable** — a run that crosses
   ``max_observations + eviction_block`` produces bit-identical
   trajectories whether the engine cache is warm or cold at eviction
@@ -25,25 +20,13 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import EdgeBOL, EdgeBOLConfig
-from repro.core.backend import (
-    ENV_BACKEND,
-    ENV_BATCHED,
-    ENV_BUDGET,
-    ENV_SPARSE,
-    NumericsConfig,
-)
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import RBF, Matern
-from repro.core.posterior import SurrogateEngine
+from repro.core.numerics import ENV_BUDGET, ENV_SPARSE, NumericsConfig
 from repro.obs import runtime as obs
 from repro.obs.diagnose import detect_anomalies, render_dashboard
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
-CONTEXT_DIM = 3
-CONTROL_DIM = 4
-D = CONTEXT_DIM + CONTROL_DIM
-ENV_VARS = (ENV_BACKEND, ENV_BATCHED, ENV_SPARSE, ENV_BUDGET)
+ENV_VARS = (ENV_SPARSE, ENV_BUDGET)
 
 
 @pytest.fixture
@@ -56,134 +39,6 @@ def clean_numerics_env():
             os.environ.pop(var, None)
         else:
             os.environ[var] = value
-
-
-class TiltedMatern(Matern):
-    """A user-defined kernel: excluded from exact-type batch grouping."""
-
-
-def make_heads(cost_kwargs=None):
-    """Four heads: two groupable Materns, one RBF, one custom kernel."""
-    return {
-        "cost": GaussianProcess(
-            Matern(lengthscales=np.full(D, 0.7), output_scale=4.0),
-            noise_variance=0.01, **(cost_kwargs or {}),
-        ),
-        "delay": GaussianProcess(
-            Matern(lengthscales=np.full(D, 0.6), output_scale=0.02),
-            noise_variance=0.001, prior_mean=0.8,
-        ),
-        "map": GaussianProcess(
-            RBF(lengthscales=np.full(D, 0.9), output_scale=0.02),
-            noise_variance=0.001,
-        ),
-        "power": GaussianProcess(
-            TiltedMatern(lengthscales=np.full(D, 0.8), output_scale=1.0),
-            noise_variance=0.01,
-        ),
-    }
-
-
-def counters(engine):
-    """Snapshot minus the (non-deterministic) wall time."""
-    snap = engine.stats.snapshot()
-    snap.pop("wall_time_s")
-    return snap
-
-
-class TestBatchedMatchesDense:
-    def test_lifecycle_moments_and_counters(self):
-        """Rebuild/extend/hit/evict/prior paths, moment + counter parity.
-
-        The cost head evicts mid-run, the map head stays empty (prior
-        path) for the first stretch, and the power head's custom kernel
-        exercises the per-head fallback inside the batched sweep.
-        """
-        rng = np.random.default_rng(1)
-        grid = rng.random((40, CONTROL_DIM))
-        evict_kwargs = {"max_observations": 8, "eviction_block": 3}
-        dense_heads = make_heads(cost_kwargs=evict_kwargs)
-        batched_heads = make_heads(cost_kwargs=evict_kwargs)
-        dense = SurrogateEngine(dense_heads, grid, context_dim=CONTEXT_DIM,
-                                batched=False)
-        batched = SurrogateEngine(batched_heads, grid,
-                                  context_dim=CONTEXT_DIM, batched=True)
-        assert not dense.batched and batched.batched
-        contexts = [rng.random(CONTEXT_DIM) for _ in range(2)]
-        for t in range(18):
-            context = contexts[t % 2]
-            z = np.concatenate([context, grid[t % 40]])
-            for name in dense_heads:
-                if name == "map" and t < 12:
-                    continue  # empty head: both paths serve the prior
-                y = float(rng.normal())
-                dense_heads[name].add(z, y)
-                batched_heads[name].add(z, y)
-            for engine in (dense, batched):
-                engine.posterior(context)  # rebuild/extend pass
-            d = dense.posterior(context)   # pure cache-hit pass
-            b = batched.posterior(context)
-            for name in d.heads:
-                np.testing.assert_allclose(b.mean(name), d.mean(name),
-                                           atol=1e-9, rtol=0)
-                np.testing.assert_allclose(b.variance(name),
-                                           d.variance(name),
-                                           atol=1e-9, rtol=0)
-        assert dense_heads["cost"].evictions >= 1
-        assert batched_heads["cost"].evictions >= 1
-        assert counters(batched) == counters(dense)
-
-    def test_kernel_evals_counter_identical(self):
-        """The satellite fix: batched kernel_evals == per-head loop's."""
-        rng = np.random.default_rng(2)
-        grid = rng.random((25, CONTROL_DIM))
-        dense_heads = make_heads()
-        batched_heads = make_heads()
-        dense = SurrogateEngine(dense_heads, grid, context_dim=CONTEXT_DIM,
-                                batched=False)
-        batched = SurrogateEngine(batched_heads, grid,
-                                  context_dim=CONTEXT_DIM, batched=True)
-        context = rng.random(CONTEXT_DIM)
-        for t in range(4):
-            z = np.concatenate([context, grid[t]])
-            for name in dense_heads:
-                dense_heads[name].add(z, float(t))
-                batched_heads[name].add(z, float(t))
-            dense.posterior(context)
-            batched.posterior(context)
-        stats_d, stats_b = counters(dense), counters(batched)
-        assert stats_b["kernel_evals"] == stats_d["kernel_evals"]
-        assert stats_b["rebuilds"] == stats_d["rebuilds"]
-        assert stats_b["extensions"] == stats_d["extensions"]
-        assert stats_b["cache_hits"] == stats_d["cache_hits"]
-
-    def test_subset_head_query_preserves_order(self):
-        rng = np.random.default_rng(3)
-        grid = rng.random((20, CONTROL_DIM))
-        heads = make_heads()
-        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM,
-                                 batched=True)
-        context = rng.random(CONTEXT_DIM)
-        z = np.concatenate([context, grid[0]])
-        for gp in heads.values():
-            gp.add(z, 1.0)
-        batch = engine.posterior(context, heads=("delay", "cost"))
-        assert batch.heads == ("delay", "cost")
-        with pytest.raises(KeyError):
-            engine.posterior(context, heads=("bogus",))
-
-    def test_single_head_query_works_batched(self):
-        rng = np.random.default_rng(4)
-        grid = rng.random((15, CONTROL_DIM))
-        heads = make_heads()
-        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM,
-                                 batched=True)
-        context = rng.random(CONTEXT_DIM)
-        batch = engine.posterior(context, heads=("cost",))
-        joint = engine.joint_grid(context)
-        mean, var = heads["cost"].predict(joint)
-        np.testing.assert_allclose(batch.mean("cost"), mean, atol=1e-8)
-        np.testing.assert_allclose(batch.variance("cost"), var, atol=1e-8)
 
 
 def run_trajectory(agent_config=None, reset_at=None, n_periods=28):
@@ -281,14 +136,6 @@ class TestEvictionReplayStability:
         _, agent, _ = run_trajectory(config, n_periods=20)
         assert all(gp.n_observations <= 6 + 4 for gp in agent.gps)
 
-    def test_batched_agent_runs_and_reports_mode(self):
-        rows, agent, _ = run_trajectory(EdgeBOLConfig(
-            numerics=NumericsConfig(batched_heads=True),
-        ), n_periods=15)
-        assert agent.numerics_mode == "batched"
-        assert agent.engine.batched
-        assert all(np.isfinite(row[0]) for row in rows)
-
 
 class TestModeObservability:
     @pytest.fixture(autouse=True)
@@ -345,16 +192,23 @@ class TestCliNumericsFlags:
     def test_parser_accepts_flags(self):
         parser = build_parser()
         args = parser.parse_args([
-            "dynamic", "--periods", "5", "--numerics", "sparse-batched",
-            "--gp-budget", "32", "--backend", "numpy",
+            "dynamic", "--periods", "5", "--numerics", "sparse",
+            "--gp-budget", "32",
         ])
-        assert args.numerics == "sparse-batched"
+        assert args.numerics == "sparse"
         assert args.gp_budget == 32
-        assert args.backend == "numpy"
 
     def test_parser_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["dynamic", "--numerics", "warp"])
+        # Retired numerics modes and the retired --backend flag are
+        # rejected like any unknown input.
+        for argv in (
+            ["--numerics", "warp"],
+            ["--numerics", "batched"],
+            ["--numerics", "sparse-batched"],
+            ["--backend", "numpy"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["dynamic", *argv])
 
     def test_flags_export_env_and_run(self, clean_numerics_env, tmp_path,
                                       capsys):

@@ -1,5 +1,7 @@
 """Tests for EdgeBOL checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,29 @@ class TestCheckpointRoundtrip:
     def test_bad_format_rejected(self, tmp_path):
         agent, _ = trained_agent(n_periods=2)
         path = save_edgebol(agent, tmp_path / "a.npz")
-        data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.array([99])
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError):
-            load_edgebol(path)
+        saved = dict(np.load(path, allow_pickle=False))
+
+        def with_numerics(payload):
+            config = json.loads(str(saved["config_json"][0]))
+            config["numerics"] = payload
+            return {"config_json": np.array([json.dumps(config)])}
+
+        cases = [
+            # A format this code never wrote.
+            ({"format_version": np.array([99])},
+             "unsupported checkpoint format 99"),
+            # A version-1 archive, whose numerics config carried fields
+            # that no longer exist.
+            ({"format_version": np.array([1]),
+              **with_numerics({"backend": "numpy", "sparse": False})},
+             "unsupported checkpoint format 1"),
+            # A current-format archive with an unknown numerics key: a
+            # ValueError naming the key, not a TypeError.
+            (with_numerics({"backend": "numpy", "sparse": False}),
+             "unknown key.*'backend'"),
+        ]
+        for i, (tamper, match) in enumerate(cases):
+            bad = tmp_path / f"bad{i}.npz"
+            np.savez_compressed(bad, **{**saved, **tamper})
+            with pytest.raises(ValueError, match=match):
+                load_edgebol(bad)

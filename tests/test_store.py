@@ -8,7 +8,7 @@ import pytest
 
 import repro.experiments  # noqa: F401  (populate the spec registry)
 from repro.cli import main
-from repro.core.backend import NumericsConfig
+from repro.core.numerics import NumericsConfig
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import run_sweep
 from repro.experiments.spec import ExperimentSpec, ParamSpec
@@ -110,7 +110,7 @@ def test_cell_key_is_deterministic():
     ).to_dict()},
     {"numerics": NumericsConfig(sparse=True)},
     {"numerics": NumericsConfig(sparse=True, sparse_budget=128)},
-    {"numerics": NumericsConfig(batched_heads=True)},
+    {"numerics": NumericsConfig(sparse_budget=128)},
     {"code": "othercode"},
 ])
 def test_cell_key_changes_with_any_field(change):
