@@ -96,6 +96,9 @@ class GaussianProcess:
         self._y: np.ndarray | None = None
         self._chol: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
+        # Whitened residual L^-1 (y - prior_mean): the posterior mean is
+        # prior_mean + v^T w with v = L^-1 K(X, x*).
+        self._w: np.ndarray | None = None
         self._jitter_retries = 0
         self._rank1_fallbacks = 0
         self._last_jitter = 0.0
@@ -163,12 +166,15 @@ class GaussianProcess:
         return self._x is None or self._chol is not None
 
     def _posterior_state(self):
-        """``(x, chol, alpha, factor_version)`` without copies.
+        """``(x, chol, w, factor_version)`` without copies.
 
-        Internal hot-path accessor for :class:`~repro.core.posterior.
+        ``w = L^-1 (y - prior_mean)`` is the whitened residual.  Within
+        one factor lineage :meth:`add` only appends to it; only
+        :meth:`set_prior_mean` rewrites its leading entries.  Internal
+        hot-path accessor for :class:`~repro.core.posterior.
         SurrogateEngine`; callers must treat the arrays as read-only.
         """
-        return self._x, self._chol, self._alpha, self._factor_version
+        return self._x, self._chol, self._w, self._factor_version
 
     @property
     def n_observations(self) -> int:
@@ -193,14 +199,19 @@ class GaussianProcess:
     def set_prior_mean(self, prior_mean: float) -> None:
         """Change the constant prior mean, recomputing the posterior.
 
-        Cheap (one triangular solve); used when a safety surrogate's
-        pessimism level must track a changed constraint threshold.
+        Cheap (two triangular solves for ``alpha``, one for ``w``); used
+        when a safety surrogate's pessimism level must track a changed
+        constraint threshold.  Setting the current value is a no-op.
         """
         if not np.isfinite(prior_mean):
             raise ValueError(f"prior_mean must be finite, got {prior_mean}")
+        if float(prior_mean) == self.prior_mean:
+            # A full re-solve would change the last bits of the
+            # incrementally built w behind the engine's prior-mean stamps.
+            return
         self.prior_mean = float(prior_mean)
         if self._y is not None and self._chol is not None:
-            self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
+            self._solve_targets()
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
         """Replace the training set and refactorise (O(N^3) Cholesky)."""
@@ -222,7 +233,7 @@ class GaussianProcess:
             if sp:
                 sp.set("n", int(y.size))
             if y.size == 0:
-                self._x = self._y = self._chol = self._alpha = None
+                self._x = self._y = self._chol = self._alpha = self._w = None
                 self._factor_version += 1
                 return
             self._x = x.copy()
@@ -310,6 +321,9 @@ class GaussianProcess:
         self._x = np.vstack([self._x, x_new[None, :]])
         self._y = np.append(self._y, float(y_new))
         self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
+        # The factor's new last row [row, pivot] extends w by one entry.
+        w_new = (float(y_new) - self.prior_mean - row @ self._w) / pivot
+        self._w = np.append(self._w, w_new)
         return True
 
     def _maybe_evict(self) -> None:
@@ -356,14 +370,20 @@ class GaussianProcess:
                 gram, fault_hook=self._fault_hook, site="refactorize"
             )
         except NumericalInstabilityError:
-            self._chol = self._alpha = None
+            self._chol = self._alpha = self._w = None
             self._factor_version += 1
             raise
         self._jitter_retries += retries
         self._last_jitter = jitter
         self._chol = chol
-        self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
+        self._solve_targets()
         self._factor_version += 1
+
+    def _solve_targets(self) -> None:
+        """Recompute ``alpha`` and ``w`` from the factor and the targets."""
+        residual = self._y - self.prior_mean
+        self._alpha = cho_solve((self._chol, True), residual)
+        self._w = solve_triangular(self._chol, residual, lower=True)
 
     # -- prediction -----------------------------------------------------
 

@@ -13,6 +13,7 @@ marginal-likelihood optimiser can treat them generically.
 from __future__ import annotations
 
 import abc
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,15 @@ from repro.utils.validation import check_positive
 
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
+
+
+class ScaledPoints(NamedTuple):
+    """Points divided by a kernel's lengthscales (see :meth:`Kernel.scale`)."""
+
+    #: ``(n, d)`` points, each coordinate over its lengthscale.
+    points: np.ndarray
+    #: ``(n,)`` squared Euclidean norms of the rows of ``points``.
+    sq_norms: np.ndarray
 
 
 def _as_2d(x: np.ndarray) -> np.ndarray:
@@ -45,29 +55,45 @@ class Kernel(abc.ABC):
 
     @property
     def n_dims(self) -> int:
+        """Input dimension ``d`` (one lengthscale per dimension)."""
         return int(self.lengthscales.size)
 
-    def scaled_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def scale(self, y: np.ndarray) -> ScaledPoints:
+        """Points divided by the lengthscales, with their squared norms.
+
+        The per-point half of eq. (5).  A :class:`ScaledPoints` is
+        accepted wherever the pairwise methods take points, so a fixed
+        point set (the engine's joint grid) is scaled once, not on every
+        call.  It is only valid while the lengthscales are unchanged.
+        """
+        ys = _as_2d(y) / self.lengthscales
+        if ys.shape[1] != self.n_dims:
+            raise ValueError(
+                f"inputs must have {self.n_dims} dims, got {ys.shape[1]}"
+            )
+        return ScaledPoints(ys, np.sum(ys**2, axis=1))
+
+    def _scaled(self, y: np.ndarray | ScaledPoints) -> ScaledPoints:
+        return y if isinstance(y, ScaledPoints) else self.scale(y)
+
+    def scaled_distance(
+        self, x: np.ndarray | ScaledPoints, y: np.ndarray | ScaledPoints
+    ) -> np.ndarray:
         """Anisotropic distance d(z, z') of eq. (5), pairwise.
 
         Returns an ``(n_x, n_y)`` matrix of
-        ``sqrt((z - z')^T L^-2 (z - z'))``.
+        ``sqrt((z - z')^T L^-2 (z - z'))``.  Either argument may be raw
+        points or the :meth:`scale` of them.
         """
-        xs = _as_2d(x) / self.lengthscales
-        ys = _as_2d(y) / self.lengthscales
-        if xs.shape[1] != self.n_dims or ys.shape[1] != self.n_dims:
-            raise ValueError(
-                f"inputs must have {self.n_dims} dims, got {xs.shape[1]} and {ys.shape[1]}"
-            )
-        sq = (
-            np.sum(xs**2, axis=1)[:, None]
-            + np.sum(ys**2, axis=1)[None, :]
-            - 2.0 * (xs @ ys.T)
-        )
+        xs, x_sq = self._scaled(x)
+        ys, y_sq = self._scaled(y)
+        sq = x_sq[:, None] + y_sq[None, :] - 2.0 * (xs @ ys.T)
         return np.sqrt(np.maximum(sq, 0.0))
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Covariance matrix between two sets of points."""
+    def __call__(
+        self, x: np.ndarray | ScaledPoints, y: np.ndarray | ScaledPoints
+    ) -> np.ndarray:
+        """Covariance matrix between two sets of points (raw or scaled)."""
         return self.output_scale * self._correlation(self.scaled_distance(x, y))
 
     def diag(self, x: np.ndarray) -> np.ndarray:
@@ -128,6 +154,7 @@ class Matern(Kernel):
         return (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
 
     def with_log_params(self, log_params: np.ndarray) -> "Matern":
+        """New Matérn kernel with the given log-parameters and the same nu."""
         params = np.asarray(log_params, dtype=float).ravel()
         if params.size != self.n_dims + 1:
             raise ValueError(

@@ -17,29 +17,40 @@ every period recomputes the ``N x M`` cross-kernel *and* the
   principal block of the extended factor — cached solves against it
   stay valid and can be *extended* instead of recomputed.
 
-Per (context, head) the engine caches the cross-kernel matrix ``K`` and
-the solved ``V = L^-1 K``.  When ``k`` observations arrived since the
-cache entry was built, only the new block is computed::
+Per (context, head) the engine caches the solved rows
+``V = L^-1 K(X, grid)`` and two running moment vectors: ``sumsq``, the
+column sums of ``V**2``, and ``mean_acc = V^T w``, where
+``w = L^-1 (y - m)`` is the GP's whitened residual.  The posterior is
+then ``mu = m + mean_acc`` and ``sigma^2 = k(x*, x*) - sumsq``.  When
+``k`` observations arrived since the entry was built, only the new
+rows are computed::
 
-    K = [K_old]          V = [V_old                          ]
-        [K_new]              [L22^-1 (K_new - L21 @ V_old)   ]
+    V = [V_old                                ]
+        [L22^-1 (K(X_new, grid) - L21 @ V_old)]
 
-which costs ``O(k N M)`` — ``O(N M)`` per period — instead of
-``O(N^2 M)``.  The posterior mean ``mu = m + K^T alpha`` is assembled
-from the *live* ``alpha`` every query, so :meth:`GaussianProcess.
-set_prior_mean` (which only rewrites ``alpha``) needs no invalidation;
-anything that rebuilds the factor — ``fit``, eviction, a kernel or
-noise-variance change after a hyperparameter refit — bumps the GP's
+and folded into the running moments; a rank-1 :meth:`GaussianProcess.
+add` only appends to ``w``, so ``mean_acc`` grows by ``V_new^T w_new``.
+One period thus costs one ``N x M`` pass per head (the ``L21 @ V_old``
+product) instead of ``O(N^2 M)`` for a fresh solve.  ``sumsq`` adds the
+new rows one at a time, in the order ``np.sum(V**2, axis=0)`` would, so
+variances are bit-identical to summing the whole cache.  A
+:meth:`GaussianProcess.set_prior_mean` rewrites ``w``; each entry
+stamps the prior mean its ``mean_acc`` was built against and rebuilds
+it with one ``V^T w`` product when the stamp is stale.  Anything that
+rebuilds the factor — ``fit``, eviction, a kernel or noise-variance
+change after a hyperparameter refit — bumps the GP's
 ``factor_version`` and triggers an exact rebuild of the affected cache
-entries on their next use.
+entries on their next use.  Each entry also keeps the joint grid scaled
+by the head's lengthscales (:meth:`Kernel.scale`), so a new kernel row
+does not rescale all ``M`` grid points.
 
 All heads are evaluated in one pass over one shared joint grid and
 returned as a :class:`PosteriorBatch`, which
 :meth:`repro.core.safeset.SafeSetEstimator.safe_mask` (eq. 8) and
 :func:`repro.core.acquisition.safe_lcb_index_from_posterior` (eq. 9)
-consume directly.  Results are numerically interchangeable with direct
-``predict`` calls (same factor, same kernel rows, same matrix-vector
-products).
+consume directly.  Results match direct ``predict`` calls to rounding
+(same factor, same kernel rows): the blocked extensions and ``V^T w``
+round differently from ``predict``'s full solve and ``K^T alpha``.
 
 Timing and cache counters are kept in :class:`EngineStats` and surfaced
 through :class:`repro.experiments.recorder.RunLog`.
@@ -119,19 +130,24 @@ class PosteriorBatch:
 
     @property
     def n_points(self) -> int:
+        """Number of joint-grid points ``M``."""
         return int(self.joint_grid.shape[0])
 
     @property
     def heads(self) -> tuple[str, ...]:
+        """Head names, in the order they were evaluated."""
         return tuple(self.means)
 
     def mean(self, head: str) -> np.ndarray:
+        """Posterior mean of ``head`` over the joint grid (eq. 3)."""
         return self.means[head]
 
     def variance(self, head: str) -> np.ndarray:
+        """Posterior variance of ``head`` over the joint grid (eq. 4)."""
         return self.variances[head]
 
     def std(self, head: str) -> np.ndarray:
+        """Posterior standard deviation of ``head``, derived once."""
         cached = self._stds.get(head)
         if cached is None:
             cached = np.sqrt(self.variances[head])
@@ -144,31 +160,38 @@ class PosteriorBatch:
 
 
 class _HeadState:
-    """Cached cross-kernel solves of one head against one joint grid.
+    """Cached solves and running moments of one head on one joint grid.
 
-    ``cross`` and ``v`` are capacity-doubled row buffers so per-period
-    extensions append without reallocating the full ``N x M`` block.
+    ``v`` holds the rows of ``L^-1 K(X, grid)`` in a capacity-doubled
+    buffer, so per-period extensions append without reallocating the
+    full ``N x M`` block.  Beside it run ``sumsq = sum(v**2, axis=0)``,
+    accumulated one row at a time in arrival order, and
+    ``mean_acc = v^T w`` against the GP's whitened residual ``w``, built
+    while the head's prior mean was ``mean_prior``.  ``scaled`` is the
+    joint grid scaled by the head's lengthscales.
     """
 
-    __slots__ = ("n", "factor_version", "cross", "v", "prior_var")
+    __slots__ = ("n", "factor_version", "v", "sumsq", "mean_acc",
+                 "mean_prior", "prior_var", "scaled")
 
     def __init__(self, n_points: int, prior_var: np.ndarray) -> None:
         self.n = 0
         self.factor_version = -1
-        self.cross = np.empty((0, n_points))
         self.v = np.empty((0, n_points))
+        self.sumsq = np.zeros(n_points)
+        self.mean_acc = np.zeros(n_points)
+        self.mean_prior = 0.0
         self.prior_var = prior_var
+        self.scaled = None
 
     def _reserve(self, rows: int) -> None:
-        capacity = self.cross.shape[0]
+        capacity = self.v.shape[0]
         if rows <= capacity:
             return
         new_capacity = max(rows, 2 * capacity, 8)
-        for name in ("cross", "v"):
-            buffer = getattr(self, name)
-            grown = np.empty((new_capacity, buffer.shape[1]))
-            grown[: self.n] = buffer[: self.n]
-            setattr(self, name, grown)
+        grown = np.empty((new_capacity, self.v.shape[1]))
+        grown[: self.n] = self.v[: self.n]
+        self.v = grown
 
 
 class SurrogateEngine:
@@ -188,9 +211,9 @@ class SurrogateEngine:
         row.
     max_cached_contexts:
         LRU bound on distinct contexts whose joint grid and per-head
-        solves are retained.  Each entry costs
-        ``O(heads * N * M)`` floats, so the bound caps memory on long
-        runs with many distinct contexts.
+        solves are retained.  Each entry costs about
+        ``heads * N * M`` floats (the ``V`` rows), so the bound caps
+        memory on long runs with many distinct contexts.
     """
 
     def __init__(
@@ -239,6 +262,7 @@ class SurrogateEngine:
 
     @property
     def n_cached_contexts(self) -> int:
+        """Contexts whose joint grid and head states are cached."""
         return len(self._cache)
 
     def reset_cache(self) -> None:
@@ -304,7 +328,7 @@ class SurrogateEngine:
         gp = self._heads[name]
         state = self._state_for(name, joint, states)
 
-        x, chol, alpha, factor_version = gp._posterior_state()
+        x, chol, w, factor_version = gp._posterior_state()
         if x is None:
             if state.factor_version != factor_version:
                 # Covers a kernel/noise swap while the head is empty.
@@ -321,36 +345,53 @@ class SurrogateEngine:
             )
 
         n = x.shape[0]
+        stale_mean = state.mean_prior != gp.prior_mean
         if state.factor_version != factor_version:
             # Cold cache, or the factor lineage broke (fit / eviction /
             # hyperparameter change): rebuild this entry exactly.
             state.prior_var = gp.kernel.diag(joint)
+            state.scaled = gp.kernel.scale(joint)
             state._reserve(n)
-            state.cross[:n] = gp.kernel(x, joint)
-            state.v[:n] = solve_triangular(chol, state.cross[:n], lower=True)
+            v = state.v[:n]
+            v[:] = solve_triangular(
+                chol, gp.kernel(x, state.scaled), lower=True
+            )
+            state.sumsq = np.sum(v**2, axis=0)
             state.n = n
             state.factor_version = factor_version
+            stale_mean = True
             self.stats.kernel_evals += n * joint.shape[0]
             self.stats.rebuilds += 1
         elif state.n < n:
             # Same factor lineage, k new rank-1 rows: extend the solves.
             k0 = state.n
             state._reserve(n)
-            state.cross[k0:n] = gp.kernel(x[k0:], joint)
-            block = state.cross[k0:n] - chol[k0:n, :k0] @ state.v[:k0]
-            state.v[k0:n] = solve_triangular(
-                chol[k0:n, k0:n], block, lower=True
-            )
+            new = state.v[k0:n]
+            new[:] = gp.kernel(x[k0:], state.scaled)
+            new -= chol[k0:n, :k0] @ state.v[:k0]
+            if n - k0 == 1:
+                # Bit-identical to the 1x1 triangular solve, without
+                # its call overhead.
+                new *= 1.0 / chol[k0, k0]
+            else:
+                new[:] = solve_triangular(chol[k0:n, k0:n], new, lower=True)
+            # Row by row, in the order np.sum(v**2, axis=0) adds them.
+            for row in new:
+                state.sumsq += row**2
+            if not stale_mean:
+                state.mean_acc += new.T @ w[k0:n]
             state.n = n
             self.stats.kernel_evals += (n - k0) * joint.shape[0]
             self.stats.extensions += 1
         else:
             self.stats.cache_hits += 1
+        if stale_mean:
+            # A rebuild, or set_prior_mean rewrote w since mean_acc.
+            state.mean_acc = state.v[:n].T @ w
+            state.mean_prior = gp.prior_mean
 
-        cross = state.cross[:n]
-        v = state.v[:n]
-        mean = gp.prior_mean + cross.T @ alpha
-        variance = np.maximum(state.prior_var - np.sum(v**2, axis=0), 0.0)
+        mean = gp.prior_mean + state.mean_acc
+        variance = np.maximum(state.prior_var - state.sumsq, 0.0)
         return mean, variance
 
     def posterior(

@@ -15,11 +15,11 @@ The contract of this module, asserted by ``tests/test_state.py``:
   bytes, never a decimal rendering);
 * RNG stream positions are captured via
   ``Generator.bit_generator.state`` and restored exactly;
-* GP internals (``_chol``/``_alpha``/``_factor_version``) are restored
-  as-is — *never* recomputed — and the agent's
+* GP internals (``_chol``/``_alpha``/``_w``/``_factor_version``) are
+  restored as-is — *never* recomputed — and the agent's
   :class:`~repro.core.posterior.SurrogateEngine` *cache* is part of
   the snapshot (:func:`engine_state`): its incrementally extended
-  cross-kernel solves differ in the last float bits from a cold
+  solves and running moments differ in the last float bits from a cold
   rebuild over the same factor, and those bits decide near-tie
   argmins when a context repeats;
 * the safe set itself needs no dedicated state: eq. 8 is a pure
@@ -30,13 +30,13 @@ Snapshot *payloads* are JSON-able dicts whose arrays hold their raw
 bytes (:func:`_encode_array`).  :func:`encode_snapshot` frames one as a
 binary blob::
 
-    frame = b"SNAP2:" + <SHA-256 hex digest of body> + newline + body
+    frame = b"SNAP3:" + <SHA-256 hex digest of body> + newline + body
     body  = <u64 LE header length> + <compact JSON header> + <array bytes>
 
 The JSON header carries every scalar, and each array's bytes become a
 ``{"$buf": [offset, nbytes]}`` reference into the concatenated buffer
 section.  Arrays travel outside the JSON because they are nearly all
-of a warm agent's snapshot (the engine-cache solves): as text (base64)
+of a warm agent's snapshot (the engine-cache ``v`` rows): as text (base64)
 they would be a third larger, and the JSON encoder would scan them
 character by character, while raw bytes are only copied and hashed.
 The digest covers every byte of the body — header and buffers — so
@@ -83,10 +83,10 @@ __all__ = [
 ]
 
 #: Format tag stamped on framed snapshots (bump on layout changes).
-SNAPSHOT_FORMAT = "edgebol-snapshot-v2"
+SNAPSHOT_FORMAT = "edgebol-snapshot-v3"
 
 #: Framing magic of :func:`encode_snapshot`.
-_MAGIC = b"SNAP2:"
+_MAGIC = b"SNAP3:"
 
 #: Length prefix of the JSON header inside a frame body.
 _HEADER_LEN = struct.Struct("<Q")
@@ -161,10 +161,10 @@ def set_rng_state(generator: np.random.Generator, state: dict) -> None:
 def gp_state(gp) -> dict:
     """Full mutable state of one :class:`~repro.core.gp.GaussianProcess`.
 
-    Captures the observation buffers, the *exact* Cholesky factor and
-    ``alpha`` vector (a restored factor must match the live rank-1
-    lineage bit for bit), the factor version, the degradation-ladder
-    counters and the kernel hyperparameters.
+    Captures the observation buffers, the *exact* Cholesky factor,
+    ``alpha`` and whitened residual ``w`` (a restored factor must match
+    the live rank-1 lineage bit for bit), the factor version, the
+    degradation-ladder counters and the kernel hyperparameters.
     """
     kernel = gp.kernel
     kernel_payload = {
@@ -181,6 +181,7 @@ def gp_state(gp) -> dict:
         "y": _maybe_encode(gp._y),
         "chol": _maybe_encode(gp._chol),
         "alpha": _maybe_encode(gp._alpha),
+        "w": _maybe_encode(gp._w),
         "factor_version": int(gp._factor_version),
         "jitter_retries": int(gp._jitter_retries),
         "rank1_fallbacks": int(gp._rank1_fallbacks),
@@ -194,7 +195,7 @@ def restore_gp_state(gp, state: dict) -> None:
 
     Bypasses the ``kernel``/``noise_variance`` property setters and
     :meth:`~repro.core.gp.GaussianProcess.set_prior_mean` — each would
-    bump ``_factor_version`` or recompute ``_alpha``, breaking the
+    bump ``_factor_version`` or recompute ``_alpha``/``_w``, breaking the
     verbatim-restore guarantee.  Hyperparameters are written onto the
     *existing* kernel object so engine/estimator references stay valid.
     """
@@ -209,6 +210,7 @@ def restore_gp_state(gp, state: dict) -> None:
     gp._y = _maybe_decode(state["y"])
     gp._chol = _maybe_decode(state["chol"])
     gp._alpha = _maybe_decode(state["alpha"])
+    gp._w = _maybe_decode(state["w"])
     gp._factor_version = int(state["factor_version"])
     gp._jitter_retries = int(state["jitter_retries"])
     gp._rank1_fallbacks = int(state["rank1_fallbacks"])
@@ -248,18 +250,20 @@ def restore_injector_state(injector, state: dict) -> None:
 
 
 def engine_state(engine) -> dict:
-    """Warm cross-kernel cache of a SurrogateEngine, bit-exactly.
+    """Warm posterior cache of a SurrogateEngine, bit-exactly.
 
     The cache is *causal* state, not just a speed-up: a cached entry's
-    solves were built by incremental blocked extensions
-    (:meth:`SurrogateEngine.posterior`), which differ in the last
-    float bits from the single full triangular solve a cold rebuild
-    performs over the same factor.  Dropping the cache on restore and
-    rebuilding would therefore perturb posteriors by ~1e-13 — enough to
-    flip a near-tie ``argmin`` when a context repeats (the static
-    scenario repeats its context every period).  Entries are serialised
-    in LRU order; the joint grids are *not* stored (they are a pure
-    deterministic function of context + control grid).
+    ``v`` rows and running moments (``sumsq``, ``mean_acc``) were built
+    by incremental blocked extensions (:meth:`SurrogateEngine.
+    posterior`), which differ in the last float bits from the single
+    full triangular solve a cold rebuild performs over the same factor.
+    Dropping the cache on restore and rebuilding would therefore perturb
+    posteriors by ~1e-13 — enough to flip a near-tie ``argmin`` when a
+    context repeats (the static scenario repeats its context every
+    period).  Each head also carries ``mean_prior``, the prior mean its
+    ``mean_acc`` was built against.  Entries are serialised in LRU
+    order; the joint grids and their scaled copies are *not* stored
+    (they are pure functions of context, control grid and kernel).
     """
     entries = []
     for key, (joint, states) in engine._cache.items():
@@ -270,8 +274,10 @@ def engine_state(engine) -> dict:
                 "n": int(n),
                 "factor_version": int(head_state.factor_version),
                 "prior_var": _encode_array(head_state.prior_var),
-                "cross": _encode_array(head_state.cross[:n]),
                 "v": _encode_array(head_state.v[:n]),
+                "sumsq": _encode_array(head_state.sumsq),
+                "mean_acc": _encode_array(head_state.mean_acc),
+                "mean_prior": float(head_state.mean_prior),
             }
         entries.append({
             "context": _encode_array(
@@ -286,7 +292,10 @@ def restore_engine_state(engine, state: dict) -> None:
     """Restore a SurrogateEngine cache to an :func:`engine_state` snapshot.
 
     Must run *after* the per-head GP restores: the recreated entries'
-    ``factor_version`` stamps must describe the restored factors.
+    ``factor_version`` stamps must describe the restored factors, and
+    each scaled joint grid is recomputed from the *restored* kernel
+    (:func:`restore_gp_state` rewrites the kernel in place, with no
+    version bump, so a grid scaled before the restore may be stale).
     """
     engine._cache.clear()
     for entry in state["entries"]:
@@ -302,8 +311,11 @@ def restore_engine_state(engine, state: dict) -> None:
             n = int(payload["n"])
             head_state.prior_var = _decode_array(payload["prior_var"])
             head_state._reserve(n)
-            head_state.cross[:n] = _decode_array(payload["cross"])
-            head_state.v[:n] = _decode_array(payload["v"])
+            head_state.v[:n] = _array_view(payload["v"])
+            head_state.sumsq = _decode_array(payload["sumsq"])
+            head_state.mean_acc = _decode_array(payload["mean_acc"])
+            head_state.mean_prior = float(payload["mean_prior"])
+            head_state.scaled = engine._heads[name].kernel.scale(joint)
             head_state.n = n
             head_state.factor_version = int(payload["factor_version"])
 

@@ -42,6 +42,25 @@ class TestScaledDistance:
         k = Matern(lengthscales=[1.0, 1.0])
         with pytest.raises(ValueError):
             k.scaled_distance(np.zeros((1, 3)), np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            k.scale(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("kernel", [
+        Matern([0.5, 2.0, 1.0], output_scale=1.7, nu=0.5),
+        Matern([0.5, 2.0, 1.0], output_scale=1.7, nu=1.5),
+        Matern([0.5, 2.0, 1.0], output_scale=1.7, nu=2.5),
+        RBF([0.5, 2.0, 1.0], output_scale=1.7),
+    ], ids=["matern-0.5", "matern-1.5", "matern-2.5", "rbf"])
+    def test_prescaled_points_are_bit_identical(self, kernel):
+        """A grid scaled once gives exactly the kernel of the raw grid."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((9, 3))
+        y = rng.standard_normal((40, 3))
+        scaled = kernel.scale(y)
+        np.testing.assert_array_equal(kernel(x, scaled), kernel(x, y))
+        np.testing.assert_array_equal(
+            kernel(kernel.scale(x), scaled), kernel(x, y)
+        )
 
 
 class TestMatern:

@@ -43,8 +43,24 @@ def make_engine(grid, heads=None, **kwargs):
     return SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM, **kwargs), heads
 
 
+def assert_variances_are_exact_sums(engine, batch, context):
+    """Running variances equal a fresh sum over the cached rows, bitwise.
+
+    The engine folds each new ``v`` row into ``sumsq`` in arrival order;
+    recomputing ``np.sum(v**2, axis=0)`` over the whole cache must give
+    the same bits, or the accumulation order has drifted.
+    """
+    _, states = engine._entry(context)
+    for name in batch.heads:
+        head = states[name]
+        v = head.v[:head.n]
+        expected = np.maximum(head.prior_var - np.sum(v**2, axis=0), 0.0)
+        np.testing.assert_array_equal(batch.variance(name), expected)
+
+
 def assert_matches_direct(engine, heads, context, tol=TOL):
     batch = engine.posterior(context)
+    assert_variances_are_exact_sums(engine, batch, context)
     joint = engine.joint_grid(context)
     for name, gp in heads.items():
         mean, var = gp.predict(joint)
@@ -103,7 +119,11 @@ class TestEngineMatchesDirectPredict:
             assert_matches_direct(engine, heads, context)
 
     def test_seeded_run_150_periods(self):
-        """The acceptance check: a seeded 150-period run stays within 1e-8."""
+        """The acceptance check: a seeded 150-period run stays within 1e-8.
+
+        Each context recurs every fourth period, so every query after
+        the first cycle is a four-row extension.
+        """
         rng = np.random.default_rng(3)
         grid = make_grid(rng, n_points=80)
         engine, heads = make_engine(grid)
@@ -112,6 +132,7 @@ class TestEngineMatchesDirectPredict:
         for t in range(150):
             context = contexts[t % 4]
             batch = engine.posterior(context)
+            assert_variances_are_exact_sums(engine, batch, context)
             joint = engine.joint_grid(context)
             for name, gp in heads.items():
                 mean, var = gp.predict(joint)
@@ -200,11 +221,21 @@ class TestCacheBehaviour:
         engine, heads = make_engine(grid)
         context = rng.random(CONTEXT_DIM)
         heads["cost"].add(np.concatenate([context, grid[0]]), 1.0)
-        engine.posterior(context)
+        first = engine.posterior(context)
+        expected = {name: (first.mean(name).copy(), first.variance(name).copy())
+                    for name in first.heads}
+        # A caller scribbling on its batch must not reach the cache
+        # (the fitted "cost" head and the empty prior-only heads alike).
+        for name in first.heads:
+            first.mean(name)[:] += 1.0
+            first.variance(name)[:] *= 2.0
         evals = engine.stats.kernel_evals
-        engine.posterior(context)
+        again = engine.posterior(context)
         assert engine.stats.kernel_evals == evals
         assert engine.stats.cache_hits >= 1
+        for name, (mean, variance) in expected.items():
+            np.testing.assert_array_equal(again.mean(name), mean)
+            np.testing.assert_array_equal(again.variance(name), variance)
 
     def test_repeat_context_workload_accumulates_cache_hits(self):
         """Benchmark-shaped loop: add-then-query never hits, re-query does.

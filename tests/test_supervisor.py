@@ -161,14 +161,19 @@ class TestSnapshotCorruption:
         assert stats["snapshot_corrupt"] == 1
         assert stats["recovered"] and stats["quarantined"] is None
 
-    def test_stale_format_falls_back_to_older(self, clean_run, monkeypatch):
+    @pytest.mark.parametrize("stale_format", [
+        "edgebol-snapshot-v1",
+        "edgebol-snapshot-v2",  # the layout that still carried `cross`
+    ])
+    def test_stale_format_falls_back_to_older(self, clean_run, monkeypatch,
+                                              stale_format):
         # A blob with a valid checksum but another layout's format tag
         # must not be restored: it counts as corrupt, like a bad digest.
         encode = state.encode_snapshot
 
         def stale_at_horizon_4(payload):
             if payload["cell"] == "cell001" and payload["t"] == 4:
-                payload = {**payload, "format": "edgebol-snapshot-v1"}
+                payload = {**payload, "format": stale_format}
             return encode(payload)
 
         monkeypatch.setattr(state, "encode_snapshot", stale_at_horizon_4)
