@@ -3,9 +3,18 @@
 Implements the posterior equations (3)-(4) of the paper through a
 Cholesky factorisation of ``K + zeta^2 I``:
 
-* adding one observation is an O(N^2) rank-1 extension of the factor
-  (no refactorisation), which keeps the per-period cost of Algorithm 1
-  quadratic rather than cubic;
+* adding one observation is a rank-1 extension of the factor (no
+  refactorisation): one kernel row against the cached scaled inputs,
+  one O(N^2) triangular solve and O(N) writes, which keeps the
+  per-period cost of Algorithm 1 quadratic rather than cubic;
+* the whole posterior state is the factor ``L`` and the whitened
+  residual ``w = L^-1 (y - m)``: the mean is ``m + v^T w`` and the
+  variance ``k(x*, x*) - v^T v`` with ``v = L^-1 K(X, x*)`` (eqs. 3-4);
+* the inputs, their lengthscale-scaled copy, the targets, ``w`` and
+  ``L`` live in capacity-doubled buffers and the state is their
+  ``[:N]`` views, so an add appends in place.  The factor buffer is
+  ``C x C`` with ``C < 2N``, up to 4x the factor's own memory (32 MB
+  per head at N = 1000 in the worst case);
 * an optional observation budget evicts the oldest points in blocks
   (subset-of-data), bounding memory and per-period cost for very long
   runs such as the 3000-period comparison of Fig. 14;
@@ -23,9 +32,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dtrtrs
 
-from repro.core.kernels import Kernel
+from repro.core.kernels import Kernel, ScaledPoints
 from repro.core.numerics import NumericalInstabilityError, robust_cholesky
 from repro.telemetry import runtime as telemetry
 from repro.utils.validation import check_finite_array, check_positive
@@ -78,6 +88,22 @@ class GaussianProcess:
         eviction_policy=None,
     ) -> None:
         self._factor_version = 0
+        # Capacity-doubled buffers (allocated on the first observation);
+        # the state below is their [:n] views.  The factor buffer's upper
+        # triangle is always zero.
+        self._x_buf: np.ndarray | None = None
+        self._y_buf: np.ndarray | None = None
+        self._w_buf: np.ndarray | None = None
+        self._chol_buf: np.ndarray | None = None
+        self._scaled_buf: ScaledPoints | None = None
+        self._x: np.ndarray | None = None
+        self._y: np.ndarray | None = None
+        self._chol: np.ndarray | None = None
+        # Whitened residual L^-1 (y - prior_mean): the posterior mean is
+        # prior_mean + v^T w with v = L^-1 K(X, x*).
+        self._w: np.ndarray | None = None
+        # kernel.scale(X), valid while the kernel's lengthscales are.
+        self._scaled: ScaledPoints | None = None
         self.kernel = kernel
         self.noise_variance = noise_variance
         if not np.isfinite(prior_mean):
@@ -92,13 +118,6 @@ class GaussianProcess:
         self.eviction_policy = eviction_policy
         self._evictions = 0
         self._fault_hook = fault_hook
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        # Whitened residual L^-1 (y - prior_mean): the posterior mean is
-        # prior_mean + v^T w with v = L^-1 K(X, x*).
-        self._w: np.ndarray | None = None
         self._jitter_retries = 0
         self._rank1_fallbacks = 0
         self._last_jitter = 0.0
@@ -107,19 +126,25 @@ class GaussianProcess:
 
     @property
     def kernel(self) -> Kernel:
+        """Covariance function; assigning one bumps :attr:`factor_version`."""
         return self._kernel
 
     @kernel.setter
     def kernel(self, kernel: Kernel) -> None:
+        """Swap the kernel; the factor is stale until the next :meth:`fit`."""
         self._kernel = kernel
         self._factor_version += 1
+        if self._x is not None:
+            self._rescale()
 
     @property
     def noise_variance(self) -> float:
+        """Observation noise variance ``zeta^2``."""
         return self._noise_variance
 
     @noise_variance.setter
     def noise_variance(self, noise_variance: float) -> None:
+        """Set ``zeta^2`` (positive); bumps :attr:`factor_version`."""
         self._noise_variance = check_positive(noise_variance, "noise_variance")
         self._factor_version += 1
 
@@ -178,6 +203,7 @@ class GaussianProcess:
 
     @property
     def n_observations(self) -> int:
+        """Number of retained observations ``N``."""
         return 0 if self._y is None else int(self._y.size)
 
     @property
@@ -194,14 +220,117 @@ class GaussianProcess:
             return np.empty(0)
         return self._y.copy()
 
+    # -- buffers --------------------------------------------------------
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the buffers to hold ``rows`` observations.
+
+        Capacity doubles (at least 8), and the live ``[:n]`` rows and the
+        ``[:n, :n]`` factor block are carried over.  The views are not
+        refreshed here: every caller resets them after its own writes.
+        """
+        capacity = 0 if self._y_buf is None else self._y_buf.size
+        if rows <= capacity:
+            return
+        capacity = max(rows, 2 * capacity, 8)
+        n, d = self.n_observations, self.kernel.n_dims
+        x_buf = np.empty((capacity, d))
+        y_buf = np.empty(capacity)
+        w_buf = np.empty(capacity)
+        chol_buf = np.zeros((capacity, capacity))
+        scaled_buf = ScaledPoints(np.empty((capacity, d)), np.empty(capacity))
+        if n:
+            x_buf[:n] = self._x_buf[:n]
+            y_buf[:n] = self._y_buf[:n]
+            w_buf[:n] = self._w_buf[:n]
+            chol_buf[:n, :n] = self._chol_buf[:n, :n]
+            scaled_buf.points[:n] = self._scaled_buf.points[:n]
+            scaled_buf.sq_norms[:n] = self._scaled_buf.sq_norms[:n]
+        self._x_buf, self._y_buf, self._w_buf = x_buf, y_buf, w_buf
+        self._chol_buf, self._scaled_buf = chol_buf, scaled_buf
+
+    def _set_views(self, n: int) -> None:
+        """Point the state at the buffers' ``[:n]`` rows and factor block.
+
+        Callers that write rows without a factor row (:meth:`_load`, the
+        rank-1 fallback) refactorise or invalidate the factor next.
+        """
+        self._x = self._x_buf[:n]
+        self._y = self._y_buf[:n]
+        self._w = self._w_buf[:n]
+        self._chol = self._chol_buf[:n, :n]
+        self._scaled = ScaledPoints(
+            self._scaled_buf.points[:n], self._scaled_buf.sq_norms[:n]
+        )
+
+    def _load(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Make ``(x, y)`` the retained data; the factor is left stale."""
+        n = y.size
+        self._reserve(n)
+        self._x_buf[:n] = x
+        self._y_buf[:n] = y
+        self._set_views(n)
+
+    def _rescale(self) -> None:
+        """Recompute the scaled inputs after the inputs or kernel changed."""
+        scaled = self.kernel.scale(self._x)
+        self._scaled.points[:] = scaled.points
+        self._scaled.sq_norms[:] = scaled.sq_norms
+
+    def _solve_lower(self, b: np.ndarray, overwrite_b: bool = False):
+        """``L^-1 b`` against the live factor, without copying it.
+
+        Makes the LAPACK ``trtrs`` call ``solve_triangular(L, b,
+        lower=True)`` would make, so the result has the same bits.  For
+        the buffer view that is ``trtrs`` on the Fortran-ordered ``L^T``
+        (upper, transposed), passed as the leading ``n`` columns of the
+        transposed buffer: the capacity becomes the leading dimension and
+        nothing is copied.  A factor fresh from :meth:`_refactorize` is
+        Cholesky's own Fortran-ordered array and is solved as it is
+        (lower, not transposed).  Raises ``LinAlgError`` on ``info != 0``.
+        """
+        chol = self._chol
+        if chol.flags.f_contiguous:
+            solved, info = dtrtrs(chol, b, lower=1, overwrite_b=overwrite_b)
+        else:
+            solved, info = dtrtrs(
+                self._chol_buf.T[:, : chol.shape[0]], b, lower=0, trans=1,
+                overwrite_b=overwrite_b,
+            )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
+        return solved
+
+    def _restore(self, x, y, chol, w, fortran: bool) -> None:
+        """Install snapshot arrays verbatim (see :mod:`repro.core.state`).
+
+        ``chol``/``w`` are ``None`` for an invalidated factor; all four
+        are ``None`` for an empty GP.  ``fortran`` marks a factor that
+        was still :meth:`_refactorize`'s Fortran-ordered array, so its
+        solves keep their LAPACK branch.  The kernel must already carry
+        the restored lengthscales: the scaled inputs are rebuilt from it.
+        """
+        if x is None:
+            self._x = self._y = self._chol = self._w = self._scaled = None
+            return
+        self._load(x, y)
+        self._rescale()
+        if chol is None:
+            self._chol = self._w = None
+            return
+        self._chol[:] = chol
+        self._w[:] = w
+        if fortran:
+            self._chol = np.asfortranarray(chol)
+
     # -- training -------------------------------------------------------
 
     def set_prior_mean(self, prior_mean: float) -> None:
         """Change the constant prior mean, recomputing the posterior.
 
-        Cheap (two triangular solves for ``alpha``, one for ``w``); used
-        when a safety surrogate's pessimism level must track a changed
-        constraint threshold.  Setting the current value is a no-op.
+        Cheap (one triangular solve for ``w``); used when a safety
+        surrogate's pessimism level must track a changed constraint
+        threshold.  Setting the current value is a no-op.
         """
         if not np.isfinite(prior_mean):
             raise ValueError(f"prior_mean must be finite, got {prior_mean}")
@@ -233,19 +362,19 @@ class GaussianProcess:
             if sp:
                 sp.set("n", int(y.size))
             if y.size == 0:
-                self._x = self._y = self._chol = self._alpha = self._w = None
+                self._x = self._y = self._chol = self._w = self._scaled = None
                 self._factor_version += 1
                 return
-            self._x = x.copy()
-            self._y = y.copy()
+            self._load(x, y)
             self._refactorize()
 
     def add(self, x_new: np.ndarray, y_new: float) -> None:
         """Append one observation with a rank-1 Cholesky extension.
 
-        O(N^2) per call; instrumented as the ``core.gp.add`` counter and
-        the ``core.gp.add_s`` duration histogram (seconds) when
-        telemetry is enabled.
+        One kernel row, one O(N^2) triangular solve and O(N) writes per
+        call; instrumented as the ``core.gp.add`` counter and the
+        ``core.gp.add_s`` duration histogram (seconds) when telemetry is
+        enabled.
         """
         if not telemetry.enabled():
             self._add(x_new, y_new)
@@ -277,18 +406,29 @@ class GaussianProcess:
             # escalates jitter on its own if needed.
             self._rank1_fallbacks += 1
             telemetry.inc("core.gp.rank1_fallbacks")
-            self._x = np.vstack([self._x, x_new[None, :]])
-            self._y = np.append(self._y, float(y_new))
+            self._append(x_new, y_new, self.kernel.scale(x_new))
             self._refactorize()
         self._maybe_evict()
 
-    def _try_rank1(self, x_new: np.ndarray, y_new: float) -> bool:
-        """Attempt the O(N^2) rank-1 factor extension; False on failure.
+    def _append(self, x_new: np.ndarray, y_new: float,
+                scaled_new: ScaledPoints) -> None:
+        """Write one observation and its scaled input after the live rows."""
+        n = self.n_observations
+        self._reserve(n + 1)
+        self._x_buf[n] = x_new
+        self._y_buf[n] = y_new
+        self._scaled_buf.points[n] = scaled_new.points[0]
+        self._scaled_buf.sq_norms[n] = scaled_new.sq_norms[0]
+        self._set_views(n + 1)
 
-        Fails (without mutating state) when the forward solve produces
-        non-finite entries, the new pivot is significantly negative —
-        both symptoms of a factor drifting from the true Gram — or the
-        fault hook forces a failure.
+    def _try_rank1(self, x_new: np.ndarray, y_new: float) -> bool:
+        """Attempt the rank-1 factor extension; False on failure.
+
+        Fails (without mutating state) when the forward solve reports
+        ``info != 0`` or produces non-finite entries, the new pivot is
+        non-finite or significantly negative — symptoms of a factor
+        drifting from the true Gram, or of a non-finite factor or kernel
+        entry — or the fault hook forces a failure.
         """
         if self._chol is None:
             return False
@@ -297,10 +437,11 @@ class GaussianProcess:
                 self._fault_hook("rank1", 0)
             except np.linalg.LinAlgError:
                 return False
-        cross = self.kernel(self._x, x_new[None, :]).ravel()
+        scaled_new = self.kernel.scale(x_new)
+        cross = self.kernel(self._scaled, scaled_new).ravel()
         self_var = float(self.kernel.diag(x_new[None, :])[0]) + self.noise_variance
         try:
-            row = solve_triangular(self._chol, cross, lower=True)
+            row = self._solve_lower(cross, overwrite_b=True)
         except np.linalg.LinAlgError:
             return False
         pivot_sq = self_var - float(row @ row)
@@ -311,19 +452,14 @@ class GaussianProcess:
         # Numerical floor: keep the factor positive definite even for a
         # duplicated input point.
         pivot = np.sqrt(max(pivot_sq, 1e-12))
-
-        n = self.n_observations
-        chol = np.zeros((n + 1, n + 1))
-        chol[:n, :n] = self._chol
-        chol[n, :n] = row
-        chol[n, n] = pivot
-        self._chol = chol
-        self._x = np.vstack([self._x, x_new[None, :]])
-        self._y = np.append(self._y, float(y_new))
-        self._alpha = cho_solve((self._chol, True), self._y - self.prior_mean)
         # The factor's new last row [row, pivot] extends w by one entry.
         w_new = (float(y_new) - self.prior_mean - row @ self._w) / pivot
-        self._w = np.append(self._w, w_new)
+
+        n = self.n_observations
+        self._append(x_new, y_new, scaled_new)
+        self._chol_buf[n, :n] = row
+        self._chol_buf[n, n] = pivot
+        self._w_buf[n] = w_new
         return True
 
     def _maybe_evict(self) -> None:
@@ -333,8 +469,7 @@ class GaussianProcess:
             return
         if self.eviction_policy is None:
             keep = self.n_observations - self.eviction_block
-            self._x = self._x[-keep:]
-            self._y = self._y[-keep:]
+            self._load(self._x[-keep:], self._y[-keep:])
         else:
             indices = np.asarray(
                 self.eviction_policy(self._x, self._y, self.max_observations),
@@ -347,14 +482,13 @@ class GaussianProcess:
                     f"shape {indices.shape} for n={self.n_observations}"
                 )
             indices = np.unique(indices)  # sorted: preserves arrival order
-            self._x = self._x[indices]
-            self._y = self._y[indices]
+            self._load(self._x[indices], self._y[indices])
         self._evictions += 1
         telemetry.inc("core.gp.evictions")
         self._refactorize()
 
     def _refactorize(self) -> None:
-        """Rebuild the factor, escalating jitter before giving up.
+        """Rebuild the scaled inputs and the factor, escalating jitter.
 
         Degradation ladder steps 2-3: a bare Cholesky first, then
         bounded jittered retries; an exhausted ladder invalidates the
@@ -363,6 +497,7 @@ class GaussianProcess:
         so callers can degrade to a safe policy and re-:meth:`fit`
         later.
         """
+        self._rescale()
         gram = self.kernel(self._x, self._x)
         gram[np.diag_indices_from(gram)] += self.noise_variance
         try:
@@ -370,28 +505,39 @@ class GaussianProcess:
                 gram, fault_hook=self._fault_hook, site="refactorize"
             )
         except NumericalInstabilityError:
-            self._chol = self._alpha = self._w = None
+            self._chol = self._w = None
             self._factor_version += 1
             raise
         self._jitter_retries += retries
         self._last_jitter = jitter
+        n = self.n_observations
+        self._chol_buf[:n, :n] = chol
+        # Until the next rank-1 step the factor stays Cholesky's
+        # Fortran-ordered array, whose solves take solve_triangular's
+        # other LAPACK branch (with other rounding): the buffer copy is
+        # what the next rank-1 step extends.
         self._chol = chol
         self._solve_targets()
         self._factor_version += 1
 
     def _solve_targets(self) -> None:
-        """Recompute ``alpha`` and ``w`` from the factor and the targets."""
-        residual = self._y - self.prior_mean
-        self._alpha = cho_solve((self._chol, True), residual)
-        self._w = solve_triangular(self._chol, residual, lower=True)
+        """Recompute ``w`` into its buffer from the factor and the targets."""
+        n = self.n_observations
+        self._w_buf[:n] = self._solve_lower(
+            self._y - self.prior_mean, overwrite_b=True
+        )
+        self._w = self._w_buf[:n]
 
     # -- prediction -----------------------------------------------------
 
     def predict(self, x_star: np.ndarray):
         """Posterior mean and variance at query points.
 
-        Implements eqs. (3)-(4).  With no observations, returns the
-        prior (``prior_mean``, ``k(z, z)`` variance).
+        Implements eqs. (3)-(4) as ``prior_mean + v^T w`` and
+        ``k(z, z) - v^T v`` with ``v = L^-1 K(X, z)`` — the formulas of
+        :class:`~repro.core.posterior.SurrogateEngine`.  With no
+        observations, returns the prior (``prior_mean``, ``k(z, z)``
+        variance).
 
         Returns
         -------
@@ -414,9 +560,8 @@ class GaussianProcess:
                 "posterior unavailable: the Cholesky factor was invalidated "
                 "by a failed refactorisation; call fit() to rebuild it"
             )
-        cross = self.kernel(self._x, x_star)
-        mean = self.prior_mean + cross.T @ self._alpha
-        v = solve_triangular(self._chol, cross, lower=True)
+        v = self._solve_lower(self.kernel(self._scaled, x_star))
+        mean = self.prior_mean + v.T @ self._w
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 0.0)
         return mean, variance
 
@@ -436,8 +581,7 @@ class GaussianProcess:
         mean, _ = self.predict(x_star)
         cov = self.kernel(x_star, x_star)
         if self._x is not None:
-            cross = self.kernel(self._x, x_star)
-            v = solve_triangular(self._chol, cross, lower=True)
+            v = self._solve_lower(self.kernel(self._scaled, x_star))
             cov = cov - v.T @ v
         cov[np.diag_indices_from(cov)] += 1e-10
         chol = cholesky(cov, lower=True)

@@ -48,9 +48,10 @@ All heads are evaluated in one pass over one shared joint grid and
 returned as a :class:`PosteriorBatch`, which
 :meth:`repro.core.safeset.SafeSetEstimator.safe_mask` (eq. 8) and
 :func:`repro.core.acquisition.safe_lcb_index_from_posterior` (eq. 9)
-consume directly.  Results match direct ``predict`` calls to rounding
-(same factor, same kernel rows): the blocked extensions and ``V^T w``
-round differently from ``predict``'s full solve and ``K^T alpha``.
+consume directly.  Results match direct ``predict`` calls to rounding:
+``predict`` uses the same factor, kernel rows and formulas
+(``m + v^T w``, ``k - v^T v``), but solves ``v`` in one piece, and the
+blocked extensions round differently.
 
 Timing and cache counters are kept in :class:`EngineStats` and surfaced
 through :class:`repro.experiments.recorder.RunLog`.

@@ -15,8 +15,10 @@ The contract of this module, asserted by ``tests/test_state.py``:
   bytes, never a decimal rendering);
 * RNG stream positions are captured via
   ``Generator.bit_generator.state`` and restored exactly;
-* GP internals (``_chol``/``_alpha``/``_w``/``_factor_version``) are
-  restored as-is — *never* recomputed — and the agent's
+* GP internals (the factor ``_chol``, the whitened residual ``_w`` and
+  ``_factor_version``) are restored as-is — *never* recomputed — and
+  only their live ``[:n]`` blocks travel, never the capacity of the
+  buffers behind them; the agent's
   :class:`~repro.core.posterior.SurrogateEngine` *cache* is part of
   the snapshot (:func:`engine_state`): its incrementally extended
   solves and running moments differ in the last float bits from a cold
@@ -30,7 +32,7 @@ Snapshot *payloads* are JSON-able dicts whose arrays hold their raw
 bytes (:func:`_encode_array`).  :func:`encode_snapshot` frames one as a
 binary blob::
 
-    frame = b"SNAP3:" + <SHA-256 hex digest of body> + newline + body
+    frame = b"SNAP4:" + <SHA-256 hex digest of body> + newline + body
     body  = <u64 LE header length> + <compact JSON header> + <array bytes>
 
 The JSON header carries every scalar, and each array's bytes become a
@@ -83,10 +85,10 @@ __all__ = [
 ]
 
 #: Format tag stamped on framed snapshots (bump on layout changes).
-SNAPSHOT_FORMAT = "edgebol-snapshot-v3"
+SNAPSHOT_FORMAT = "edgebol-snapshot-v4"
 
 #: Framing magic of :func:`encode_snapshot`.
-_MAGIC = b"SNAP3:"
+_MAGIC = b"SNAP4:"
 
 #: Length prefix of the JSON header inside a frame body.
 _HEADER_LEN = struct.Struct("<Q")
@@ -161,12 +163,15 @@ def set_rng_state(generator: np.random.Generator, state: dict) -> None:
 def gp_state(gp) -> dict:
     """Full mutable state of one :class:`~repro.core.gp.GaussianProcess`.
 
-    Captures the observation buffers, the *exact* Cholesky factor,
-    ``alpha`` and whitened residual ``w`` (a restored factor must match
-    the live rank-1 lineage bit for bit), the factor version, the
-    degradation-ladder counters and the kernel hyperparameters.
+    Captures the observations, the *exact* Cholesky factor (and its
+    memory order, which picks the LAPACK branch of its solves) and
+    whitened residual ``w`` (a restored factor must match the live
+    rank-1 lineage bit for bit), the factor version, the
+    degradation-ladder counters and the kernel hyperparameters.  Only
+    the live ``[:n]`` views are encoded, so the GP's buffer capacity
+    never reaches a snapshot.
     """
-    kernel = gp.kernel
+    kernel, chol = gp.kernel, gp._chol
     kernel_payload = {
         "lengthscales": _encode_array(kernel.lengthscales),
         "output_scale": float(kernel.output_scale),
@@ -179,8 +184,10 @@ def gp_state(gp) -> dict:
         "prior_mean": float(gp.prior_mean),
         "x": _maybe_encode(gp._x),
         "y": _maybe_encode(gp._y),
-        "chol": _maybe_encode(gp._chol),
-        "alpha": _maybe_encode(gp._alpha),
+        "chol": _maybe_encode(chol),
+        # A factor fresh from a refactorisation is Fortran-ordered, and
+        # solve_triangular rounds its solves differently (docs/NUMERICS.md).
+        "chol_fortran": chol is not None and bool(chol.flags.f_contiguous),
         "w": _maybe_encode(gp._w),
         "factor_version": int(gp._factor_version),
         "jitter_retries": int(gp._jitter_retries),
@@ -195,9 +202,12 @@ def restore_gp_state(gp, state: dict) -> None:
 
     Bypasses the ``kernel``/``noise_variance`` property setters and
     :meth:`~repro.core.gp.GaussianProcess.set_prior_mean` — each would
-    bump ``_factor_version`` or recompute ``_alpha``/``_w``, breaking the
+    bump ``_factor_version`` or recompute ``_w``, breaking the
     verbatim-restore guarantee.  Hyperparameters are written onto the
-    *existing* kernel object so engine/estimator references stay valid.
+    *existing* kernel object so engine/estimator references stay valid;
+    the GP's scaled inputs are then rebuilt from the restored
+    lengthscales (the kernel object is mutated in place, so nothing
+    else would invalidate them).
     """
     kernel_payload = state["kernel"]
     gp._kernel.lengthscales = _decode_array(kernel_payload["lengthscales"])
@@ -206,11 +216,11 @@ def restore_gp_state(gp, state: dict) -> None:
         gp._kernel.nu = float(kernel_payload["nu"])
     gp._noise_variance = float(state["noise_variance"])
     gp.prior_mean = float(state["prior_mean"])
-    gp._x = _maybe_decode(state["x"])
-    gp._y = _maybe_decode(state["y"])
-    gp._chol = _maybe_decode(state["chol"])
-    gp._alpha = _maybe_decode(state["alpha"])
-    gp._w = _maybe_decode(state["w"])
+    gp._restore(
+        *(None if state[key] is None else _array_view(state[key])
+          for key in ("x", "y", "chol", "w")),
+        fortran=bool(state["chol_fortran"]),
+    )
     gp._factor_version = int(state["factor_version"])
     gp._jitter_retries = int(state["jitter_retries"])
     gp._rank1_fallbacks = int(state["rank1_fallbacks"])
@@ -634,6 +644,11 @@ def decode_snapshot(blob: bytes) -> dict:
             f"snapshot must be bytes, got {type(blob).__name__}"
         )
     if not blob.startswith(_MAGIC):
+        if blob.startswith(b"SNAP"):
+            raise SnapshotCorruptionError(
+                f"stale snapshot format {bytes(blob[:len(_MAGIC)])!r}; "
+                f"this build reads {_MAGIC!r}"
+            )
         raise SnapshotCorruptionError("snapshot magic missing")
     if blob[_BODY_AT - 1:_BODY_AT] != b"\n":
         raise SnapshotCorruptionError("snapshot header is unterminated")

@@ -534,12 +534,17 @@ class AsyncMessageBus:
         """Topics that have seen at least one subscriber or message."""
         return sorted(set(self._subscribers) | set(self._history))
 
-    def mailbox_stats(self) -> dict[str, list[dict]]:
-        """Per-topic list of subscriber mailbox counter snapshots."""
+    def mailbox_stats(self, topic: str | None = None) -> dict[str, list[dict]]:
+        """Per-topic list of subscriber mailbox counter snapshots.
+
+        With ``topic``, only that topic's entry (if it has subscribers):
+        a per-cell poll then costs that topic's mailboxes, not the bus's.
+        """
+        topics = self._subscribers if topic is None else (topic,)
         return {
-            topic: [s.mailbox.stats() for s in subs]
-            for topic, subs in self._subscribers.items()
-            if subs
+            name: [s.mailbox.stats() for s in subs]
+            for name in topics
+            if (subs := self._subscribers.get(name))
         }
 
 

@@ -471,9 +471,8 @@ class FleetSupervisor:
 
     def _overload_total(self, cell) -> int:
         """Cumulative overload count on ``cell``'s indication topic."""
-        stats = self._runtime.bus.mailbox_stats().get(
-            f"{cell.prefix}e2.indication", ()
-        )
+        topic = f"{cell.prefix}e2.indication"
+        stats = self._runtime.bus.mailbox_stats(topic).get(topic, ())
         return sum(
             int(s.get("dropped", 0)) + int(s.get("coalesced", 0))
             + int(s.get("blocked", 0))

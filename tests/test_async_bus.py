@@ -257,6 +257,18 @@ class TestAsyncMessageBus:
         stats = bus.mailbox_stats()["kpi"][0]
         assert stats["capacity"] == 1 and stats["policy"] == "coalesce"
 
+    def test_mailbox_stats_for_one_topic(self):
+        bus = AsyncMessageBus()
+        bus.subscribe("a", lambda message: None)
+        bus.subscribe("b", lambda message: None)
+        bus.subscribe("b", lambda message: None)
+        post(bus, "b", "x")
+        bus.drain()
+        everything = bus.mailbox_stats()
+        assert bus.mailbox_stats("b") == {"b": everything["b"]}
+        assert bus.mailbox_stats("unknown") == {}
+        assert "unknown" not in bus.mailbox_stats()  # no entry created
+
     def test_handler_exception_fails_fast_at_drain(self):
         bus = AsyncMessageBus()
 

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
+from repro.core import state
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern, RBF
+from repro.core.numerics import robust_cholesky
+from repro.core.sparse import make_eviction_policy
 
 
 def make_gp(**kwargs):
@@ -225,3 +229,173 @@ class TestValidationAndMisc:
         gp = make_gp()
         gp.add(np.array([0.0]), 5.0)
         np.testing.assert_array_equal(gp.targets, [5.0])
+
+
+class ReferenceGP:
+    """The rank-1 update as written before the capacity buffers.
+
+    A fresh zero-filled factor with the old one copied in, a
+    ``solve_triangular`` row, ``vstack``/``append`` of the data and one
+    appended entry of ``w``; refactorisations and ``set_prior_mean``
+    re-solve ``w``.  Mirrors :class:`GaussianProcess` step by step so
+    the buffered implementation can be compared byte for byte.
+    """
+
+    def __init__(self, kernel, noise_variance, max_observations,
+                 eviction_block, eviction_policy):
+        self.kernel = kernel
+        self.noise_variance = noise_variance
+        self.max_observations = max_observations
+        self.eviction_block = eviction_block
+        self.eviction_policy = eviction_policy
+        self.prior_mean = 0.0
+        self.x = self.y = self.chol = self.w = None
+
+    def fit(self, x, y):
+        self.x, self.y = np.array(x, dtype=float), np.array(y, dtype=float)
+        self.refactorize()
+
+    def refactorize(self):
+        gram = self.kernel(self.x, self.x)
+        gram[np.diag_indices_from(gram)] += self.noise_variance
+        self.chol, _, _ = robust_cholesky(gram)
+        self.w = solve_triangular(self.chol, self.y - self.prior_mean,
+                                  lower=True)
+
+    def set_prior_mean(self, prior_mean):
+        if prior_mean != self.prior_mean:
+            self.prior_mean = prior_mean
+            self.w = solve_triangular(self.chol, self.y - self.prior_mean,
+                                      lower=True)
+
+    def add(self, x_new, y_new, rank1=True):
+        if self.x is None:
+            self.fit(x_new[None, :], [y_new])
+            return
+        if rank1:
+            cross = self.kernel(self.x, x_new[None, :]).ravel()
+            self_var = self.kernel.diag(x_new[None, :])[0] + self.noise_variance
+            row = solve_triangular(self.chol, cross, lower=True)
+            pivot = np.sqrt(max(self_var - float(row @ row), 1e-12))
+            n = self.y.size
+            chol = np.zeros((n + 1, n + 1))
+            chol[:n, :n] = self.chol
+            chol[n, :n] = row
+            chol[n, n] = pivot
+            w_new = (y_new - self.prior_mean - row @ self.w) / pivot
+            self.chol = chol
+            self.x = np.vstack([self.x, x_new[None, :]])
+            self.y = np.append(self.y, y_new)
+            self.w = np.append(self.w, w_new)
+        else:
+            self.x = np.vstack([self.x, x_new[None, :]])
+            self.y = np.append(self.y, y_new)
+            self.refactorize()
+        if self.y.size <= self.max_observations + self.eviction_block:
+            return
+        if self.eviction_policy is None:
+            keep = self.y.size - self.eviction_block
+            self.x, self.y = self.x[-keep:], self.y[-keep:]
+        else:
+            keep = np.unique(self.eviction_policy(
+                self.x, self.y, self.max_observations
+            ))
+            self.x, self.y = self.x[keep], self.y[keep]
+        self.refactorize()
+
+    def moments(self, x_star):
+        """Pre-change ``predict``: ``K^T alpha`` mean, ``v^T v`` variance."""
+        cross = self.kernel(self.x, x_star)
+        alpha = cho_solve((self.chol, True), self.y - self.prior_mean)
+        v = solve_triangular(self.chol, cross, lower=True)
+        variance = np.maximum(
+            self.kernel.diag(x_star) - np.sum(v**2, axis=0), 0.0
+        )
+        return self.prior_mean + cross.T @ alpha, variance
+
+
+class TestBufferedUpdateIsBitIdentical:
+    """The capacity-buffered add against :class:`ReferenceGP`."""
+
+    @pytest.mark.parametrize("policy", [None, make_eviction_policy()],
+                             ids=["oldest-block", "inducing-subset"])
+    def test_state_bytes_match_at_every_step(self, policy):
+        rng = np.random.default_rng(5)
+        kernel = Matern([0.6, 0.9, 1.3], output_scale=1.7)
+        fail_rank1 = []
+
+        def hook(site, attempt):
+            if site == "rank1" and fail_rank1:
+                raise np.linalg.LinAlgError("forced")
+
+        options = dict(max_observations=34, eviction_block=4)
+        gp = GaussianProcess(kernel, noise_variance=0.01, fault_hook=hook,
+                             eviction_policy=policy, **options)
+        ref = ReferenceGP(kernel, 0.01, eviction_policy=policy, **options)
+        queries = rng.uniform(-2.0, 2.0, size=(9, 3))
+        capacities = set()
+        snapshot = None
+
+        def check():
+            for got, want in ((gp._chol, ref.chol), (gp._w, ref.w),
+                              (gp._x, ref.x), (gp._y, ref.y)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert not np.triu(gp._chol_buf, 1).any()
+            capacities.add(gp._y_buf.size)
+            mean, variance = gp.predict(queries)
+            ref_mean, ref_variance = ref.moments(queries)
+            assert variance.tobytes() == ref_variance.tobytes()
+            assert np.max(np.abs(mean - ref_mean)) \
+                <= 1e-9 * np.sqrt(kernel.output_scale)
+
+        def add(rank1=True):
+            x_new = rng.uniform(-2.0, 2.0, size=3)
+            y_new = float(np.sin(x_new.sum()) + 0.1 * rng.standard_normal())
+            fail_rank1[:] = [] if rank1 else [True]
+            gp.add(x_new, y_new)
+            ref.add(x_new, y_new, rank1=rank1)
+            check()
+
+        for step in range(40):  # grows 8 -> 16 -> 32 -> 64, then evicts
+            add(rank1=step % 13 != 7)
+            if step == 18:
+                gp.set_prior_mean(0.4)
+                ref.set_prior_mean(0.4)
+                check()
+            if step == 24:
+                snapshot = state.gp_state(gp)
+                ref_at_snapshot = (ref.x, ref.y, ref.chol, ref.w,
+                                   ref.prior_mean)
+        assert gp.evictions > 0 and gp.rank1_fallbacks == 3
+        assert capacities >= {8, 16, 32, 64}
+
+        # Restore into a fresh GP: its buffers are sized to the snapshot.
+        gp = GaussianProcess(kernel, noise_variance=0.01, fault_hook=hook,
+                             eviction_policy=policy, **options)
+        state.restore_gp_state(gp, snapshot)
+        ref.x, ref.y, ref.chol, ref.w, ref.prior_mean = ref_at_snapshot
+        check()
+        for step in range(15):
+            add(rank1=step != 4)
+
+        x_fit = rng.uniform(-2.0, 2.0, size=(6, 3))
+        y_fit = rng.standard_normal(6)
+        gp.fit(x_fit, y_fit)  # shrinks the live block; buffers are reused
+        ref.fit(x_fit, y_fit)
+        check()
+        gp.set_prior_mean(-0.2)
+        ref.set_prior_mean(-0.2)
+        check()
+        for _ in range(5):
+            add()
+
+    def test_kernel_swap_rescales_the_inputs(self):
+        rng = np.random.default_rng(8)
+        gp = make_gp(kernel=Matern([1.0, 1.0]))
+        gp.fit(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        wider = Matern([2.0, 3.0])
+        gp.kernel = wider
+        scaled = wider.scale(gp._x)
+        assert np.array_equal(gp._scaled.points, scaled.points)
+        assert np.array_equal(gp._scaled.sq_norms, scaled.sq_norms)

@@ -268,7 +268,6 @@ def test_edgebol_select_survives_surrogate_loss_without_plan():
     # Sabotage every head's factor the way an exhausted ladder would.
     for gp in agent.gps:
         gp._chol = None
-        gp._alpha = None
     agent._surrogate_down = True
     chosen = agent.select(context)
     # Recovery refit succeeds immediately (the data is healthy).

@@ -105,6 +105,33 @@ class TestGPState:
         mean2, var2 = gp.predict(query)
         assert np.array_equal(mean1, mean2) and np.array_equal(var1, var2)
 
+    @pytest.mark.parametrize("adds", [0, 1], ids=["fresh-factor",
+                                                  "rank1-factor"])
+    def test_restored_factor_extends_bit_identically(self, adds):
+        # Regression: a factor fresh from fit() is Cholesky's
+        # Fortran-ordered array, solved through another LAPACK branch
+        # than a rank-1-extended one.  A restore that lost the memory
+        # order made every later add diverge in the last bits.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((40, 3))
+        y = rng.standard_normal(40)
+        live = GaussianProcess(Matern([0.8, 1.1, 0.6]), noise_variance=0.01)
+        live.fit(x[:30], y[:30])
+        for i in range(30, 30 + adds):
+            live.add(x[i], y[i])
+        restored = GaussianProcess(Matern([0.8, 1.1, 0.6]),
+                                   noise_variance=0.01)
+        blob = state.encode_snapshot(state.gp_state(live))
+        state.restore_gp_state(restored, state.decode_snapshot(blob))
+        query = rng.standard_normal((5, 3))
+        for got, want in zip(restored.predict(query), live.predict(query)):
+            assert got.tobytes() == want.tobytes()
+        for i in range(30 + adds, 40):
+            live.add(x[i], y[i])
+            restored.add(x[i], y[i])
+        assert restored._chol.tobytes() == live._chol.tobytes()
+        assert restored._w.tobytes() == live._w.tobytes()
+
     def test_restore_does_not_touch_setters(self):
         gp = GaussianProcess(Matern([1.0]), noise_variance=0.01)
         snap = state.gp_state(gp)
@@ -117,6 +144,42 @@ class TestGPState:
         snap = state.gp_state(gp)
         state.restore_gp_state(gp, snap)
         assert gp._x is None and gp._chol is None
+
+    def test_snapshot_carries_no_alpha_and_only_the_live_block(self):
+        rng = np.random.default_rng(3)
+        gp = GaussianProcess(Matern([1.0, 1.0]), noise_variance=0.01)
+        for _ in range(11):  # capacity 16
+            gp.add(rng.standard_normal(2), float(rng.standard_normal()))
+        snap = state.gp_state(gp)
+        assert "alpha" not in snap
+        assert snap["chol"]["shape"] == [11, 11]
+        assert snap["chol"]["data"] == gp._chol.tobytes()
+        assert snap["w"]["shape"] == [11] and snap["x"]["shape"] == [11, 2]
+
+    def test_restore_rescales_inputs_for_the_restored_lengthscales(self):
+        # restore_gp_state writes the lengthscales onto the live kernel
+        # in place; the scaled inputs must follow, or the next add builds
+        # its kernel row with the old lengthscales.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((8, 2))
+        y = rng.standard_normal(8)
+        source = GaussianProcess(Matern([0.7, 1.4]), noise_variance=0.01)
+        source.fit(x[:4], y[:4])
+        for i in range(4, 7):
+            source.add(x[i], y[i])
+        snap = state.gp_state(source)
+        target = GaussianProcess(Matern([3.0, 0.2]), noise_variance=0.01)
+        target.fit(rng.standard_normal((9, 2)), rng.standard_normal(9))
+        state.restore_gp_state(target, snap)
+        source.add(x[7], y[7])
+        target.add(x[7], y[7])
+        assert target._chol.tobytes() == source._chol.tobytes()
+        assert target._w.tobytes() == source._w.tobytes()
+        cold = GaussianProcess(Matern([0.7, 1.4]), noise_variance=0.01)
+        cold.fit(x, y)
+        query = rng.standard_normal((6, 2))
+        for got, want in zip(target.predict(query), cold.predict(query)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def relax_delay_and_swap_cost_kernel(env, agent):
@@ -154,6 +217,25 @@ class TestAgentReplay:
             assert np.array_equal(restored.variance(head), live.variance(head))
         replayed = run_periods(env, agent, 8)
         assert replayed == expected  # exact float equality, tuple-wise
+
+    def test_restored_agent_encodes_the_live_agents_bytes(self):
+        # A fresh agent restored from an earlier snapshot has smaller
+        # buffers than the live one; after the same periods both must
+        # encode the same blob, so capacity never reaches a frame.
+        env, agent = make_world(seed=5)
+        run_periods(env, agent, 9)
+        agent_snap = state.agent_state(agent)
+        env_snap = state.env_state(env)
+        run_periods(env, agent, 10)
+        restored_env, restored = make_world(seed=5)
+        state.restore_agent_state(restored, agent_snap)
+        state.restore_env_state(restored_env, env_snap)
+        run_periods(restored_env, restored, 10)
+        live_cost = agent.head_surrogates()["cost"]
+        restored_cost = restored.head_surrogates()["cost"]
+        assert live_cost._y_buf.size != restored_cost._y_buf.size
+        assert state.encode_snapshot(state.agent_state(restored)) \
+            == state.encode_snapshot(state.agent_state(agent))
 
     def test_head_mismatch_is_rejected(self):
         env, agent = make_world(seed=3)
@@ -311,6 +393,12 @@ class TestFraming:
         ))
         with pytest.raises(state.SnapshotCorruptionError):
             state.decode_snapshot(blob)
+
+    def test_stale_frame_is_rejected(self):
+        blob = forge(b'{"t":0}', b"")
+        stale = b"SNAP3:" + blob[len(state._MAGIC):]  # digest still valid
+        with pytest.raises(state.SnapshotCorruptionError, match="stale"):
+            state.decode_snapshot(stale)
 
     def test_non_bytes_rejected(self):
         with pytest.raises(state.SnapshotCorruptionError):

@@ -164,6 +164,7 @@ class TestSnapshotCorruption:
     @pytest.mark.parametrize("stale_format", [
         "edgebol-snapshot-v1",
         "edgebol-snapshot-v2",  # the layout that still carried `cross`
+        "edgebol-snapshot-v3",  # the layout that still carried `alpha`
     ])
     def test_stale_format_falls_back_to_older(self, clean_run, monkeypatch,
                                               stale_format):
