@@ -68,6 +68,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from repro.core.gp import GaussianProcess
+from repro.core.kernels import Kernel
 from repro.core.numerics import NumericalInstabilityError
 from repro.telemetry import runtime as telemetry
 
@@ -170,10 +171,18 @@ class _HeadState:
     ``mean_acc = v^T w`` against the GP's whitened residual ``w``, built
     while the head's prior mean was ``mean_prior``.  ``scaled`` is the
     joint grid scaled by the head's lengthscales.
+
+    ``row_ends`` and ``rebuilt_fortran`` record how ``v`` was built:
+    :meth:`rebuild` solved its first ``row_ends[0]`` rows against a
+    factor that was (or was not) Fortran-ordered, and each
+    :meth:`extend` since appended the rows up to its ``row_ends`` entry.
+    Repeating those calls against the same factor rebuilds ``v`` bit
+    for bit (:func:`repro.core.state.restore_engine_state`).
     """
 
     __slots__ = ("n", "factor_version", "v", "sumsq", "mean_acc",
-                 "mean_prior", "prior_var", "scaled")
+                 "mean_prior", "prior_var", "scaled", "row_ends",
+                 "rebuilt_fortran")
 
     def __init__(self, n_points: int, prior_var: np.ndarray) -> None:
         self.n = 0
@@ -184,6 +193,8 @@ class _HeadState:
         self.mean_prior = 0.0
         self.prior_var = prior_var
         self.scaled = None
+        self.row_ends: list[int] = []
+        self.rebuilt_fortran = False
 
     def _reserve(self, rows: int) -> None:
         capacity = self.v.shape[0]
@@ -193,6 +204,46 @@ class _HeadState:
         grown = np.empty((new_capacity, self.v.shape[1]))
         grown[: self.n] = self.v[: self.n]
         self.v = grown
+
+    def rebuild(self, kernel: Kernel, x: np.ndarray,
+                chol: np.ndarray) -> np.ndarray:
+        """Solve ``v = L^-1 K(x, grid)`` afresh; returns the ``v`` rows.
+
+        ``chol`` is the ``n x n`` factor of the ``n`` inputs ``x``; its
+        memory order picks ``solve_triangular``'s LAPACK branch, so it
+        is recorded with the new schedule.
+        """
+        n = x.shape[0]
+        self.n = 0  # nothing to carry over into a grown buffer
+        self._reserve(n)
+        v = self.v[:n]
+        v[:] = solve_triangular(chol, kernel(x, self.scaled), lower=True)
+        self.n = n
+        self.row_ends = [n]
+        self.rebuilt_fortran = bool(chol.flags.f_contiguous)
+        return v
+
+    def extend(self, kernel: Kernel, x: np.ndarray, chol: np.ndarray,
+               n: int) -> np.ndarray:
+        """Append the ``v`` rows ``self.n:n``; returns the new rows.
+
+        ``x`` and ``chol`` hold at least ``n`` observations of the
+        factor lineage the cached rows were solved against.
+        """
+        k0 = self.n
+        self._reserve(n)
+        new = self.v[k0:n]
+        new[:] = kernel(x[k0:n], self.scaled)
+        new -= chol[k0:n, :k0] @ self.v[:k0]
+        if n - k0 == 1:
+            # Bit-identical to the 1x1 triangular solve, without its
+            # call overhead.
+            new *= 1.0 / chol[k0, k0]
+        else:
+            new[:] = solve_triangular(chol[k0:n, k0:n], new, lower=True)
+        self.n = n
+        self.row_ends.append(n)
+        return new
 
 
 class SurrogateEngine:
@@ -336,6 +387,7 @@ class SurrogateEngine:
                 state.prior_var = gp.kernel.diag(joint)
                 state.factor_version = factor_version
             state.n = 0
+            state.row_ends = []
             mean = np.full(joint.shape[0], gp.prior_mean)
             return mean, state.prior_var.copy()
         if chol is None:
@@ -352,13 +404,8 @@ class SurrogateEngine:
             # hyperparameter change): rebuild this entry exactly.
             state.prior_var = gp.kernel.diag(joint)
             state.scaled = gp.kernel.scale(joint)
-            state._reserve(n)
-            v = state.v[:n]
-            v[:] = solve_triangular(
-                chol, gp.kernel(x, state.scaled), lower=True
-            )
+            v = state.rebuild(gp.kernel, x, chol)
             state.sumsq = np.sum(v**2, axis=0)
-            state.n = n
             state.factor_version = factor_version
             stale_mean = True
             self.stats.kernel_evals += n * joint.shape[0]
@@ -366,22 +413,12 @@ class SurrogateEngine:
         elif state.n < n:
             # Same factor lineage, k new rank-1 rows: extend the solves.
             k0 = state.n
-            state._reserve(n)
-            new = state.v[k0:n]
-            new[:] = gp.kernel(x[k0:], state.scaled)
-            new -= chol[k0:n, :k0] @ state.v[:k0]
-            if n - k0 == 1:
-                # Bit-identical to the 1x1 triangular solve, without
-                # its call overhead.
-                new *= 1.0 / chol[k0, k0]
-            else:
-                new[:] = solve_triangular(chol[k0:n, k0:n], new, lower=True)
+            new = state.extend(gp.kernel, x, chol, n)
             # Row by row, in the order np.sum(v**2, axis=0) adds them.
             for row in new:
                 state.sumsq += row**2
             if not stale_mean:
                 state.mean_acc += new.T @ w[k0:n]
-            state.n = n
             self.stats.kernel_evals += (n - k0) * joint.shape[0]
             self.stats.extensions += 1
         else:

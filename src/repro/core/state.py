@@ -18,12 +18,17 @@ The contract of this module, asserted by ``tests/test_state.py``:
 * GP internals (the factor ``_chol``, the whitened residual ``_w`` and
   ``_factor_version``) are restored as-is — *never* recomputed — and
   only their live ``[:n]`` blocks travel, never the capacity of the
-  buffers behind them; the agent's
-  :class:`~repro.core.posterior.SurrogateEngine` *cache* is part of
-  the snapshot (:func:`engine_state`): its incrementally extended
-  solves and running moments differ in the last float bits from a cold
-  rebuild over the same factor, and those bits decide near-tie
-  argmins when a context repeats;
+  buffers behind them;
+* the agent's :class:`~repro.core.posterior.SurrogateEngine` *cache*
+  is part of the snapshot (:func:`engine_state`): its incrementally
+  extended solves and running moments differ in the last float bits
+  from a cold rebuild over the same factor, and those bits decide
+  near-tie argmins when a context repeats.  Its ``N x M`` solved rows
+  are *replayed*, not stored: the snapshot carries each entry's
+  extension schedule, and the restore repeats the same rebuild and
+  extension calls, with the same shapes, against the restored factor.
+  Replay is bit-identical on the same BLAS build and thread count —
+  which replaying periods after a restore already needs;
 * the safe set itself needs no dedicated state: eq. 8 is a pure
   function of the delay/mAP surrogates and the constraints, both of
   which are snapshotted.
@@ -32,15 +37,16 @@ Snapshot *payloads* are JSON-able dicts whose arrays hold their raw
 bytes (:func:`_encode_array`).  :func:`encode_snapshot` frames one as a
 binary blob::
 
-    frame = b"SNAP4:" + <SHA-256 hex digest of body> + newline + body
+    frame = b"SNAP5:" + <SHA-256 hex digest of body> + newline + body
     body  = <u64 LE header length> + <compact JSON header> + <array bytes>
 
 The JSON header carries every scalar, and each array's bytes become a
 ``{"$buf": [offset, nbytes]}`` reference into the concatenated buffer
 section.  Arrays travel outside the JSON because they are nearly all
-of a warm agent's snapshot (the engine-cache ``v`` rows): as text (base64)
-they would be a third larger, and the JSON encoder would scan them
-character by character, while raw bytes are only copied and hashed.
+of a warm agent's snapshot (the GP factors and the engine's running
+moments): as text (base64) they would be a third larger, and the JSON
+encoder would scan them character by character, while raw bytes are
+only copied and hashed.
 The digest covers every byte of the body — header and buffers — so
 :func:`decode_snapshot` detects corruption
 (:class:`SnapshotCorruptionError`) before parsing anything instead of
@@ -85,10 +91,10 @@ __all__ = [
 ]
 
 #: Format tag stamped on framed snapshots (bump on layout changes).
-SNAPSHOT_FORMAT = "edgebol-snapshot-v4"
+SNAPSHOT_FORMAT = "edgebol-snapshot-v5"
 
 #: Framing magic of :func:`encode_snapshot`.
-_MAGIC = b"SNAP4:"
+_MAGIC = b"SNAP5:"
 
 #: Length prefix of the JSON header inside a frame body.
 _HEADER_LEN = struct.Struct("<Q")
@@ -260,7 +266,7 @@ def restore_injector_state(injector, state: dict) -> None:
 
 
 def engine_state(engine) -> dict:
-    """Warm posterior cache of a SurrogateEngine, bit-exactly.
+    """Warm posterior cache of a SurrogateEngine, as its build schedule.
 
     The cache is *causal* state, not just a speed-up: a cached entry's
     ``v`` rows and running moments (``sumsq``, ``mean_acc``) were built
@@ -270,21 +276,33 @@ def engine_state(engine) -> dict:
     Dropping the cache on restore and rebuilding would therefore perturb
     posteriors by ~1e-13 — enough to flip a near-tie ``argmin`` when a
     context repeats (the static scenario repeats its context every
-    period).  Each head also carries ``mean_prior``, the prior mean its
-    ``mean_acc`` was built against.  Entries are serialised in LRU
-    order; the joint grids and their scaled copies are *not* stored
-    (they are pure functions of context, control grid and kernel).
+    period).
+
+    The ``N x M`` ``v`` rows are *not* stored: they are a deterministic
+    function of the GP factor and inputs (already in :func:`gp_state`)
+    and of the order the engine solved them in.  Each head carries that
+    order instead — ``row_ends``, the row count of its last rebuild and
+    the end row of every extension block since, as one int64 array, and
+    ``rebuilt_fortran``, the memory order of the factor that rebuild
+    solved against — and :func:`restore_engine_state` replays it.
+    ``sumsq``, ``mean_acc`` and ``mean_prior`` travel verbatim:
+    ``mean_acc`` depends on the history of ``w`` under
+    :meth:`~repro.core.gp.GaussianProcess.set_prior_mean`, which the
+    schedule does not record.  Entries are serialised in LRU order; the
+    joint grids, their scaled copies and the prior variances are pure
+    functions of context, control grid and kernel, and are recomputed.
     """
     entries = []
     for key, (joint, states) in engine._cache.items():
         heads = {}
         for name, head_state in states.items():
-            n = head_state.n
             heads[name] = {
-                "n": int(n),
+                "n": int(head_state.n),
                 "factor_version": int(head_state.factor_version),
-                "prior_var": _encode_array(head_state.prior_var),
-                "v": _encode_array(head_state.v[:n]),
+                "row_ends": _encode_array(
+                    np.array(head_state.row_ends, dtype=np.int64)
+                ),
+                "rebuilt_fortran": bool(head_state.rebuilt_fortran),
                 "sumsq": _encode_array(head_state.sumsq),
                 "mean_acc": _encode_array(head_state.mean_acc),
                 "mean_prior": float(head_state.mean_prior),
@@ -298,14 +316,62 @@ def engine_state(engine) -> dict:
     return {"entries": entries}
 
 
+def _check_row_ends(name: str, row_ends: np.ndarray, n: int) -> None:
+    """Reject a malformed build schedule of one snapshotted head."""
+    if row_ends.ndim != 1 or row_ends.dtype != np.int64:
+        raise SnapshotError(
+            f"head {name!r}: row_ends must be a 1-D int64 array, got "
+            f"{row_ends.dtype} of shape {row_ends.shape}"
+        )
+    if row_ends.size and row_ends[0] < 1:
+        raise SnapshotError(
+            f"head {name!r}: row_ends starts at {row_ends[0]}, below 1"
+        )
+    if np.any(np.diff(row_ends) <= 0):
+        raise SnapshotError(
+            f"head {name!r}: row_ends {row_ends.tolist()} is not strictly "
+            "increasing"
+        )
+    last = int(row_ends[-1]) if row_ends.size else 0
+    if last != n:
+        raise SnapshotError(
+            f"head {name!r}: row_ends ends at {last}, but the entry has "
+            f"n = {n} rows"
+        )
+
+
+def _replay(head_state, gp, row_ends: list[int], fortran: bool) -> None:
+    """Rebuild ``head_state.v`` by repeating its rebuild and extensions.
+
+    The calls and shapes are the live sweep's, against the restored
+    factor, whose leading blocks are the factors the live calls saw.
+    """
+    x, chol = gp._x, gp._chol
+    n0 = row_ends[0]
+    order = np.asfortranarray if fortran else np.ascontiguousarray
+    head_state.rebuild(gp.kernel, x[:n0], order(chol[:n0, :n0]))
+    for end in row_ends[1:]:
+        head_state.extend(gp.kernel, x, chol, end)
+
+
 def restore_engine_state(engine, state: dict) -> None:
     """Restore a SurrogateEngine cache to an :func:`engine_state` snapshot.
 
-    Must run *after* the per-head GP restores: the recreated entries'
-    ``factor_version`` stamps must describe the restored factors, and
-    each scaled joint grid is recomputed from the *restored* kernel
-    (:func:`restore_gp_state` rewrites the kernel in place, with no
-    version bump, so a grid scaled before the restore may be stale).
+    Must run *after* the per-head GP restores: the replay solves against
+    the restored factors, the entries' ``factor_version`` stamps must
+    describe them, and each scaled joint grid and prior variance is
+    recomputed from the *restored* kernel (:func:`restore_gp_state`
+    rewrites the kernel in place, with no version bump, so a grid
+    scaled before the restore may be stale).  Only entries stamped with
+    their GP's current ``factor_version`` are replayed; a stale one is
+    never read before the rebuild its stamp forces, so its schedule,
+    moments and stamp are restored as they are, without ``v`` rows.
+
+    Replay repeats the live sweep's BLAS calls with the same shapes, so
+    it needs the same BLAS build and thread count as the live run — as
+    replaying periods after a restore already does.  Raises
+    :class:`SnapshotError` on a head unknown to the engine or a
+    malformed schedule.
     """
     engine._cache.clear()
     for entry in state["entries"]:
@@ -317,17 +383,36 @@ def restore_engine_state(engine, state: dict) -> None:
                     f"snapshot engine cache names head {name!r} unknown "
                     f"to the engine ({sorted(engine._heads)})"
                 )
-            head_state = engine._state_for(name, joint, states)
+            gp = engine._heads[name]
             n = int(payload["n"])
-            head_state.prior_var = _decode_array(payload["prior_var"])
-            head_state._reserve(n)
-            head_state.v[:n] = _array_view(payload["v"])
+            row_ends = _array_view(payload["row_ends"])
+            _check_row_ends(name, row_ends, n)
+            row_ends = row_ends.tolist()
+            fortran = bool(payload["rebuilt_fortran"])
+            factor_version = int(payload["factor_version"])
+            head_state = engine._state_for(name, joint, states)
+            head_state.scaled = gp.kernel.scale(joint)
+            if factor_version == gp.factor_version and n:
+                if n > gp.n_observations:
+                    raise SnapshotError(
+                        f"head {name!r}: the cache entry has {n} rows, but "
+                        f"the restored GP has {gp.n_observations} "
+                        "observations"
+                    )
+                if gp._chol is None:
+                    raise SnapshotError(
+                        f"head {name!r}: the cache entry is current, but "
+                        "the restored GP has no factor to replay it against"
+                    )
+                _replay(head_state, gp, row_ends, fortran)
+            else:
+                head_state.n = n
+                head_state.row_ends = row_ends
+                head_state.rebuilt_fortran = fortran
             head_state.sumsq = _decode_array(payload["sumsq"])
             head_state.mean_acc = _decode_array(payload["mean_acc"])
             head_state.mean_prior = float(payload["mean_prior"])
-            head_state.scaled = engine._heads[name].kernel.scale(joint)
-            head_state.n = n
-            head_state.factor_version = int(payload["factor_version"])
+            head_state.factor_version = factor_version
 
 
 # -- the EdgeBOL agent ----------------------------------------------------
@@ -385,9 +470,10 @@ def restore_agent_state(agent, state: dict) -> None:
     Order matters: constraints first (so ``_sync_delay_pessimism``
     derives ``_delay_clip``), then the verbatim per-head GP states
     (overwriting the prior-mean recomputation the sync just did), then
-    the counters, and a :meth:`SurrogateEngine.reset_cache` **last** —
-    the engine's incremental caches are keyed on factor versions that
-    the restore may have rolled backwards.
+    the counters, and the engine cache **last**: it is reset — its
+    incremental caches are keyed on factor versions that the restore
+    may have rolled backwards — and replayed against the restored
+    factors.
     """
     agent.constraints = ServiceConstraints(**state["constraints"])
     agent.cost_weights = CostWeights(**state["cost_weights"])
@@ -417,10 +503,11 @@ def restore_agent_state(agent, state: dict) -> None:
     injector = _gp_injector_of(agent)
     if injector is not None and state["gp_injector"] is not None:
         restore_injector_state(injector, state["gp_injector"])
-    # The warm cache is restored verbatim (never rebuilt): incremental
-    # and from-scratch solves differ in the last float bits, and those
-    # bits decide near-tie argmins.  reset_cache() first so stale
-    # post-snapshot entries cannot survive the rollback.
+    # The warm cache is restored by replaying its schedule, never by a
+    # cold rebuild: incremental and from-scratch solves differ in the
+    # last float bits, and those bits decide near-tie argmins.
+    # reset_cache() first so stale post-snapshot entries cannot survive
+    # the rollback.
     agent._engine.reset_cache()
     restore_engine_state(agent._engine, state["engine"])
 

@@ -17,6 +17,7 @@ from repro.core import state
 from repro.core.edgebol import EdgeBOL
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
+from repro.core.posterior import SurrogateEngine
 from repro.experiments.recorder import RunLog
 from repro.obs.decision import DecisionTracer
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
@@ -258,6 +259,66 @@ class TestAgentReplay:
         assert run_periods(env, agent, 6) == expected
 
 
+#: Control grid of the bare-engine tests (context_dim 1, so 3-D inputs).
+ENGINE_GRID = np.random.default_rng(20).uniform(size=(60, 2))
+
+
+def engine_gp(rng, n_obs=0, lengthscales=(0.5, 0.8, 0.6)):
+    """A 3-D Matern GP holding ``n_obs`` random observations."""
+    gp = GaussianProcess(Matern(list(lengthscales)), noise_variance=0.01)
+    if n_obs:
+        gp.fit(rng.uniform(size=(n_obs, 3)), rng.standard_normal(n_obs))
+    return gp
+
+
+def add_points(gp, rng, count):
+    for _ in range(count):
+        gp.add(rng.uniform(size=3), float(rng.standard_normal()))
+
+
+def restored_engine(engine):
+    """Fresh GPs and engine restored from ``engine``'s framed snapshot."""
+    payload = state.decode_snapshot(state.encode_snapshot({
+        "gps": {name: state.gp_state(gp)
+                for name, gp in engine.heads.items()},
+        "engine": state.engine_state(engine),
+    }))
+    gps = {}
+    for name in engine.heads:
+        gps[name] = engine_gp(None, lengthscales=(1.0, 1.0, 1.0))
+        state.restore_gp_state(gps[name], payload["gps"][name])
+    restored = SurrogateEngine(gps, ENGINE_GRID, context_dim=1)
+    state.restore_engine_state(restored, payload["engine"])
+    return restored
+
+
+def assert_cache_replayed(live, restored):
+    """Same entries in LRU order, bit-equal ``v`` rows and posteriors."""
+    assert list(restored._cache) == list(live._cache)
+    for key, (_, states) in live._cache.items():
+        restored_states = restored._cache[key][1]
+        assert list(restored_states) == list(states)
+        for name, want in states.items():
+            got = restored_states[name]
+            assert got.n == want.n and got.row_ends == want.row_ends
+            assert got.rebuilt_fortran == want.rebuilt_fortran
+            assert got.factor_version == want.factor_version
+            assert got.sumsq.tobytes() == want.sumsq.tobytes()
+            assert got.mean_acc.tobytes() == want.mean_acc.tobytes()
+            if want.factor_version == live.heads[name].factor_version:
+                assert got.v[:got.n].tobytes() == want.v[:want.n].tobytes()
+            else:  # stale: never read before its rebuild, so not replayed
+                assert got.v.shape[0] == 0
+    for key in list(live._cache):
+        context = np.frombuffer(key, dtype=float)
+        want = live.posterior(context)
+        got = restored.posterior(context)
+        for head in want.heads:
+            assert got.mean(head).tobytes() == want.mean(head).tobytes()
+            assert got.variance(head).tobytes() \
+                == want.variance(head).tobytes()
+
+
 class TestEngineCacheState:
     def test_warm_cache_is_part_of_the_snapshot(self):
         # Regression: with the engine cache dropped on restore, seed 0
@@ -283,6 +344,107 @@ class TestEngineCacheState:
         )
         with pytest.raises(state.SnapshotError, match="bogus"):
             state.restore_engine_state(agent._engine, snap)
+
+    @pytest.mark.parametrize("change", ["fit", "kernel-swap"])
+    def test_rebuild_against_a_fortran_factor(self, change):
+        # fit() leaves Cholesky's Fortran-ordered array as the factor,
+        # and solve_triangular rounds a rebuild against it differently;
+        # the replay must use that branch even after a rank-1 add has
+        # turned the GP's factor into a C-ordered buffer view.
+        rng = np.random.default_rng(21)
+        gp = engine_gp(rng, n_obs=12)
+        add_points(gp, rng, 3)
+        engine = SurrogateEngine({"a": gp}, ENGINE_GRID, context_dim=1)
+        engine.posterior([0.3])
+        if change == "kernel-swap":
+            gp.kernel = Matern([0.9, 0.4, 0.7], output_scale=2.0)
+        gp.fit(gp.inputs, gp.targets)
+        engine.posterior([0.3])
+        head = engine._cache[np.array([0.3]).tobytes()][1]["a"]
+        assert head.rebuilt_fortran and head.row_ends == [15]
+        assert_cache_replayed(engine, restored_engine(engine))
+        add_points(gp, rng, 1)
+        assert_cache_replayed(engine, restored_engine(engine))
+
+    def test_multi_row_extension_blocks(self):
+        rng = np.random.default_rng(22)
+        gp = engine_gp(rng, n_obs=20)
+        add_points(gp, rng, 1)
+        engine = SurrogateEngine({"a": gp}, ENGINE_GRID, context_dim=1)
+        engine.posterior([0.6])
+        for block in (2, 1, 3):
+            add_points(gp, rng, block)
+            engine.posterior([0.6])
+        head = engine._cache[np.array([0.6]).tobytes()][1]["a"]
+        assert not head.rebuilt_fortran and head.row_ends == [21, 23, 24, 27]
+        assert_cache_replayed(engine, restored_engine(engine))
+
+    def test_contexts_in_lru_order_with_a_stale_entry_and_an_empty_head(self):
+        rng = np.random.default_rng(23)
+        gp, emptied = engine_gp(rng, n_obs=10), engine_gp(rng, n_obs=5)
+        engine = SurrogateEngine({"a": gp, "empty": emptied},
+                                 ENGINE_GRID, context_dim=1)
+        for context in ([0.1], [0.5], [0.9]):
+            engine.posterior(context)
+            add_points(gp, rng, 2)
+        emptied.fit(np.empty((0, 3)), np.empty(0))
+        gp.fit(gp.inputs, gp.targets)
+        engine.posterior([0.9])
+        add_points(gp, rng, 2)
+        engine.posterior([0.5])
+        add_points(gp, rng, 1)
+        engine.posterior([0.1], heads=["empty"])  # "a" stays stale there
+        first = engine._cache[np.array([0.1]).tobytes()][1]
+        assert first["a"].factor_version != gp.factor_version
+        assert first["empty"].n == 0 and first["empty"].row_ends == []
+        assert_cache_replayed(engine, restored_engine(engine))
+
+
+class TestScheduleValidation:
+    """A malformed snapshotted schedule is rejected, not replayed."""
+
+    @staticmethod
+    def snapshot():
+        rng = np.random.default_rng(24)
+        gp = engine_gp(rng, n_obs=20)
+        add_points(gp, rng, 1)
+        engine = SurrogateEngine({"a": gp}, ENGINE_GRID, context_dim=1)
+        engine.posterior([0.4])
+        add_points(gp, rng, 2)
+        engine.posterior([0.4])
+        payload = state.engine_state(engine)
+        head = payload["entries"][0]["heads"]["a"]
+        assert state._decode_array(head["row_ends"]).tolist() == [21, 23]
+        return engine, head, payload
+
+    @pytest.mark.parametrize("row_ends, n, match", [
+        ([23, 21, 23], 23, "strictly increasing"),
+        ([21, 21, 23], 23, "strictly increasing"),
+        ([0, 21, 23], 23, "below 1"),
+        ([21, 22], 23, "ends at"),
+        ([], 23, "ends at"),
+        ([21, 23, 30], 30, "observations"),
+    ], ids=["decreasing", "repeated", "first-below-1", "last-not-n",
+            "empty-with-rows", "n-above-observations"])
+    def test_malformed_schedule_is_rejected(self, row_ends, n, match):
+        engine, head, payload = self.snapshot()
+        head["row_ends"] = state._encode_array(
+            np.array(row_ends, dtype=np.int64)
+        )
+        head["n"] = n
+        with pytest.raises(state.SnapshotError, match=match):
+            state.restore_engine_state(engine, payload)
+
+    @pytest.mark.parametrize("row_ends", [
+        np.array([21.0, 23.0]),
+        np.array([23, 21, 23], dtype=np.uint64),  # np.diff would wrap
+        np.array([[21, 23]], dtype=np.int64),
+    ], ids=["float", "unsigned", "2-d"])
+    def test_schedule_of_another_dtype_or_shape_is_rejected(self, row_ends):
+        engine, head, payload = self.snapshot()
+        head["row_ends"] = state._encode_array(row_ends)
+        with pytest.raises(state.SnapshotError, match="int64"):
+            state.restore_engine_state(engine, payload)
 
 
 class TestEnvState:
@@ -396,9 +558,10 @@ class TestFraming:
 
     def test_stale_frame_is_rejected(self):
         blob = forge(b'{"t":0}', b"")
-        stale = b"SNAP3:" + blob[len(state._MAGIC):]  # digest still valid
-        with pytest.raises(state.SnapshotCorruptionError, match="stale"):
-            state.decode_snapshot(stale)
+        for magic in (b"SNAP3:", b"SNAP4:"):
+            stale = magic + blob[len(state._MAGIC):]  # digest still valid
+            with pytest.raises(state.SnapshotCorruptionError, match="stale"):
+                state.decode_snapshot(stale)
 
     def test_non_bytes_rejected(self):
         with pytest.raises(state.SnapshotCorruptionError):
@@ -422,12 +585,14 @@ class TestFraming:
             return 0
 
         raw = raw_bytes(payload)
-        v_bytes = sum(
-            raw_bytes(head["v"])
-            for entry in payload["agent"]["engine"]["entries"]
-            for head in entry["heads"].values()
-        )
-        assert v_bytes > raw / 2  # the warm engine cache's v rows dominate
+        for entry in payload["agent"]["engine"]["entries"]:
+            for head in entry["heads"].values():
+                # The N x M v rows are replayed on restore, not stored.
+                n, m = head["n"], head["sumsq"]["shape"][0]
+                assert n > 1
+                for value in head.values():
+                    if isinstance(value, dict):
+                        assert int(np.prod(value["shape"])) < n * m
         assert len(state.encode_snapshot(payload)) <= raw + 16_384
 
 

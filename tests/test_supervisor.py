@@ -165,6 +165,7 @@ class TestSnapshotCorruption:
         "edgebol-snapshot-v1",
         "edgebol-snapshot-v2",  # the layout that still carried `cross`
         "edgebol-snapshot-v3",  # the layout that still carried `alpha`
+        "edgebol-snapshot-v4",  # the layout that still carried `v`
     ])
     def test_stale_format_falls_back_to_older(self, clean_run, monkeypatch,
                                               stale_format):
