@@ -18,9 +18,16 @@ mode:
   the mode whose per-period cost must stay *flat* as the nominal N
   grows (the flat-cost claim: N = 2000 within 1.5x of N = 250).
 
-Emits ``BENCH_posterior.json`` at the repo root and asserts the >= 5x
-engine-vs-direct speedup at N = 500, non-zero cache hits and the
-sparse flat-cost bound.
+A second test times the sweeps the dense mode pays for a changing
+context at N in {100, 250, 500}: the **cold rebuild** of a context seen
+for the first time, and the **context return**, the sweep on a cached
+context after 50 adds made under another one, which extends every
+head's solves by 50 rows at once.
+
+Both tests update their own keys of ``BENCH_posterior.json`` at the
+repo root.  The first asserts the >= 5x engine-vs-direct speedup at
+N = 500, non-zero cache hits and the sparse flat-cost bound; the second
+asserts that a context return matches ``predict``.
 """
 
 import json
@@ -55,6 +62,12 @@ SPARSE_BUDGET = 200
 SPARSE_BLOCK = 50
 #: Flat-cost bound: sparse per-period seconds at N=2000 vs at N=250.
 FLAT_COST_FACTOR = 1.5
+
+#: N values, adds under the other context and timed repetitions of the
+#: context-return test.
+RETURN_N_VALUES = (100, 250, 500)
+RETURN_ADDS = 50
+RETURN_REPS = 3
 
 HEAD_SPECS = (
     ("cost", 60.0**2, 4.0, 0.0),
@@ -206,23 +219,30 @@ def bench_one_n(n_obs, rng, grid):
     }
 
 
+def write_keys(**keys):
+    """Update ``keys`` in the results file, keeping the other tests' keys."""
+    payload = (json.loads(RESULT_PATH.read_text())
+               if RESULT_PATH.exists() else {})
+    payload.update(keys)
+    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def test_perf_posterior_sweep():
     rng = np.random.default_rng(0)
     grid = cartesian_grid(*[linear_levels(N_LEVELS)] * 4)
     rows = [bench_one_n(n, rng, grid) for n in N_VALUES]
-    payload = {
-        "benchmark": "per-period three-head posterior sweep over 11^4 grid",
-        "unit": "seconds (median per period)",
-        "modes": {
+    write_keys(
+        benchmark="per-period three-head posterior sweep over 11^4 grid",
+        unit="seconds (median per period)",
+        modes={
             "dense": "per-head loops (bit-identity reference)",
             "sparse": (
                 f"subset-of-data, budget {SPARSE_BUDGET} + "
                 f"block {SPARSE_BLOCK} inducing-subset eviction"
             ),
         },
-        "results": rows,
-    }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        results=rows,
+    )
 
     print()
     print(f"{'N':>6} {'direct s':>10} {'dense s':>10} "
@@ -266,3 +286,79 @@ def test_perf_posterior_sweep():
             f"{sparse_2000['engine_min_s']:.4f}s at N=2000 vs "
             f"{sparse_250['engine_min_s']:.4f}s at N=250"
         )
+
+
+def time_context_return(n_obs, grid):
+    """Cold-rebuild and context-return seconds at one N (medians).
+
+    Each repetition starts from fresh dense heads and a fresh engine:
+    the first sweep on context A is the cold rebuild; then every head
+    takes ``RETURN_ADDS`` observations under context B, each followed
+    by a (cheap, untimed) sweep on B; the next sweep on A is the
+    context return.
+    """
+    rng = np.random.default_rng(n_obs)
+    x = rng.random((n_obs, CONTEXT_DIM + 4))
+    y = rng.normal(size=(n_obs, len(HEAD_SPECS)))
+    context_a, context_b = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+    adds = [(np.concatenate([context_b, rng.random(4)]),
+             rng.normal(size=len(HEAD_SPECS))) for _ in range(RETURN_ADDS)]
+    cold, back = [], []
+    for _ in range(RETURN_REPS):
+        heads = build_heads(x, y, sparse=False)
+        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        started = time.perf_counter()
+        engine.posterior(context_a)
+        cold.append(time.perf_counter() - started)
+        for z, targets in adds:
+            for column, gp in enumerate(heads.values()):
+                gp.add(z, float(targets[column]))
+            engine.posterior(context_b)
+        evals = engine.stats.kernel_evals
+        started = time.perf_counter()
+        batch = engine.posterior(context_a)
+        back.append(time.perf_counter() - started)
+        return_evals = engine.stats.kernel_evals - evals
+    for name, gp in heads.items():
+        mean, var = gp.predict(batch.joint_grid)
+        np.testing.assert_allclose(batch.mean(name), mean, atol=1e-8, rtol=0)
+        np.testing.assert_allclose(batch.variance(name), var,
+                                   atol=1e-8, rtol=0)
+    return {
+        "n_observations": n_obs,
+        "cold_rebuild_s": float(np.median(cold)),
+        "context_return_s": float(np.median(back)),
+        "context_return_kernel_evals": int(return_evals),
+    }
+
+
+def test_perf_context_return():
+    grid = cartesian_grid(*[linear_levels(N_LEVELS)] * 4)
+    rows = [time_context_return(n, grid) for n in RETURN_N_VALUES]
+    previous = (json.loads(RESULT_PATH.read_text()).get("context_return", {})
+                if RESULT_PATH.exists() else {})
+    section = {
+        "unit": "seconds (median of 3 sweeps)",
+        "columns": {
+            "cold_rebuild_s": "first sweep on a context: three heads "
+                              "rebuilt over N rows",
+            "context_return_s": f"sweep on a cached context after "
+                                f"{RETURN_ADDS} adds under another one",
+            "context_return_kernel_evals": "kernel entries computed by "
+                                           "that sweep",
+        },
+        "sharing": "the three benchmark heads share one lengthscale "
+                   "vector, so one correlation block serves all three "
+                   "(three-way sharing); EdgeBOL's cost and delay heads "
+                   "share one and its mAP head has its own (two-way)",
+        "rows": rows,
+    }
+    if "before" in previous:
+        section["before"] = previous["before"]
+    write_keys(context_return=section)
+
+    print()
+    print(f"{'N':>6} {'cold s':>10} {'return s':>10}")
+    for row in rows:
+        print(f"{row['n_observations']:>6} {row['cold_rebuild_s']:>10.4f} "
+              f"{row['context_return_s']:>10.4f}")

@@ -44,14 +44,24 @@ entries on their next use.  Each entry also keeps the joint grid scaled
 by the head's lengthscales (:meth:`Kernel.scale`), so a new kernel row
 does not rescale all ``M`` grid points.
 
+New ``v`` rows are built where they live: :meth:`Kernel.fill` writes
+the kernel rows into them, and one BLAS ``dtrsm`` solves them from the
+right, in place (docs/NUMERICS.md, "The in-place row solve").  Heads
+whose kernels differ only in ``output_scale`` — EdgeBOL's cost and
+delay heads — share one correlation block and one scaled grid per
+sweep; each head's rows are that block times its own scale, which is
+how a lone kernel call ends, so sharing changes no bit.
+
 All heads are evaluated in one pass over one shared joint grid and
 returned as a :class:`PosteriorBatch`, which
 :meth:`repro.core.safeset.SafeSetEstimator.safe_mask` (eq. 8) and
 :func:`repro.core.acquisition.safe_lcb_index_from_posterior` (eq. 9)
 consume directly.  Results match direct ``predict`` calls to rounding:
-``predict`` uses the same factor, kernel rows and formulas
-(``m + v^T w``, ``k - v^T v``), but solves ``v`` in one piece, and the
-blocked extensions round differently.
+``predict`` uses the same factor, the same kernel bits and formulas
+(``m + v^T w``, ``k - v^T v``), but solves ``v`` in one piece with
+LAPACK's left-side ``trtrs``, while the engine solves blocks from the
+right; the two round differently (about an ulp per entry on a block,
+more through the blocked extensions).
 
 Timing and cache counters are kept in :class:`EngineStats` and surfaced
 through :class:`repro.experiments.recorder.RunLog`.
@@ -59,16 +69,18 @@ through :class:`repro.experiments.recorder.RunLog`.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from repro.core.gp import GaussianProcess
-from repro.core.kernels import Kernel
+from repro.core.kernels import Kernel, ScaledPoints
 from repro.core.numerics import NumericalInstabilityError
 from repro.telemetry import runtime as telemetry
 
@@ -86,7 +98,8 @@ class EngineStats:
     queries: int = 0
     #: Per-head posterior evaluations (``queries`` times heads asked).
     head_queries: int = 0
-    #: Cross-kernel entries computed (full rebuilds + extensions).
+    #: Cross-kernel entries computed (full rebuilds + extensions); a
+    #: block shared by heads of one correlation counts once.
     kernel_evals: int = 0
     #: Head states served fully from cache (no kernel work at all).
     cache_hits: int = 0
@@ -161,6 +174,39 @@ class PosteriorBatch:
         return self.means[head], self.std(head)
 
 
+def _solve_rows(chol: np.ndarray, rows: np.ndarray) -> None:
+    """``rows <- L^-1 rows`` in place, for a lower-triangular ``L``.
+
+    ``rows`` is a C-ordered ``(k, M)`` block, so its transpose is a
+    Fortran ``(M, k)`` array, and BLAS ``dtrsm`` solves that from the
+    right, ``X L^T = rows^T``, where it lies: no copy of the rows either
+    way.  The ``k x k`` ``chol`` may have any memory order; the wrapper
+    hands BLAS a Fortran copy of it when it is not one, so the bits do
+    not depend on the order (docs/NUMERICS.md).  One row is scaled by
+    ``1 / L[0, 0]``, the 1x1 solve without its call overhead.  As
+    ``solve_triangular`` does, raises ``ValueError`` when the factor
+    block or the rows are not finite and ``LinAlgError`` on a zero
+    pivot.
+    """
+    if not rows.flags.c_contiguous:
+        raise ValueError("the rows to solve must be C-contiguous")
+    if not np.isfinite(rows).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if rows.shape[0] == 1:
+        pivot = chol[0, 0]
+        if not math.isfinite(pivot):
+            raise ValueError("array must not contain infs or NaNs")
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("singular matrix: zero pivot")
+        rows *= 1.0 / pivot
+        return
+    if not np.isfinite(chol).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if not chol.diagonal().all():
+        raise np.linalg.LinAlgError("singular matrix: zero pivot")
+    dtrsm(1.0, chol, rows.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
 class _HeadState:
     """Cached solves and running moments of one head on one joint grid.
 
@@ -170,19 +216,18 @@ class _HeadState:
     accumulated one row at a time in arrival order, and
     ``mean_acc = v^T w`` against the GP's whitened residual ``w``, built
     while the head's prior mean was ``mean_prior``.  ``scaled`` is the
-    joint grid scaled by the head's lengthscales.
+    joint grid scaled by the head's lengthscales (shared with the heads
+    of the same :meth:`~repro.core.kernels.Kernel.correlation_key`).
 
-    ``row_ends`` and ``rebuilt_fortran`` record how ``v`` was built:
-    :meth:`rebuild` solved its first ``row_ends[0]`` rows against a
-    factor that was (or was not) Fortran-ordered, and each
-    :meth:`extend` since appended the rows up to its ``row_ends`` entry.
-    Repeating those calls against the same factor rebuilds ``v`` bit
-    for bit (:func:`repro.core.state.restore_engine_state`).
+    ``row_ends`` records how ``v`` was built: a rebuild solved its first
+    ``row_ends[0]`` rows, and each extension since appended the rows up
+    to its ``row_ends`` entry.  Repeating those :meth:`rows` and
+    :meth:`solve` calls against the same factor rebuilds ``v`` bit for
+    bit (:func:`repro.core.state.restore_engine_state`).
     """
 
     __slots__ = ("n", "factor_version", "v", "sumsq", "mean_acc",
-                 "mean_prior", "prior_var", "scaled", "row_ends",
-                 "rebuilt_fortran")
+                 "mean_prior", "prior_var", "scaled", "row_ends")
 
     def __init__(self, n_points: int, prior_var: np.ndarray) -> None:
         self.n = 0
@@ -194,56 +239,49 @@ class _HeadState:
         self.prior_var = prior_var
         self.scaled = None
         self.row_ends: list[int] = []
-        self.rebuilt_fortran = False
 
-    def _reserve(self, rows: int) -> None:
+    def rows(self, k0: int, n: int) -> np.ndarray:
+        """The ``v`` rows ``k0:n``, to be filled with ``K(x[k0:n], grid)``.
+
+        Grows the buffer as needed, carrying over only the ``k0`` rows
+        that stay (none for a rebuild, ``k0 = 0``).
+        """
         capacity = self.v.shape[0]
-        if rows <= capacity:
-            return
-        new_capacity = max(rows, 2 * capacity, 8)
-        grown = np.empty((new_capacity, self.v.shape[1]))
-        grown[: self.n] = self.v[: self.n]
-        self.v = grown
+        if n > capacity:
+            grown = np.empty((max(n, 2 * capacity, 8), self.v.shape[1]))
+            grown[:k0] = self.v[:k0]
+            self.v = grown
+        return self.v[k0:n]
 
-    def rebuild(self, kernel: Kernel, x: np.ndarray,
-                chol: np.ndarray) -> np.ndarray:
-        """Solve ``v = L^-1 K(x, grid)`` afresh; returns the ``v`` rows.
+    def solve(self, chol: np.ndarray, k0: int, n: int, scratch) -> np.ndarray:
+        """Turn the filled kernel rows ``k0:n`` into ``v`` rows; returns them.
 
-        ``chol`` is the ``n x n`` factor of the ``n`` inputs ``x``; its
-        memory order picks ``solve_triangular``'s LAPACK branch, so it
-        is recorded with the new schedule.
+        ``v_new = L22^-1 (K_new - L21 v_old)``, in place.  ``chol`` holds
+        at least ``n`` rows of the factor lineage the first ``k0`` rows
+        were solved against; ``scratch(k)`` returns a ``(k, M)`` array
+        for the ``L21 v_old`` product.
         """
-        n = x.shape[0]
-        self.n = 0  # nothing to carry over into a grown buffer
-        self._reserve(n)
-        v = self.v[:n]
-        v[:] = solve_triangular(chol, kernel(x, self.scaled), lower=True)
-        self.n = n
-        self.row_ends = [n]
-        self.rebuilt_fortran = bool(chol.flags.f_contiguous)
-        return v
-
-    def extend(self, kernel: Kernel, x: np.ndarray, chol: np.ndarray,
-               n: int) -> np.ndarray:
-        """Append the ``v`` rows ``self.n:n``; returns the new rows.
-
-        ``x`` and ``chol`` hold at least ``n`` observations of the
-        factor lineage the cached rows were solved against.
-        """
-        k0 = self.n
-        self._reserve(n)
         new = self.v[k0:n]
-        new[:] = kernel(x[k0:n], self.scaled)
-        new -= chol[k0:n, :k0] @ self.v[:k0]
-        if n - k0 == 1:
-            # Bit-identical to the 1x1 triangular solve, without its
-            # call overhead.
-            new *= 1.0 / chol[k0, k0]
-        else:
-            new[:] = solve_triangular(chol[k0:n, k0:n], new, lower=True)
+        if k0:
+            product = scratch(n - k0)
+            np.matmul(chol[k0:n, :k0], self.v[:k0], out=product)
+            new -= product
+        _solve_rows(chol[k0:n, k0:n], new)
         self.n = n
-        self.row_ends.append(n)
+        if k0:
+            self.row_ends.append(n)
+        else:
+            self.row_ends = [n]
         return new
+
+
+class _Step(NamedTuple):
+    """One head's part of a sweep: its ``v`` rows ``k0:n`` are new."""
+
+    gp: GaussianProcess
+    state: _HeadState
+    k0: int
+    n: int
 
 
 class SurrogateEngine:
@@ -304,6 +342,9 @@ class SurrogateEngine:
         self._cache: OrderedDict[bytes, tuple[np.ndarray, dict[str, _HeadState]]]
         self._cache = OrderedDict()
         self.stats = EngineStats()
+        # Scratch for the L21 v_old product of an extension, kept across
+        # sweeps.
+        self._product = np.empty((0, grid.shape[0]))
 
     # -- introspection --------------------------------------------------
 
@@ -371,15 +412,89 @@ class SurrogateEngine:
             states[name] = state
         return state
 
-    def _head_moments(
-        self,
-        name: str,
-        joint: np.ndarray,
-        states: dict[str, _HeadState],
-    ) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _scaled_grid(kernel: Kernel, joint: np.ndarray,
+                     scaled: dict[tuple, ScaledPoints]) -> ScaledPoints:
+        """``kernel.scale(joint)``, once per correlation key in ``scaled``."""
+        key = kernel.correlation_key()
+        grid = scaled.get(key)
+        if grid is None:
+            grid = scaled[key] = kernel.scale(joint)
+        return grid
+
+    def _scratch(self, rows: int) -> np.ndarray:
+        """A ``(rows, M)`` scratch block, capacity-doubled like ``v``."""
+        capacity = self._product.shape[0]
+        if rows > capacity:
+            self._product = np.empty(
+                (max(rows, 2 * capacity, 8), self._product.shape[1])
+            )
+        return self._product[:rows]
+
+    def _begin(self, name: str, joint: np.ndarray,
+               states: dict[str, _HeadState],
+               scaled: dict[tuple, ScaledPoints]) -> _Step:
+        """Decide what one head's entry needs and reserve its new rows.
+
+        Changes nothing that a failed sweep would leave inconsistent: the
+        row count, schedule and stamp move only in :meth:`_finish`.
+        """
         gp = self._heads[name]
         state = self._state_for(name, joint, states)
+        x, chol, _, factor_version = gp._posterior_state()
+        if x is None:
+            return _Step(gp, state, 0, 0)
+        if chol is None:
+            raise NumericalInstabilityError(
+                f"head '{name}' has no usable Cholesky factor (a "
+                "refactorisation exhausted the jitter ladder); refit the "
+                "surrogate before sweeping the grid"
+            )
+        n = x.shape[0]
+        if state.factor_version != factor_version:
+            # Cold cache, or the factor lineage broke (fit / eviction /
+            # hyperparameter change): rebuild this entry exactly.
+            state.prior_var = gp.kernel.diag(joint)
+            state.scaled = self._scaled_grid(gp.kernel, joint, scaled)
+            k0 = 0
+            self.stats.rebuilds += 1
+        elif state.n < n:
+            # Same factor lineage, k new rank-1 rows: extend the solves.
+            k0 = state.n
+            self.stats.extensions += 1
+        else:
+            k0 = n
+            self.stats.cache_hits += 1
+        state.rows(k0, n)
+        return _Step(gp, state, k0, n)
 
+    def _fill(self, steps: list[_Step]) -> None:
+        """Write the kernel rows of every step that has new rows.
+
+        Heads with one :meth:`~repro.core.kernels.Kernel.correlation_key`
+        whose new rows have byte-equal inputs get one correlation block,
+        scaled into each head's rows by its own ``output_scale`` — the
+        very op a lone ``kernel(x, grid)`` ends with, so sharing changes
+        no bit.  A shared block counts once in ``kernel_evals``.
+        """
+        groups: dict[tuple, list[tuple[_Step, np.ndarray]]] = {}
+        for step in steps:
+            x = step.gp._posterior_state()[0][step.k0:step.n]
+            key = (step.gp.kernel.correlation_key(), x.tobytes())
+            groups.setdefault(key, []).append((step, x))
+        for members in groups.values():
+            first, x = members[0]
+            first.gp.kernel.fill(
+                x, first.state.scaled,
+                [step.state.v[step.k0:step.n] for step, _ in members],
+                [step.gp.kernel.output_scale for step, _ in members],
+            )
+            self.stats.kernel_evals += x.shape[0] * self.control_grid.shape[0]
+
+    def _finish(self, step: _Step,
+                joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the step's new rows and fold them into its moments."""
+        gp, state, k0, n = step
         x, chol, w, factor_version = gp._posterior_state()
         if x is None:
             if state.factor_version != factor_version:
@@ -390,39 +505,19 @@ class SurrogateEngine:
             state.row_ends = []
             mean = np.full(joint.shape[0], gp.prior_mean)
             return mean, state.prior_var.copy()
-        if chol is None:
-            raise NumericalInstabilityError(
-                f"head '{name}' has no usable Cholesky factor (a "
-                "refactorisation exhausted the jitter ladder); refit the "
-                "surrogate before sweeping the grid"
-            )
 
-        n = x.shape[0]
-        stale_mean = state.mean_prior != gp.prior_mean
-        if state.factor_version != factor_version:
-            # Cold cache, or the factor lineage broke (fit / eviction /
-            # hyperparameter change): rebuild this entry exactly.
-            state.prior_var = gp.kernel.diag(joint)
-            state.scaled = gp.kernel.scale(joint)
-            v = state.rebuild(gp.kernel, x, chol)
-            state.sumsq = np.sum(v**2, axis=0)
-            state.factor_version = factor_version
-            stale_mean = True
-            self.stats.kernel_evals += n * joint.shape[0]
-            self.stats.rebuilds += 1
-        elif state.n < n:
-            # Same factor lineage, k new rank-1 rows: extend the solves.
-            k0 = state.n
-            new = state.extend(gp.kernel, x, chol, n)
+        rebuild = state.factor_version != factor_version
+        stale_mean = rebuild or state.mean_prior != gp.prior_mean
+        if k0 < n:
+            new = state.solve(chol, k0, n, self._scratch)
+            if rebuild:
+                state.sumsq = np.zeros(joint.shape[0])
+                state.factor_version = factor_version
             # Row by row, in the order np.sum(v**2, axis=0) adds them.
             for row in new:
                 state.sumsq += row**2
             if not stale_mean:
                 state.mean_acc += new.T @ w[k0:n]
-            self.stats.kernel_evals += (n - k0) * joint.shape[0]
-            self.stats.extensions += 1
-        else:
-            self.stats.cache_hits += 1
         if stale_mean:
             # A rebuild, or set_prior_mean rewrote w since mean_acc.
             state.mean_acc = state.v[:n].T @ w
@@ -461,12 +556,14 @@ class SurrogateEngine:
                     raise KeyError(
                         f"unknown head {name!r}; engine heads are {tuple(self._heads)}"
                     )
+            scaled: dict[tuple, ScaledPoints] = {}
+            steps = {name: self._begin(name, joint, states, scaled)
+                     for name in dict.fromkeys(names)}
+            self._fill([step for step in steps.values() if step.k0 < step.n])
             means = {}
             variances = {}
-            for name in names:
-                means[name], variances[name] = self._head_moments(
-                    name, joint, states
-                )
+            for name, step in steps.items():
+                means[name], variances[name] = self._finish(step, joint)
             self.stats.queries += 1
             self.stats.head_queries += len(names)
             self.stats.wall_time_s += time.perf_counter() - started

@@ -37,7 +37,7 @@ Snapshot *payloads* are JSON-able dicts whose arrays hold their raw
 bytes (:func:`_encode_array`).  :func:`encode_snapshot` frames one as a
 binary blob::
 
-    frame = b"SNAP5:" + <SHA-256 hex digest of body> + newline + body
+    frame = b"SNAP6:" + <SHA-256 hex digest of body> + newline + body
     body  = <u64 LE header length> + <compact JSON header> + <array bytes>
 
 The JSON header carries every scalar, and each array's bytes become a
@@ -91,10 +91,10 @@ __all__ = [
 ]
 
 #: Format tag stamped on framed snapshots (bump on layout changes).
-SNAPSHOT_FORMAT = "edgebol-snapshot-v5"
+SNAPSHOT_FORMAT = "edgebol-snapshot-v6"
 
 #: Framing magic of :func:`encode_snapshot`.
-_MAGIC = b"SNAP5:"
+_MAGIC = b"SNAP6:"
 
 #: Length prefix of the JSON header inside a frame body.
 _HEADER_LEN = struct.Struct("<Q")
@@ -282,9 +282,8 @@ def engine_state(engine) -> dict:
     function of the GP factor and inputs (already in :func:`gp_state`)
     and of the order the engine solved them in.  Each head carries that
     order instead — ``row_ends``, the row count of its last rebuild and
-    the end row of every extension block since, as one int64 array, and
-    ``rebuilt_fortran``, the memory order of the factor that rebuild
-    solved against — and :func:`restore_engine_state` replays it.
+    the end row of every extension block since, as one int64 array — and
+    :func:`restore_engine_state` replays it.
     ``sumsq``, ``mean_acc`` and ``mean_prior`` travel verbatim:
     ``mean_acc`` depends on the history of ``w`` under
     :meth:`~repro.core.gp.GaussianProcess.set_prior_mean`, which the
@@ -302,7 +301,6 @@ def engine_state(engine) -> dict:
                 "row_ends": _encode_array(
                     np.array(head_state.row_ends, dtype=np.int64)
                 ),
-                "rebuilt_fortran": bool(head_state.rebuilt_fortran),
                 "sumsq": _encode_array(head_state.sumsq),
                 "mean_acc": _encode_array(head_state.mean_acc),
                 "mean_prior": float(head_state.mean_prior),
@@ -340,18 +338,20 @@ def _check_row_ends(name: str, row_ends: np.ndarray, n: int) -> None:
         )
 
 
-def _replay(head_state, gp, row_ends: list[int], fortran: bool) -> None:
+def _replay(engine, head_state, gp, row_ends: list[int]) -> None:
     """Rebuild ``head_state.v`` by repeating its rebuild and extensions.
 
     The calls and shapes are the live sweep's, against the restored
     factor, whose leading blocks are the factors the live calls saw.
     """
-    x, chol = gp._x, gp._chol
-    n0 = row_ends[0]
-    order = np.asfortranarray if fortran else np.ascontiguousarray
-    head_state.rebuild(gp.kernel, x[:n0], order(chol[:n0, :n0]))
-    for end in row_ends[1:]:
-        head_state.extend(gp.kernel, x, chol, end)
+    x, chol, kernel = gp._x, gp._chol, gp.kernel
+    k0 = 0
+    for end in row_ends:
+        rows = head_state.rows(k0, end)
+        kernel.fill(x[k0:end], head_state.scaled, [rows],
+                    [kernel.output_scale])
+        head_state.solve(chol, k0, end, engine._scratch)
+        k0 = end
 
 
 def restore_engine_state(engine, state: dict) -> None:
@@ -359,7 +359,8 @@ def restore_engine_state(engine, state: dict) -> None:
 
     Must run *after* the per-head GP restores: the replay solves against
     the restored factors, the entries' ``factor_version`` stamps must
-    describe them, and each scaled joint grid and prior variance is
+    describe them, and each scaled joint grid (one per correlation key
+    and entry, shared by the heads that have it) and prior variance is
     recomputed from the *restored* kernel (:func:`restore_gp_state`
     rewrites the kernel in place, with no version bump, so a grid
     scaled before the restore may be stale).  Only entries stamped with
@@ -377,6 +378,7 @@ def restore_engine_state(engine, state: dict) -> None:
     for entry in state["entries"]:
         context = _decode_array(entry["context"])
         joint, states = engine._entry(context)
+        scaled = {}
         for name, payload in entry["heads"].items():
             if name not in engine._heads:
                 raise SnapshotError(
@@ -388,10 +390,9 @@ def restore_engine_state(engine, state: dict) -> None:
             row_ends = _array_view(payload["row_ends"])
             _check_row_ends(name, row_ends, n)
             row_ends = row_ends.tolist()
-            fortran = bool(payload["rebuilt_fortran"])
             factor_version = int(payload["factor_version"])
             head_state = engine._state_for(name, joint, states)
-            head_state.scaled = gp.kernel.scale(joint)
+            head_state.scaled = engine._scaled_grid(gp.kernel, joint, scaled)
             if factor_version == gp.factor_version and n:
                 if n > gp.n_observations:
                     raise SnapshotError(
@@ -404,11 +405,10 @@ def restore_engine_state(engine, state: dict) -> None:
                         f"head {name!r}: the cache entry is current, but "
                         "the restored GP has no factor to replay it against"
                     )
-                _replay(head_state, gp, row_ends, fortran)
+                _replay(engine, head_state, gp, row_ends)
             else:
                 head_state.n = n
                 head_state.row_ends = row_ends
-                head_state.rebuilt_fortran = fortran
             head_state.sumsq = _decode_array(payload["sumsq"])
             head_state.mean_acc = _decode_array(payload["mean_acc"])
             head_state.mean_prior = float(payload["mean_prior"])

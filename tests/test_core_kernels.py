@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import Matern, RBF
+from repro.core.kernels import _CHUNK_ELEMENTS, Matern, RBF, _chunk_work
 
 points = st.lists(
     st.lists(st.floats(-2, 2, allow_nan=False), min_size=3, max_size=3),
@@ -155,3 +155,82 @@ class TestLogParams:
         k = Matern(lengthscales=[1.0, 1.0])
         with pytest.raises(ValueError):
             k.with_log_params(np.zeros(5))
+
+
+def frozen_covariance(kernel, x, y):
+    """The covariance formula as one array expression per step.
+
+    A frozen copy of how ``Kernel.__call__`` computed the kernel before
+    it went through the in-place :meth:`Kernel.fill`; the in-place path
+    must reproduce it bit for bit.
+    """
+    xs, x_sq = kernel._scaled(x)
+    ys, y_sq = kernel._scaled(y)
+    sq = x_sq[:, None] + y_sq[None, :] - 2.0 * (xs @ ys.T)
+    d = np.sqrt(np.maximum(sq, 0.0))
+    if isinstance(kernel, RBF):
+        corr = np.exp(-0.5 * d**2)
+    elif kernel.nu == 0.5:
+        corr = np.exp(-d)
+    elif kernel.nu == 1.5:
+        scaled = np.sqrt(3.0) * d
+        corr = (1.0 + scaled) * np.exp(-scaled)
+    else:
+        scaled = np.sqrt(5.0) * d
+        corr = (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
+    return kernel.output_scale * corr
+
+
+FAMILIES = [
+    Matern([0.5, 2.0, 1.0], output_scale=1.7, nu=0.5),
+    Matern([0.5, 2.0, 1.0], output_scale=1.7, nu=1.5),
+    Matern([0.5, 2.0, 1.0], output_scale=1.7, nu=2.5),
+    RBF([0.5, 2.0, 1.0], output_scale=1.7),
+]
+FAMILY_IDS = ["matern-0.5", "matern-1.5", "matern-2.5", "rbf"]
+#: Grid width at which a fill chunk is 16 rows.
+CHUNK_COLS = _CHUNK_ELEMENTS // 16
+
+
+class TestInPlaceFill:
+    """``fill`` and ``__call__`` reproduce the frozen formula bit for bit."""
+
+    @pytest.mark.parametrize("kernel", FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("n_rows", [1, 5, 40],
+                             ids=["1-row", "rows", "crossing-chunks"])
+    @pytest.mark.parametrize("prescaled", [False, True],
+                             ids=["raw", "scaled"])
+    def test_byte_equal_to_frozen_formula(self, kernel, n_rows, prescaled):
+        rng = np.random.default_rng(n_rows)
+        x = rng.standard_normal((n_rows, 3))
+        y = rng.standard_normal((CHUNK_COLS, 3))
+        # 16-row chunks: 40 rows span three of them.
+        assert _chunk_work((n_rows, CHUNK_COLS)).shape[1] == min(n_rows, 16)
+        want = frozen_covariance(kernel, x, y)
+        xs, ys = (kernel.scale(x), kernel.scale(y)) if prescaled else (x, y)
+        out = np.empty_like(want)
+        kernel.fill(xs, ys, [out], [kernel.output_scale])
+        assert out.tobytes() == want.tobytes()
+        assert kernel(xs, ys).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", FAMILIES, ids=FAMILY_IDS)
+    def test_one_block_serves_every_output_scale(self, kernel):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((40, 3))
+        y = kernel.scale(rng.standard_normal((CHUNK_COLS, 3)))
+        twin = kernel.with_log_params(
+            np.append(np.log(kernel.lengthscales), np.log(0.02))
+        )
+        assert twin.correlation_key() == kernel.correlation_key()
+        outs = [np.empty((40, CHUNK_COLS)) for _ in range(2)]
+        kernel.fill(x, y, outs, [kernel.output_scale, twin.output_scale])
+        assert outs[0].tobytes() == kernel(x, y).tobytes()
+        assert outs[1].tobytes() == twin(x, y).tobytes()
+
+    def test_correlation_key(self):
+        base = Matern([0.5, 2.0], output_scale=1.0, nu=1.5)
+        assert Matern([0.5, 2.0], output_scale=9.0).correlation_key() \
+            == base.correlation_key()
+        for other in (Matern([0.5, 2.1]), Matern([0.5, 2.0], nu=2.5),
+                      RBF([0.5, 2.0])):
+            assert other.correlation_key() != base.correlation_key()

@@ -10,10 +10,11 @@ cache/invalidation behaviour; and the batch/stat APIs.
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
-from repro.core.posterior import PosteriorBatch, SurrogateEngine
+from repro.core.posterior import PosteriorBatch, SurrogateEngine, _solve_rows
 
 CONTEXT_DIM = 3
 CONTROL_DIM = 4
@@ -412,3 +413,153 @@ class TestValidationAndStats:
         assert mean.shape == (grid.shape[0],)
         # std is cached after the first derivation.
         assert batch.std("cost") is batch.std("cost")
+
+
+def sharing_heads():
+    """EdgeBOL-shaped heads: cost and delay share one correlation.
+
+    ``map`` has other lengthscales; ``twin`` has cost's lengthscales but
+    is fed other observations, so neither may share cost's block.
+    """
+    shared = np.full(CONTEXT_DIM + CONTROL_DIM, 0.7)
+    return {
+        "cost": GaussianProcess(Matern(shared, output_scale=4.0),
+                                noise_variance=0.01),
+        "delay": GaussianProcess(Matern(shared, output_scale=0.02),
+                                 noise_variance=0.01, prior_mean=0.8),
+        "map": GaussianProcess(
+            Matern(np.full(CONTEXT_DIM + CONTROL_DIM, 0.9),
+                   output_scale=0.02), noise_variance=0.01),
+        "twin": GaussianProcess(Matern(shared, output_scale=1.5),
+                                noise_variance=0.01),
+    }
+
+
+class TestSharedCorrelation:
+    def test_moments_do_not_depend_on_the_heads_swept_together(self):
+        """A head's moments are the same bytes alone or beside sharers.
+
+        Fails if heads share a block across lengthscales (``map``) or
+        inputs (``twin``), or if a sharer skips its own output scale.
+        """
+        rng = np.random.default_rng(30)
+        grid = make_grid(rng)
+        context = rng.random(CONTEXT_DIM)
+        together = sharing_heads()
+        alone = {name: sharing_heads()[name] for name in together}
+        engine = SurrogateEngine(together, grid, context_dim=CONTEXT_DIM)
+        lone = {name: SurrogateEngine({name: gp}, grid,
+                                      context_dim=CONTEXT_DIM)
+                for name, gp in alone.items()}
+
+        def feed(count):
+            for _ in range(count):
+                z = np.concatenate([context, rng.random(CONTROL_DIM)])
+                twin_z = np.concatenate([context, rng.random(CONTROL_DIM)])
+                y = float(rng.standard_normal())
+                for heads in (together, alone):
+                    for name, gp in heads.items():
+                        gp.add(twin_z if name == "twin" else z, y)
+
+        def assert_same_bytes():
+            batch = engine.posterior(context)
+            for name, lone_engine in lone.items():
+                want = lone_engine.posterior(context)
+                assert batch.mean(name).tobytes() == want.mean(name).tobytes()
+                assert batch.variance(name).tobytes() \
+                    == want.variance(name).tobytes()
+
+        x = rng.random((12, CONTEXT_DIM + CONTROL_DIM))
+        x_twin = rng.random((12, CONTEXT_DIM + CONTROL_DIM))
+        y = rng.standard_normal(12)
+        for heads in (together, alone):
+            for name, gp in heads.items():
+                gp.fit(x_twin if name == "twin" else x, y)
+        assert_same_bytes()  # rebuild
+        for _ in range(2):
+            feed(1)
+            assert_same_bytes()  # 1-row extensions
+        feed(3)
+        assert_same_bytes()  # multi-row extension
+        # One block for cost and delay, counted once.
+        lone_evals = {name: e.stats.kernel_evals for name, e in lone.items()}
+        assert engine.stats.kernel_evals \
+            == sum(lone_evals.values()) - lone_evals["delay"]
+
+    def test_sharers_share_the_scaled_grid(self):
+        rng = np.random.default_rng(31)
+        grid = make_grid(rng)
+        heads = sharing_heads()
+        for gp in heads.values():
+            gp.fit(rng.random((5, CONTEXT_DIM + CONTROL_DIM)),
+                   rng.standard_normal(5))
+        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        context = rng.random(CONTEXT_DIM)
+        engine.posterior(context)
+        states = engine._entry(context)[1]
+        assert states["cost"].scaled is states["delay"].scaled
+        assert states["cost"].scaled is states["twin"].scaled
+        assert states["map"].scaled is not states["cost"].scaled
+
+
+def lower_factor(k, seed=40):
+    """A kernel-matrix Cholesky factor (C-ordered) and rows to solve."""
+    rng = np.random.default_rng(seed)
+    gp = GaussianProcess(Matern(np.full(7, 0.7), output_scale=4.0),
+                         noise_variance=0.01)
+    x = rng.random((k, 7))
+    gp.fit(x, rng.standard_normal(k))
+    chol = np.ascontiguousarray(gp._chol)
+    rows = gp.kernel(x, rng.random((300, 7)))
+    return chol, rows
+
+
+def strided(chol, fortran):
+    """``chol`` as the leading block of a larger buffer, like a GP's."""
+    k = chol.shape[0]
+    buffer = np.zeros((k + 5, k + 5), order="F" if fortran else "C")
+    buffer[2:2 + k, 3:3 + k] = chol
+    return buffer[2:2 + k, 3:3 + k]
+
+
+class TestRowSolve:
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray,
+        lambda chol: strided(chol, fortran=False),
+        lambda chol: strided(chol, fortran=True),
+    ], ids=["fortran", "strided-c", "strided-f"])
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    def test_memory_order_of_the_factor_does_not_change_bits(self, layout,
+                                                             k):
+        chol, rows = lower_factor(k)
+        want = rows.copy()
+        _solve_rows(chol, want)
+        got = rows.copy()
+        _solve_rows(layout(chol), got)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    def test_agrees_with_solve_triangular(self, k):
+        """Per grid column within 1e-13 of its largest entry.
+
+        A right-side solve rounds differently from the left-side one;
+        seen: at most ~20 ulps of the column maximum.
+        """
+        chol, rows = lower_factor(k)
+        want = solve_triangular(chol, rows, lower=True)
+        got = rows.copy()
+        _solve_rows(chol, got)
+        error = np.max(np.abs(got - want), axis=0)
+        assert np.all(error <= 1e-13 * np.max(np.abs(want), axis=0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["factor", "rows"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_non_finite_input_raises(self, value, where, k):
+        chol, rows = lower_factor(k)
+        if where == "factor":
+            chol[-1, 0] = value
+        else:
+            rows[-1, 7] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_rows(chol, rows)

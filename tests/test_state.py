@@ -301,7 +301,6 @@ def assert_cache_replayed(live, restored):
         for name, want in states.items():
             got = restored_states[name]
             assert got.n == want.n and got.row_ends == want.row_ends
-            assert got.rebuilt_fortran == want.rebuilt_fortran
             assert got.factor_version == want.factor_version
             assert got.sumsq.tobytes() == want.sumsq.tobytes()
             assert got.mean_acc.tobytes() == want.mean_acc.tobytes()
@@ -347,9 +346,8 @@ class TestEngineCacheState:
 
     @pytest.mark.parametrize("change", ["fit", "kernel-swap"])
     def test_rebuild_against_a_fortran_factor(self, change):
-        # fit() leaves Cholesky's Fortran-ordered array as the factor,
-        # and solve_triangular rounds a rebuild against it differently;
-        # the replay must use that branch even after a rank-1 add has
+        # fit() leaves Cholesky's Fortran-ordered array as the factor;
+        # the replay must give the live rows even after a rank-1 add has
         # turned the GP's factor into a C-ordered buffer view.
         rng = np.random.default_rng(21)
         gp = engine_gp(rng, n_obs=12)
@@ -361,7 +359,7 @@ class TestEngineCacheState:
         gp.fit(gp.inputs, gp.targets)
         engine.posterior([0.3])
         head = engine._cache[np.array([0.3]).tobytes()][1]["a"]
-        assert head.rebuilt_fortran and head.row_ends == [15]
+        assert head.row_ends == [15]
         assert_cache_replayed(engine, restored_engine(engine))
         add_points(gp, rng, 1)
         assert_cache_replayed(engine, restored_engine(engine))
@@ -376,8 +374,32 @@ class TestEngineCacheState:
             add_points(gp, rng, block)
             engine.posterior([0.6])
         head = engine._cache[np.array([0.6]).tobytes()][1]["a"]
-        assert not head.rebuilt_fortran and head.row_ends == [21, 23, 24, 27]
+        assert head.row_ends == [21, 23, 24, 27]
         assert_cache_replayed(engine, restored_engine(engine))
+
+    def test_shared_heads_after_a_two_add_extension(self):
+        # Two heads of one correlation share the block of their 2-row
+        # extension live, and the replay fills each head alone.
+        rng = np.random.default_rng(25)
+        heads = {"a": engine_gp(rng), "b": engine_gp(rng)}
+        heads["b"].kernel = Matern([0.5, 0.8, 0.6], output_scale=0.3)
+        x, y = rng.uniform(size=(14, 3)), rng.standard_normal(14)
+        for gp in heads.values():
+            gp.fit(x, y)
+        engine = SurrogateEngine(heads, ENGINE_GRID, context_dim=1)
+        engine.posterior([0.2])
+        for _ in range(2):
+            z, target = rng.uniform(size=3), float(rng.standard_normal())
+            for gp in heads.values():
+                gp.add(z, target)
+        engine.posterior([0.2])
+        states = engine._cache[np.array([0.2]).tobytes()][1]
+        assert states["a"].row_ends == states["b"].row_ends == [14, 16]
+        assert states["a"].scaled is states["b"].scaled
+        restored = restored_engine(engine)
+        restored_states = restored._cache[np.array([0.2]).tobytes()][1]
+        assert restored_states["a"].scaled is restored_states["b"].scaled
+        assert_cache_replayed(engine, restored)
 
     def test_contexts_in_lru_order_with_a_stale_entry_and_an_empty_head(self):
         rng = np.random.default_rng(23)
@@ -558,7 +580,7 @@ class TestFraming:
 
     def test_stale_frame_is_rejected(self):
         blob = forge(b'{"t":0}', b"")
-        for magic in (b"SNAP3:", b"SNAP4:"):
+        for magic in (b"SNAP3:", b"SNAP4:", b"SNAP5:"):
             stale = magic + blob[len(state._MAGIC):]  # digest still valid
             with pytest.raises(state.SnapshotCorruptionError, match="stale"):
                 state.decode_snapshot(stale)

@@ -166,6 +166,8 @@ class TestSnapshotCorruption:
         "edgebol-snapshot-v2",  # the layout that still carried `cross`
         "edgebol-snapshot-v3",  # the layout that still carried `alpha`
         "edgebol-snapshot-v4",  # the layout that still carried `v`
+        "edgebol-snapshot-v5",  # the layout that still carried the
+                                # rebuild's factor order
     ])
     def test_stale_format_falls_back_to_older(self, clean_run, monkeypatch,
                                               stale_format):
