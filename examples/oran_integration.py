@@ -6,9 +6,10 @@ Deploys EdgeBOL as an rApp in the SMO framework of the paper's Fig. 7:
 the learning agent's radio policies are pushed as A1 policy instances,
 enforced on the simulated O-eNB through E2 RIC Control by the policy
 xApp, while the BS power KPI flows back through E2 indications, the KPI
-database xApp and O1 reports into the data-collector rApp.  The example
-verifies the enforced MAC state equals the agent's decisions and prints
-interface traffic counters.
+database xApp and O1 reports into the data-collector rApp.  Every hop
+is a message on the event-loop bus, drained at the period's two
+synchronisation points.  The example prints interface traffic counters
+and the O-eNB MAC state the agent's decisions produced.
 
 Usage:
     python examples/oran_integration.py [n_periods]
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from repro import CostWeights, EdgeBOL, ServiceConstraints, TestbedConfig
-from repro.oran import OranSystem
+from repro.oran import AsyncOranSystem
 from repro.testbed.scenarios import static_scenario
 from repro.utils.ascii import render_table
 
@@ -32,7 +33,7 @@ def main(n_periods: int = 50) -> None:
         ServiceConstraints(d_max_s=0.4, rho_min=0.5),
         CostWeights(delta1=1.0, delta2=2.0),
     )
-    system = OranSystem(env, agent)
+    system = AsyncOranSystem(env, agent)
     records = system.run(n_periods)
 
     smo = system.smo

@@ -58,7 +58,7 @@ class ConstraintSchedule:
 
 
 #: Transport planes `run_agent` can route decisions through.
-PLANES = ("direct", "sync", "async")
+PLANES = ("direct", "async")
 
 
 def run_agent(
@@ -77,14 +77,13 @@ def run_agent(
     |S_t| for agents exposing ``last_safe_set_size`` (EdgeBOL).
 
     ``plane`` selects the transport between agent and testbed:
-    ``"direct"`` (default) applies decisions inline, ``"sync"`` routes
-    every decision and KPI through the synchronous O-RAN plane
-    (:class:`~repro.oran.smo.OranSystem`), ``"async"`` through the
-    event-loop plane (:class:`~repro.oran.runtime.AsyncOranSystem`).
-    Sync and async runs at the same seed are bit-identical (the
-    determinism contract of ``docs/CONTROL_PLANE.md``); both differ
-    from ``direct`` only by MCS quantisation through the A1 radio
-    policy.  Constraint schedules require the direct plane.
+    ``"direct"`` (default) applies decisions inline, ``"async"`` routes
+    every decision and KPI through the O-RAN plane on the event loop
+    (:class:`~repro.oran.runtime.AsyncOranSystem`).  Async rows and
+    decision traces are pinned by committed digests (the determinism
+    contract of ``docs/CONTROL_PLANE.md``); they differ from
+    ``direct`` only by MCS quantisation through the A1 radio policy.
+    Constraint schedules require the direct plane.
 
     With telemetry enabled (:func:`repro.telemetry.record`), the run is
     traced as one ``experiment.run`` root span with one
@@ -109,10 +108,8 @@ def run_agent(
     if plane != "direct":
         # Deferred import: repro.oran pulls the experiment registry.
         from repro.oran.runtime import AsyncOranSystem
-        from repro.oran.smo import OranSystem
 
-        system = (OranSystem(env, agent) if plane == "sync"
-                  else AsyncOranSystem(env, agent))
+        system = AsyncOranSystem(env, agent)
     log = RunLog()
     active = schedule.initial if schedule is not None else getattr(
         agent, "constraints", ServiceConstraints()

@@ -18,13 +18,12 @@ Every control decision of the learning agent travels A1 -> E2 to the
 base station, and every KPI sample travels E2 -> O1 back to the agent,
 exactly as laid out in Section 4.1.
 
-Two transports implement the plane (``docs/CONTROL_PLANE.md``): the
-synchronous call-stack :class:`MessageBus`, and the event-loop
+One transport carries the plane (``docs/CONTROL_PLANE.md``):
 :class:`AsyncMessageBus` — bounded per-xApp mailboxes with explicit
 backpressure on a deterministic virtual-time scheduler
 (:class:`VirtualTimeLoop`).  :class:`AsyncOranSystem` runs one cell's
-loop bit-identically to the synchronous system; :class:`FleetRuntime`
-runs tens of cells in one process with a shared SMO, a load harness
+loop over an :class:`SMOFramework`; :class:`FleetRuntime` runs tens of
+cells in one process with a shared SMO, a load harness
 (:class:`FleetLoadModel`) and throttled alerting (:class:`AlertRouter`).
 Each fleet carries a :class:`FleetSupervisor` (``docs/ROBUSTNESS.md``,
 "Fleet resilience") for snapshot checkpointing, crash/stall recovery
@@ -35,7 +34,6 @@ from repro.oran.bus import (
     MAILBOX_POLICIES,
     AsyncMessageBus,
     Mailbox,
-    MessageBus,
     post,
 )
 from repro.oran.loop import Future, Task, VirtualTimeLoop, sleep
@@ -65,7 +63,7 @@ from repro.oran.apps import (
 )
 from repro.oran.alerts import Alert, AlertRouter, AlertRule, default_rules
 from repro.oran.load import LOAD_PROFILES, FleetLoadModel
-from repro.oran.smo import OranSystem, SMOFramework
+from repro.oran.smo import SMOFramework
 from repro.oran.runtime import (
     AsyncOranSystem,
     FleetCell,
@@ -75,7 +73,6 @@ from repro.oran.runtime import (
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
 
 __all__ = [
-    "MessageBus",
     "AsyncMessageBus",
     "Mailbox",
     "MAILBOX_POLICIES",
@@ -110,7 +107,6 @@ __all__ = [
     "default_rules",
     "FleetLoadModel",
     "LOAD_PROFILES",
-    "OranSystem",
     "SMOFramework",
     "AsyncOranSystem",
     "FleetCell",

@@ -152,7 +152,7 @@ class A1Termination:
     :class:`A1PolicyService` process each request (enforcement
     callbacks fire inside the consumer task) and publishes the
     response on ``{prefix}a1.response``.  The handler returns the
-    response publish, so on the async bus the consumer awaits it —
+    response publish, so the consumer awaits it —
     responses are on the wire before the next request is consumed.
     """
 

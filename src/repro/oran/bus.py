@@ -1,37 +1,30 @@
-"""Topic-based message transports: synchronous and event-loop flavours.
+"""Topic-based message transport on the deterministic event loop.
 
 The O-RAN interfaces are transported over an in-process bus: components
 publish to named topics ("a1.request", "e2.control", "o1.report", ...)
-and subscribers consume them.  Two transports share one topic/history
-surface:
+and subscribers consume them.  In :class:`AsyncMessageBus` each
+subscriber owns a bounded :class:`Mailbox` drained by a consumer task
+on a :class:`~repro.oran.loop.VirtualTimeLoop`.  Publishing enqueues;
+delivery happens when the loop runs.  Backpressure is explicit and
+per-subscriber: ``block`` (publisher waits for space), ``drop-oldest``
+(evict the oldest queued message) or ``coalesce`` (keep only the
+newest).  See ``docs/CONTROL_PLANE.md`` for the policy table and the
+determinism contract.
 
-* :class:`MessageBus` — the original synchronous bus: ``publish``
-  invokes subscribers inline on the caller's stack.  One agent, one
-  cell, simplest possible semantics.
-* :class:`AsyncMessageBus` — the event-loop bus: each subscriber owns a
-  bounded :class:`Mailbox` drained by a consumer task on a
-  :class:`~repro.oran.loop.VirtualTimeLoop`.  Publishing enqueues;
-  delivery happens when the loop runs.  Backpressure is explicit and
-  per-subscriber: ``block`` (publisher waits for space), ``drop-oldest``
-  (evict the oldest queued message) or ``coalesce`` (keep only the
-  newest).  See ``docs/CONTROL_PLANE.md`` for the policy table and the
-  determinism contract.
-
-:func:`post` bridges synchronous call sites onto either transport.
+:func:`post` schedules a publish from synchronous call sites.
 
 When a fault plan with ``bus`` specs is installed (see
 ``docs/ROBUSTNESS.md``), publishes may be dropped (mode ``loss``) or
 held back and delivered before a later publish on the same topic (mode
-``delay``) — modelling a lossy/reordering O-RAN transport.  Both
-transports apply the same per-publish fault discipline, which is what
-keeps a faulted async run aligned with its synchronous twin.
+``delay``) — modelling a lossy/reordering O-RAN transport.  Fault
+decisions are drawn once per publish, in publish order, so a faulted
+run is as reproducible as a clean one.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import defaultdict, deque
-from collections.abc import Callable
+from types import CoroutineType
 
 from repro.faults import runtime as faults
 from repro.oran.loop import Future, VirtualTimeLoop
@@ -39,119 +32,11 @@ from repro.telemetry import runtime as telemetry
 from repro.telemetry import spans
 
 __all__ = [
-    "MessageBus",
     "AsyncMessageBus",
     "Mailbox",
     "MAILBOX_POLICIES",
     "post",
 ]
-
-
-class MessageBus:
-    """Minimal synchronous pub/sub transport.
-
-    Parameters
-    ----------
-    history_limit:
-        Messages retained per topic for inspection.
-    """
-
-    def __init__(self, history_limit: int = 1000) -> None:
-        if history_limit < 1:
-            raise ValueError(f"history_limit must be >= 1, got {history_limit}")
-        self._subscribers: dict[str, list[Callable[[object], None]]] = defaultdict(list)
-        self._history: dict[str, deque] = defaultdict(
-            lambda: deque(maxlen=history_limit)
-        )
-        # Bus fault injection: None unless a fault plan with `bus`
-        # specs is installed when the bus is constructed.
-        self._bus_faults = faults.make_injector("bus")
-        #: Held-back messages per topic: [publishes_remaining, message].
-        self._delayed: dict[str, list[list]] = defaultdict(list)
-
-    def subscribe(self, topic: str, handler: Callable[[object], None]) -> None:
-        """Register ``handler`` for messages published on ``topic``."""
-        if not topic:
-            raise ValueError("topic must be non-empty")
-        if not callable(handler):
-            raise TypeError("handler must be callable")
-        self._subscribers[topic].append(handler)
-
-    def unsubscribe(self, topic: str, handler: Callable[[object], None]) -> None:
-        """Remove a previously registered handler (no-op if absent)."""
-        handlers = self._subscribers.get(topic, [])
-        if handler in handlers:
-            handlers.remove(handler)
-
-    def publish(self, topic: str, message: object) -> int:
-        """Deliver ``message`` to every subscriber of ``topic``.
-
-        Returns the number of handlers invoked for *this* message.
-        Handlers run synchronously; exceptions propagate to the
-        publisher (fail fast — silent loss of a control message would
-        be worse).  Counted as ``oran.bus.published`` (one per call)
-        and ``oran.bus.delivered`` (one per handler invoked).
-
-        Under an installed fault plan a publish may be dropped
-        (``oran.bus.lost``, returns 0 and invokes no handlers) or held
-        back for ``magnitude`` subsequent publishes on the topic
-        (``oran.bus.delayed`` — delivered, late and out of order, ahead
-        of the publish that releases it).
-        """
-        if not topic:
-            raise ValueError("topic must be non-empty")
-        if self._bus_faults is not None:
-            spec = self._bus_faults.bus_decision(topic)
-            if spec is not None and spec.mode == "loss":
-                telemetry.inc("oran.bus.lost")
-                return 0
-            self._release_due(topic)
-            if spec is not None and spec.mode == "delay":
-                hold = max(1, int(spec.magnitude))
-                self._delayed[topic].append([hold, message])
-                telemetry.inc("oran.bus.delayed")
-                return 0
-        return self._deliver(topic, message)
-
-    def _release_due(self, topic: str) -> None:
-        """Age held-back messages by one publish; deliver any now due.
-
-        Due entries are removed from the held queue and the new held
-        state committed *before* any handler runs: a handler that
-        publishes on the same topic re-enters this method, and must
-        observe the post-release state — the old in-place variant aged
-        the same list twice, delivering duplicates out of order
-        relative to :meth:`history`.
-        """
-        held = self._delayed[topic]
-        if not held:
-            return
-        due: list[list] = []
-        still_held: list[list] = []
-        for entry in held:
-            entry[0] -= 1
-            (due if entry[0] <= 0 else still_held).append(entry)
-        self._delayed[topic] = still_held
-        for entry in due:
-            self._deliver(topic, entry[1])
-
-    def _deliver(self, topic: str, message: object) -> int:
-        """Record ``message`` and invoke the topic's handlers."""
-        self._history[topic].append(message)
-        handlers = list(self._subscribers.get(topic, []))
-        telemetry.inc("oran.bus.published")
-        for handler in handlers:
-            handler(message)
-        telemetry.inc("oran.bus.delivered", len(handlers))
-        return len(handlers)
-
-    def history(self, topic: str) -> list:
-        """Messages delivered on ``topic`` (delivery order, bounded)."""
-        return list(self._history.get(topic, []))
-
-    def topics(self) -> list[str]:
-        """Topics that have seen at least one subscriber or message."""
-        return sorted(set(self._subscribers) | set(self._history))
 
 
 #: Backpressure policies a :class:`Mailbox` supports when full.
@@ -321,7 +206,7 @@ class AsyncMessageBus:
     History records messages in *fan-out* order (the moment a message
     is accepted and enqueued to subscribers), which for delayed-fault
     messages is their release point — i.e. history order is delivery
-    order, matching the synchronous bus contract.
+    order.
 
     Parameters
     ----------
@@ -424,10 +309,12 @@ class AsyncMessageBus:
         """Enqueue ``message`` to every subscriber of ``topic``.
 
         Returns the number of subscribers the message was enqueued to
-        (delivery to handlers completes when the loop drains).  Applies
-        the same per-publish fault discipline as the synchronous bus:
-        ``loss`` drops, ``delay`` holds for ``magnitude`` subsequent
-        publishes on the topic.
+        (delivery to handlers completes when the loop drains).  Under an
+        installed fault plan a publish may be dropped (``loss``,
+        ``oran.bus.lost``, returns 0) or held back for ``magnitude``
+        subsequent publishes on the topic (``delay``,
+        ``oran.bus.delayed`` — fanned out, late and out of order, ahead
+        of the publish that releases it).
         """
         if not topic:
             raise ValueError("topic must be non-empty")
@@ -447,8 +334,11 @@ class AsyncMessageBus:
     async def _release_due(self, topic: str) -> None:
         """Age held-back messages by one publish; fan out any now due.
 
-        Same commit-before-deliver discipline as
-        :meth:`MessageBus._release_due`.
+        Due entries are removed from the held queue and the new held
+        state committed *before* any message is fanned out: a publish
+        that interleaves on the same topic re-enters this method and
+        must observe the post-release state, or it would age the same
+        entries twice and deliver duplicates out of history order.
         """
         held = self._delayed[topic]
         if not held:
@@ -505,13 +395,13 @@ class AsyncMessageBus:
                         "bus.deliver", topic=subscriber.topic
                     ):
                         result = subscriber.handler(message.message)
-                        if inspect.iscoroutine(result):
+                        if isinstance(result, CoroutineType):
                             await result
                 finally:
                     spans.set_context(saved)
                 continue
             result = subscriber.handler(message)
-            if inspect.iscoroutine(result):
+            if isinstance(result, CoroutineType):
                 await result
 
     # -- synchronisation & inspection ------------------------------------
@@ -521,8 +411,7 @@ class AsyncMessageBus:
 
         After ``drain`` every accepted publish has been handled (or is
         held back by a delay fault) and every consumer is parked on an
-        empty mailbox — the state in which an async period is
-        comparable to a synchronous one.
+        empty mailbox — the barrier a period's stages synchronise on.
         """
         return self.loop.run_until_idle()
 
@@ -548,16 +437,11 @@ class AsyncMessageBus:
         }
 
 
-def post(bus, topic: str, message: object):
-    """Publish on either bus flavour from synchronous code.
+def post(bus: AsyncMessageBus, topic: str, message: object):
+    """Schedule a publish on ``bus`` from synchronous code.
 
-    On :class:`MessageBus` the publish delivers inline and the handler
-    count is returned.  On :class:`AsyncMessageBus` the publish is
-    scheduled as a loop task (so backpressure applies inside the task)
-    and the :class:`~repro.oran.loop.Task` handle is returned; delivery
-    completes at the next :meth:`AsyncMessageBus.drain`.
+    The publish runs as a loop task (so backpressure applies inside the
+    task); the :class:`~repro.oran.loop.Task` handle is returned and
+    delivery completes at the next :meth:`AsyncMessageBus.drain`.
     """
-    result = bus.publish(topic, message)
-    if inspect.iscoroutine(result):
-        return bus.loop.create_task(result, name=f"post:{topic}")
-    return result
+    return bus.loop.create_task(bus.publish(topic, message), name=f"post:{topic}")

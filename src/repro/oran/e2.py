@@ -8,8 +8,8 @@ RIC services used by EdgeBOL:
 * **RIC Subscription / Indication** — the node periodically reports
   KPIs (BS power consumption in the paper) to subscribed xApps.
 
-Both ends work over either bus flavour (:func:`repro.oran.bus.post`
-bridges synchronous call sites onto the async loop) and take a topic
+Both ends publish through :func:`repro.oran.bus.post` (synchronous
+call sites schedule a publish task on the bus's loop) and take a topic
 ``prefix`` so a multi-cell runtime can namespace each cell's E2 plane
 (``cell003.e2.control``) on one shared bus.
 
@@ -18,8 +18,8 @@ reports and ships them as one
 :class:`~repro.oran.messages.E2IndicationBatch`, which the RIC-side
 termination unpacks in order.  ``batch_size=1`` (the default) publishes
 plain :class:`~repro.oran.messages.E2Indication` messages exactly as
-before — the configuration the sync≡async bit-identity contract is
-stated for.
+before — the configuration the committed rows digests are stated
+for.
 """
 
 from __future__ import annotations
@@ -105,9 +105,8 @@ class E2Node:
         Only KPIs requested by at least one subscription are included;
         with no subscribers, nothing is sent.  With ``batch_size > 1``
         the indication is buffered and shipped by :meth:`flush` once
-        the batch fills.  Returns whatever the underlying publish
-        returned (a handler count on the sync bus, a task on the async
-        bus, ``None`` when nothing was published).
+        the batch fills.  Returns the publish task, or ``None`` when
+        nothing was published.
         """
         if not self._subscriptions:
             return None

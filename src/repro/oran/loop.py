@@ -1,11 +1,11 @@
 """Deterministic seeded virtual-time event loop for the O-RAN runtime.
 
-The async control plane must preserve two invariants the synchronous
-bus gives for free:
+The control plane must preserve two invariants that a scheduler with
+any nondeterminism would break:
 
-* **bit-identity** — a single-cell run through the async bus must
-  produce the same RunLog rows and decision-trace records as the
-  synchronous bus at the same seed;
+* **bit-identity** — a single-cell run through the bus must produce
+  the same RunLog rows and decision-trace records on every run at the
+  same seed (pinned by committed digests in ``tests/test_fleet.py``);
 * **``--jobs 1 ≡ --jobs N``** — sweep determinism must survive, so no
   wall-clock time or OS scheduling may leak into results.
 
@@ -23,8 +23,8 @@ scheduler over plain coroutines instead:
 * :meth:`VirtualTimeLoop.run_until_idle` is the quiescence barrier the
   control plane synchronises on: it steps tasks until none is runnable
   and no timer is pending (tasks parked on a :class:`Future` count as
-  idle), which is what makes a drained async period equal a
-  synchronous one.
+  idle), which is what makes a drained period's outcome independent
+  of how its tasks interleaved.
 
 Telemetry spans propagate across tasks: each task carries its own span
 stack (:func:`repro.telemetry.spans.get_context` /
@@ -35,8 +35,8 @@ than under whichever span is open when the scheduler resumes it.
 Coroutines may only await :class:`Future`, :func:`sleep` results and
 other tasks (a :class:`Task` is awaitable through its completion
 future).  Exceptions raised inside a task propagate out of the loop's
-run methods — the control plane fails fast, exactly like the
-synchronous bus where a handler exception reaches the publisher.
+run methods — the control plane fails fast: a handler exception
+reaches whoever drains the bus.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ class O1Termination:
 
     The near-RT RIC (or any managed element) forwards KPI reports
     upward; the non-RT RIC registers handlers that consume them.
-    Works over either bus flavour; ``prefix`` namespaces the topic for
-    multi-cell layouts (``cell003.o1.report``).
+    ``prefix`` namespaces the topic for multi-cell layouts
+    (``cell003.o1.report``).
     """
 
     def __init__(self, bus, prefix: str = "") -> None:

@@ -16,9 +16,8 @@ from repro.oran.o1 import O1Termination
 class NearRTRIC:
     """Near-real-time RIC: A1 provider, E2 consumer, xApp host.
 
-    Works over either bus flavour; ``prefix`` namespaces the RIC's E2
-    and O1 topics so several near-RT RICs (one per cell) can share one
-    bus.  An existing ``a1_service`` may be injected — the multi-cell
+    ``prefix`` namespaces the RIC's E2 and O1 topics so several near-RT
+    RICs (one per cell) can share one bus.  An existing ``a1_service`` may be injected — the multi-cell
     runtime shares one policy service across every cell's RIC.
     """
 

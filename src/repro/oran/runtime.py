@@ -2,13 +2,11 @@
 
 Two layers on top of :class:`~repro.oran.bus.AsyncMessageBus`:
 
-* :class:`AsyncOranSystem` — the single-cell Fig. 7 loop running on
-  the deterministic event loop.  It reuses the synchronous
-  :class:`~repro.oran.smo.OranSystem` wiring verbatim and inserts a
-  quiescence barrier (``bus.drain()``) at the two synchronisation
-  points of a period, which is what makes an async run *bit-identical*
-  to the synchronous run at the same seed (asserted in
-  ``tests/test_fleet.py``).
+* :class:`AsyncOranSystem` — the single-cell Fig. 7 loop: it drives an
+  :class:`~repro.oran.smo.SMOFramework` on the deterministic event loop
+  with a quiescence barrier (``bus.drain()``) at the two
+  synchronisation points of a period.  Its rows and decision traces
+  are pinned by committed digests (``tests/test_fleet.py``).
 * :class:`FleetRuntime` — tens of cells in one process sharing one
   SMO: one bus, one event loop, one A1 policy service (per-cell policy
   instances enforced by per-cell xApps), per-cell E2/O1 planes under
@@ -57,7 +55,7 @@ from repro.oran.bus import AsyncMessageBus
 from repro.oran.e2 import E2Node, E2Termination
 from repro.oran.loop import VirtualTimeLoop
 from repro.oran.o1 import O1Termination
-from repro.oran.smo import OranSystem, SMOFramework
+from repro.oran.smo import SMOFramework
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
 from repro.obs import runtime as obs
 from repro.ran.phy import MAX_MCS
@@ -65,39 +63,110 @@ from repro.telemetry import runtime as telemetry
 from repro.testbed.config import ControlPolicy, ServiceConstraints
 from repro.testbed.env import TestbedObservation
 
-__all__ = ["AsyncOranSystem", "FleetCell", "FleetResult", "FleetRuntime"]
+__all__ = ["AsyncOranSystem", "FleetCell", "FleetResult", "FleetRuntime",
+           "OrchestrationRecord"]
 
 
-class AsyncOranSystem(OranSystem):
-    """The single-cell O-RAN loop on the deterministic event loop.
+def _merge_observation(observation, bs_power: float) -> TestbedObservation:
+    """Testbed truth with the BS power the control plane delivered.
 
-    Identical wiring and per-period call sequence as
-    :class:`~repro.oran.smo.OranSystem`; the only difference is the
-    transport (mailboxes + consumer tasks instead of inline calls) and
-    the drain barriers at the period's two synchronisation points.
-    With the default ``batch_size=1`` the published message sequence is
-    identical too, so fault injection draws align and even faulted runs
-    stay bit-identical to the synchronous bus.
+    Service KPIs reach the agent directly (the "custom interface" of
+    Fig. 7); BS power arrives over E2 -> O1 through the collector rApp.
+    """
+    return TestbedObservation(
+        delay_s=observation.delay_s,
+        map_score=observation.map_score,
+        server_power_w=observation.server_power_w,
+        bs_power_w=bs_power,
+        gpu_delay_s=observation.gpu_delay_s,
+        gpu_utilization=observation.gpu_utilization,
+        total_rate_hz=observation.total_rate_hz,
+        mean_mcs=observation.mean_mcs,
+        offered_load_bps=observation.offered_load_bps,
+        per_user_delay_s=observation.per_user_delay_s,
+        per_user_rate_hz=observation.per_user_rate_hz,
+    )
+
+
+@dataclass(frozen=True)
+class OrchestrationRecord:
+    """One period of the O-RAN-mediated loop (for inspection)."""
+
+    period: int
+    policy: ControlPolicy
+    observation: TestbedObservation
+    cost: float
+
+
+class AsyncOranSystem:
+    """The closed single-cell loop: agent -> O-RAN plane -> testbed -> agent.
+
+    Every decision travels rApp -> A1 -> xApp -> E2 control to the
+    O-eNB MAC, and every BS power sample travels E2 -> KPI xApp -> O1
+    to the collector rApp; the E2 and O1 hops are messages on one
+    event loop.
+
+    Parameters
+    ----------
+    env:
+        The simulated prototype.
+    agent:
+        Anything exposing ``select(context)``, ``observe(context,
+        policy, observation)`` — EdgeBOL or any benchmark controller.
+    loop, loop_seed:
+        The scheduler to run on, or the tie-breaking seed of a fresh
+        one (``None``: canonical FIFO order).
+    batch_size:
+        E2 indication batch size (see :class:`~repro.oran.e2.E2Node`).
+    capacity, policy:
+        Default mailbox bounds of the bus.
     """
 
     def __init__(self, env, agent, loop: VirtualTimeLoop | None = None,
                  loop_seed=None, batch_size: int = 1,
                  capacity: int = 64, policy: str = "block") -> None:
-        """Build the async plane and deliver the initial subscriptions."""
-        loop = loop if loop is not None else VirtualTimeLoop(seed=loop_seed)
-        bus = AsyncMessageBus(
-            loop=loop, default_capacity=capacity, default_policy=policy
+        """Build the plane and deliver the initial subscriptions."""
+        self.env = env
+        self.agent = agent
+        self.loop = loop if loop is not None else VirtualTimeLoop(seed=loop_seed)
+        self.bus = AsyncMessageBus(
+            loop=self.loop, default_capacity=capacity, default_policy=policy
         )
-        smo = SMOFramework(bus=bus, batch_size=batch_size)
-        super().__init__(env, agent, smo=smo)
-        self.loop = loop
-        self.bus = bus
+        self.smo = SMOFramework(self.bus, batch_size=batch_size)
+        self._period = 0
+        self.records: list[OrchestrationRecord] = []
         # The constructor's KPI subscription is still in flight.
         self.bus.drain()
 
-    def _sync_point(self) -> None:
-        """Quiescence barrier: run the loop until the plane is idle."""
+    def run_period(self) -> OrchestrationRecord:
+        """Execute one orchestration period through the O-RAN plane."""
+        context = self.env.observe_context()
+        decision = self.agent.select(context)
+        # Control path, then the barrier: the enforced policy is the
+        # O-eNB's MAC state once A1 -> xApp -> E2 control has landed.
+        self.smo.policy_rapp.deploy(decision)
         self.bus.drain()
+        enforced = self.smo.enforced_policy
+        observation = self.env.step(enforced)
+        # KPI path: E2 indication -> KPI xApp -> O1 -> collector rApp.
+        self.smo.e2_node.report_kpis({"bs_power_w": observation.bs_power_w})
+        self.bus.drain()
+        collected = self.smo.data_rapp.latest_kpis
+        bs_power = collected.get("bs_power_w", observation.bs_power_w)
+        merged = _merge_observation(observation, bs_power)
+        cost = self.agent.observe(context, enforced, merged)
+        self._period += 1
+        record = OrchestrationRecord(
+            period=self._period, policy=enforced, observation=merged, cost=cost
+        )
+        self.records.append(record)
+        return record
+
+    def run(self, n_periods: int) -> list[OrchestrationRecord]:
+        """Run several periods; returns the new records."""
+        if n_periods < 0:
+            raise ValueError(f"n_periods must be non-negative, got {n_periods}")
+        return [self.run_period() for _ in range(n_periods)]
 
 
 @dataclass
@@ -263,62 +332,23 @@ class FleetRuntime:
                  snapshot_every: int | None = None,
                  supervisor_policy: SupervisorPolicy | None = None,
                  metrics=None, trace_rounds_every: int = 1) -> None:
-        """Wire the fleet: shared bus, shared A1, per-cell planes."""
+        """Wire the fleet: shared bus, shared A1, per-cell planes.
+
+        Every argument is checked before anything is wired: a rejected
+        fleet leaves no subscription tasks behind on an abandoned loop.
+        """
         pairs = list(cells)
         if not pairs:
             raise ValueError("a fleet needs at least one (env, agent) cell")
-        self.loop = VirtualTimeLoop(seed=loop_seed)
-        self.bus = AsyncMessageBus(loop=self.loop)
-        self.load_model = load_model
         if load_model is not None and load_model.n_cells != len(pairs):
             raise ValueError(
                 f"load model covers {load_model.n_cells} cells but the "
                 f"fleet has {len(pairs)}"
             )
-
-        # Shared SMO side: one A1 policy service for the whole fleet,
-        # served over the bus, plus the fleet-wide alert stream (kept
-        # drop-oldest so a flapping cell cannot wedge the plane).
-        self.a1_service = A1PolicyService()
-        self.a1_service.register_type(radio_policy_type())
-        self.a1_term = A1Termination(self.bus, self.a1_service)
-        self.a1_client = A1Client(self.bus)
-        self.bus.configure_topic(
-            "smo.alerts", policy="drop-oldest", capacity=256
-        )
-        self.alert_router = AlertRouter(
-            alert_rules if alert_rules is not None else default_rules(),
-            bus=self.bus,
-            topic="smo.alerts",
-        )
-        self.bus_alerts: list[dict] = []
-        self.bus.subscribe("smo.alerts", self.bus_alerts.append)
-
-        self.cells: list[FleetCell] = []
-        for index, (env, agent) in enumerate(pairs):
-            prefix = f"cell{index:03d}."
-            self.bus.configure_topic(
-                f"{prefix}e2.indication",
-                policy=indication_policy,
-                capacity=indication_capacity,
-            )
-            self.cells.append(FleetCell(
-                index, env, agent, self.bus,
-                self.a1_service, self.a1_client, batch_size=batch_size,
-            ))
-        self.decisions = 0
-        self.replayed = 0
-        self.metrics = metrics
         if trace_rounds_every < 1:
             raise ValueError(
                 f"trace_rounds_every must be >= 1, got {trace_rounds_every}"
             )
-        self.trace_rounds_every = int(trace_rounds_every)
-        if metrics is not None:
-            self.alert_router.add_sink(
-                lambda alert: metrics.ingest(alert.to_record())
-            )
-
         if supervisor_policy is not None and snapshot_every is not None:
             raise ValueError(
                 "pass snapshot_every inside supervisor_policy, not both"
@@ -333,6 +363,49 @@ class FleetRuntime:
                 SupervisorPolicy(snapshot_every=int(snapshot_every))
                 if snapshot_every is not None else SupervisorPolicy()
             )
+        self.loop = VirtualTimeLoop(seed=loop_seed)
+        self.bus = AsyncMessageBus(loop=self.loop)
+        self.load_model = load_model
+        # Topic bounds and alert rules are validated here too, before
+        # the first subscription starts a consumer task.  The
+        # fleet-wide alert stream is kept drop-oldest so a flapping
+        # cell cannot wedge the plane.
+        self.bus.configure_topic(
+            "smo.alerts", policy="drop-oldest", capacity=256
+        )
+        for index in range(len(pairs)):
+            self.bus.configure_topic(
+                f"cell{index:03d}.e2.indication",
+                policy=indication_policy,
+                capacity=indication_capacity,
+            )
+        self.alert_router = AlertRouter(
+            alert_rules if alert_rules is not None else default_rules(),
+            bus=self.bus,
+            topic="smo.alerts",
+        )
+
+        # Shared SMO side: one A1 policy service for the whole fleet,
+        # served over the bus, plus the alert stream's subscriber.
+        self.a1_service = A1PolicyService()
+        self.a1_service.register_type(radio_policy_type())
+        self.a1_term = A1Termination(self.bus, self.a1_service)
+        self.a1_client = A1Client(self.bus)
+        self.bus_alerts: list[dict] = []
+        self.bus.subscribe("smo.alerts", self.bus_alerts.append)
+        self.cells = [
+            FleetCell(index, env, agent, self.bus, self.a1_service,
+                      self.a1_client, batch_size=batch_size)
+            for index, (env, agent) in enumerate(pairs)
+        ]
+        self.decisions = 0
+        self.replayed = 0
+        self.metrics = metrics
+        self.trace_rounds_every = int(trace_rounds_every)
+        if metrics is not None:
+            self.alert_router.add_sink(
+                lambda alert: metrics.ingest(alert.to_record())
+            )
         self.supervisor = FleetSupervisor(
             self, policy=supervisor_policy, enabled=bool(supervise)
         )
@@ -343,23 +416,6 @@ class FleetRuntime:
     def n_cells(self) -> int:
         """Fleet size."""
         return len(self.cells)
-
-    @staticmethod
-    def _merge_observation(observation, bs_power: float) -> TestbedObservation:
-        """The stage-3 merge: testbed truth + control-plane BS power."""
-        return TestbedObservation(
-            delay_s=observation.delay_s,
-            map_score=observation.map_score,
-            server_power_w=observation.server_power_w,
-            bs_power_w=bs_power,
-            gpu_delay_s=observation.gpu_delay_s,
-            gpu_utilization=observation.gpu_utilization,
-            total_rate_hz=observation.total_rate_hz,
-            mean_mcs=observation.mean_mcs,
-            offered_load_bps=observation.offered_load_bps,
-            per_user_delay_s=observation.per_user_delay_s,
-            per_user_rate_hz=observation.per_user_rate_hz,
-        )
 
     def _alert_sample(self, cell: FleetCell, t: int, merged,
                       cost: float) -> dict:
@@ -448,7 +504,7 @@ class FleetRuntime:
         self.bus.drain()
         collected = cell.collector.latest_kpis
         bs_power = collected.get("bs_power_w", observation.bs_power_w)
-        merged = self._merge_observation(observation, bs_power)
+        merged = _merge_observation(observation, bs_power)
         cost = cell.agent.observe(context, enforced, merged)
         cell.log.append(
             cost=cost,
@@ -579,7 +635,7 @@ class FleetRuntime:
                 snr, context, _decision, enforced, observation = cell._stage
                 collected = cell.collector.latest_kpis
                 bs_power = collected.get("bs_power_w", observation.bs_power_w)
-                merged = self._merge_observation(observation, bs_power)
+                merged = _merge_observation(observation, bs_power)
                 cost = cell.agent.observe(context, enforced, merged)
                 cell.log.append(
                     cost=cost,

@@ -1,16 +1,15 @@
 """SMO framework: end-to-end O-RAN wiring of the EdgeBOL loop.
 
-Builds the complete Fig. 7 deployment — message bus, near-RT and
+Builds the complete Fig. 7 deployment on a message bus — near-RT and
 non-RT RICs, policy/KPI xApps, policy/data rApps, an E2 node attached
-to the simulated vBS — and runs the orchestration loop with every
-control decision travelling A1 -> E2 and every KPI sample travelling
-E2 -> O1.  Used by the O-RAN integration example and tests; the
-experiment harness drives the environment directly for speed.
+to the simulated vBS — so that every control decision travels A1 -> E2
+and every KPI sample travels E2 -> O1.
+:class:`~repro.oran.runtime.AsyncOranSystem` runs the orchestration
+loop over it; the experiment harness drives the environment directly
+for speed unless asked for ``plane="async"``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.oran.apps import (
     DataCollectorRApp,
@@ -18,12 +17,11 @@ from repro.oran.apps import (
     PolicyServiceRApp,
     PolicyServiceXApp,
 )
-from repro.oran.bus import MessageBus
+from repro.oran.bus import AsyncMessageBus
 from repro.oran.e2 import E2Node
 from repro.oran.ric import NearRTRIC, NonRTRIC
 from repro.ran.phy import MAX_MCS
 from repro.testbed.config import ControlPolicy
-from repro.testbed.env import EdgeAIEnvironment, TestbedObservation
 
 
 class SMOFramework:
@@ -32,12 +30,9 @@ class SMOFramework:
     Parameters
     ----------
     bus:
-        Transport for the whole plane.  Defaults to the synchronous
-        :class:`MessageBus`; pass an
-        :class:`~repro.oran.bus.AsyncMessageBus` to run the identical
-        wiring on the event loop (the caller then drains the loop at
-        the synchronisation points — see
-        :class:`~repro.oran.runtime.AsyncOranSystem`).
+        Transport for the whole plane.  Publishes are delivered when
+        the caller drains the bus at a period's synchronisation points
+        (see :class:`~repro.oran.runtime.AsyncOranSystem`).
     node_id, prefix:
         E2 node identity and topic namespace (multi-cell layouts give
         every cell its own prefix on one shared bus).
@@ -45,9 +40,9 @@ class SMOFramework:
         E2 indication batch size (see :class:`~repro.oran.e2.E2Node`).
     """
 
-    def __init__(self, bus=None, node_id: str = "o-enb-0",
+    def __init__(self, bus: AsyncMessageBus, node_id: str = "o-enb-0",
                  prefix: str = "", batch_size: int = 1) -> None:
-        self.bus = bus if bus is not None else MessageBus()
+        self.bus = bus
         self.prefix = prefix
         self.near_rt_ric = NearRTRIC(self.bus, prefix=prefix)
         self.non_rt_ric = NonRTRIC(self.near_rt_ric)
@@ -98,94 +93,3 @@ class SMOFramework:
             gpu_speed=gpu_speed,
             mcs_fraction=radio.max_mcs / MAX_MCS,
         )
-
-
-@dataclass(frozen=True)
-class OrchestrationRecord:
-    """One period of the O-RAN-mediated loop (for inspection)."""
-
-    period: int
-    policy: ControlPolicy
-    observation: TestbedObservation
-    cost: float
-
-
-class OranSystem:
-    """The full closed loop: agent -> O-RAN plane -> testbed -> agent.
-
-    Parameters
-    ----------
-    env:
-        The simulated prototype.
-    agent:
-        Anything exposing ``select(context)``, ``observe(context,
-        policy, observation)`` — EdgeBOL or any benchmark controller.
-    smo:
-        Pre-wired :class:`SMOFramework` to drive (a fresh synchronous
-        one by default).  :class:`~repro.oran.runtime.AsyncOranSystem`
-        passes an event-loop-backed SMO and overrides
-        :meth:`_sync_point` to drain it.
-    """
-
-    def __init__(self, env: EdgeAIEnvironment, agent,
-                 smo: SMOFramework | None = None) -> None:
-        self.env = env
-        self.agent = agent
-        self.smo = smo if smo is not None else SMOFramework()
-        self._period = 0
-        self.records: list[OrchestrationRecord] = []
-
-    def _sync_point(self) -> None:
-        """Barrier between plane stages — a no-op on the inline bus."""
-
-    def run_period(self) -> OrchestrationRecord:
-        """Execute one orchestration period through the O-RAN plane."""
-        context = self.env.observe_context()
-        decision = self.agent.select(context)
-
-        # Control path: rApp -> A1 -> xApp -> E2 control -> O-eNB MAC,
-        # plus the custom interface for service knobs.
-        self.smo.policy_rapp.deploy(decision)
-        self._sync_point()
-        enforced = self.smo.enforced_policy
-
-        # Data plane: the testbed runs one period under the *enforced*
-        # policy (which must equal the decision if the plane is sound).
-        observation = self.env.step(enforced)
-
-        # KPI path: the E2 node reports BS power; the KPI xApp stores it
-        # and forwards it over O1 to the data-collector rApp.
-        self.smo.e2_node.report_kpis({"bs_power_w": observation.bs_power_w})
-        self._sync_point()
-
-        # The service controller reports service KPIs to the agent
-        # directly (the "custom interface" of Fig. 7); BS power arrives
-        # through the collector rApp.
-        collected = self.smo.data_rapp.latest_kpis
-        bs_power = collected.get("bs_power_w", observation.bs_power_w)
-        merged = TestbedObservation(
-            delay_s=observation.delay_s,
-            map_score=observation.map_score,
-            server_power_w=observation.server_power_w,
-            bs_power_w=bs_power,
-            gpu_delay_s=observation.gpu_delay_s,
-            gpu_utilization=observation.gpu_utilization,
-            total_rate_hz=observation.total_rate_hz,
-            mean_mcs=observation.mean_mcs,
-            offered_load_bps=observation.offered_load_bps,
-            per_user_delay_s=observation.per_user_delay_s,
-            per_user_rate_hz=observation.per_user_rate_hz,
-        )
-        cost = self.agent.observe(context, enforced, merged)
-        self._period += 1
-        record = OrchestrationRecord(
-            period=self._period, policy=enforced, observation=merged, cost=cost
-        )
-        self.records.append(record)
-        return record
-
-    def run(self, n_periods: int) -> list[OrchestrationRecord]:
-        """Run several periods; returns the new records."""
-        if n_periods < 0:
-            raise ValueError(f"n_periods must be non-negative, got {n_periods}")
-        return [self.run_period() for _ in range(n_periods)]

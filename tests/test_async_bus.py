@@ -221,8 +221,8 @@ class TestAsyncMessageBus:
         bus.drain()
         # Each subscriber's mailbox preserves publish order; the
         # interleaving *between* subscribers is per-consumer (each
-        # consumer drains its queue), unlike the sync bus's per-message
-        # fan-out — ordering is a per-mailbox contract.
+        # consumer drains its queue) — ordering is a per-mailbox
+        # contract.
         assert [m for tag, m in log if tag == "a"] == [1, 2]
         assert [m for tag, m in log if tag == "b"] == [1, 2]
         assert len(log) == 4

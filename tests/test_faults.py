@@ -21,7 +21,7 @@ from repro.faults import (
     uninstall,
     use,
 )
-from repro.oran.bus import MessageBus
+from repro.oran.bus import AsyncMessageBus, post
 from repro.testbed.config import ControlPolicy, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
@@ -257,21 +257,28 @@ def test_environment_is_bit_identical_without_a_plan():
 # -- bus faults ----------------------------------------------------------
 
 
+def _publish(bus, topic, message):
+    """Publish and drain; the subscriber count the publish reached."""
+    task = post(bus, topic, message)
+    bus.drain()
+    return task.result
+
+
 def test_bus_loss_drops_messages_deterministically():
     plan = FaultPlan(specs=(
         FaultSpec(kind="bus", mode="loss", target="e2.control", at=(1,)),
     ))
     with use(plan):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         seen = []
         bus.subscribe("e2.control", seen.append)
-        assert bus.publish("e2.control", "m0") == 1
-        assert bus.publish("e2.control", "m1") == 0  # dropped
-        assert bus.publish("e2.control", "m2") == 1
+        assert _publish(bus, "e2.control", "m0") == 1
+        assert _publish(bus, "e2.control", "m1") == 0  # dropped
+        assert _publish(bus, "e2.control", "m2") == 1
         assert seen == ["m0", "m2"]
         assert bus.history("e2.control") == ["m0", "m2"]
         # Untargeted topics are untouched.
-        assert bus.publish("o1", "x") == 0 and bus.history("o1") == ["x"]
+        assert _publish(bus, "o1", "x") == 0 and bus.history("o1") == ["x"]
 
 
 def test_bus_delay_reorders_but_eventually_delivers():
@@ -280,10 +287,10 @@ def test_bus_delay_reorders_but_eventually_delivers():
                   magnitude=2.0),
     ))
     with use(plan):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         seen = []
         bus.subscribe("a1", seen.append)
-        assert bus.publish("a1", "held") == 0     # held for 2 publishes
-        assert bus.publish("a1", "m1") == 1
-        bus.publish("a1", "m2")                   # releases 'held' first
+        assert _publish(bus, "a1", "held") == 0  # held for 2 publishes
+        assert _publish(bus, "a1", "m1") == 1
+        _publish(bus, "a1", "m2")                # releases 'held' first
         assert seen == ["m1", "held", "m2"]

@@ -1,16 +1,25 @@
-"""Tests for the O-RAN orchestration plane."""
+"""Tests for the O-RAN orchestration plane.
+
+Every publish goes through :func:`repro.oran.post` and is delivered
+when the bus drains, so the tests drain before they look.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.oran import (
     A1PolicyRequest,
     A1PolicyService,
+    AsyncMessageBus,
+    AsyncOranSystem,
     E2Node,
     E2Termination,
-    MessageBus,
     O1Termination,
-    OranSystem,
     SMOFramework,
+    post,
 )
 from repro.oran.a1 import RADIO_POLICY_TYPE_ID, PolicyType, radio_policy_type
 from repro.oran.apps import (
@@ -30,44 +39,54 @@ from repro.testbed.scenarios import static_scenario
 
 
 class TestMessageBus:
+    """The topic surface of :class:`AsyncMessageBus`."""
+
     def test_publish_subscribe(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         received = []
         bus.subscribe("topic", received.append)
-        n = bus.publish("topic", "hello")
-        assert n == 1 and received == ["hello"]
+        task = post(bus, "topic", "hello")
+        bus.drain()
+        assert task.result == 1 and received == ["hello"]
 
     def test_multiple_subscribers_in_order(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         log = []
         bus.subscribe("t", lambda m: log.append(("a", m)))
         bus.subscribe("t", lambda m: log.append(("b", m)))
-        bus.publish("t", 1)
+        post(bus, "t", 1)
+        bus.drain()
         assert log == [("a", 1), ("b", 1)]
 
     def test_unsubscribe(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         received = []
         bus.subscribe("t", received.append)
         bus.unsubscribe("t", received.append)
-        bus.publish("t", 1)
+        post(bus, "t", 1)
+        bus.drain()
         assert received == []
 
     def test_history_bounded(self):
-        bus = MessageBus(history_limit=3)
+        bus = AsyncMessageBus(history_limit=3)
         for i in range(10):
-            bus.publish("t", i)
+            post(bus, "t", i)
+        bus.drain()
         assert bus.history("t") == [7, 8, 9]
 
     def test_empty_topic_rejected(self):
-        bus = MessageBus()
-        with pytest.raises(ValueError):
-            bus.publish("", 1)
+        bus = AsyncMessageBus()
+        post(bus, "", 1)
+        with pytest.raises(ValueError, match="topic"):
+            bus.drain()
+        with pytest.raises(ValueError, match="topic"):
+            bus.subscribe("", lambda m: None)
 
     def test_topics_listing(self):
-        bus = MessageBus()
-        bus.publish("a", 1)
+        bus = AsyncMessageBus()
+        post(bus, "a", 1)
         bus.subscribe("b", lambda m: None)
+        bus.drain()
         assert bus.topics() == ["a", "b"]
 
 
@@ -170,60 +189,69 @@ class TestA1PolicyService:
 
 class TestE2:
     def test_control_sets_mac_policy(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         node = E2Node("enb", bus)
         termination = E2Termination(bus)
         termination.send_control(airtime=0.3, max_mcs=12)
+        bus.drain()
         assert node.radio_policy.airtime == 0.3
         assert node.radio_policy.max_mcs == 12
 
     def test_indication_requires_subscription(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         node = E2Node("enb", bus)
         termination = E2Termination(bus)
         received = []
         termination.register_indication_handler(received.append)
         node.report_kpis({"bs_power_w": 5.0})
+        bus.drain()
         assert received == []  # no subscription yet
         termination.subscribe_kpis("xapp", ("bs_power_w",))
+        bus.drain()
         node.report_kpis({"bs_power_w": 5.0})
+        bus.drain()
         assert len(received) == 1
         assert received[0].kpis == {"bs_power_w": 5.0}
 
     def test_indication_filters_kpis(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         node = E2Node("enb", bus)
         termination = E2Termination(bus)
         received = []
         termination.register_indication_handler(received.append)
         termination.subscribe_kpis("xapp", ("bs_power_w",))
+        bus.drain()
         node.report_kpis({"bs_power_w": 5.0, "secret": 1.0})
+        bus.drain()
         assert "secret" not in received[0].kpis
 
 
 class TestO1AndApps:
     def test_o1_forwarding(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         o1 = O1Termination(bus)
         received = []
         o1.register_handler(received.append)
         o1.forward("src", {"k": 1.0})
+        bus.drain()
         assert received[0].kpis == {"k": 1.0}
 
     def test_kpi_xapp_pipeline(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         node = E2Node("enb", bus)
         e2 = E2Termination(bus)
         o1 = O1Termination(bus)
         xapp = KPIDatabaseXApp(e2, o1)
         collector = DataCollectorRApp(o1)
         e2.subscribe_kpis(xapp.name, ("bs_power_w",))
+        bus.drain()
         node.report_kpis({"bs_power_w": 6.2})
+        bus.drain()
         assert collector.latest_kpis == {"bs_power_w": 6.2}
         assert len(xapp.records) == 1
 
     def test_policy_rapp_xapp_path(self):
-        bus = MessageBus()
+        bus = AsyncMessageBus()
         node = E2Node("enb", bus)
         e2 = E2Termination(bus)
         a1 = A1PolicyService()
@@ -235,12 +263,15 @@ class TestO1AndApps:
         )
         decision = ControlPolicy(0.5, 0.6, 0.7, 0.8)
         rapp.deploy(decision)
+        bus.drain()
         assert node.radio_policy.airtime == pytest.approx(0.6)
         assert node.radio_policy.max_mcs == decision.radio_policy().max_mcs
         assert service_knobs == [(0.5, 0.7)]
 
 
 class TestOranSystem:
+    """The single-cell loop, :class:`AsyncOranSystem`."""
+
     def test_full_loop_enforces_decision(self):
         testbed = TestbedConfig(n_levels=5)
         env = static_scenario(mean_snr_db=35.0, rng=0, config=testbed)
@@ -249,7 +280,7 @@ class TestOranSystem:
             ServiceConstraints(0.4, 0.5),
             CostWeights(1.0, 1.0),
         )
-        system = OranSystem(env, agent)
+        system = AsyncOranSystem(env, agent)
         records = system.run(5)
         assert len(records) == 5
         smo = system.smo
@@ -272,13 +303,15 @@ class TestOranSystem:
             ServiceConstraints(0.4, 0.5),
             CostWeights(1.0, 1.0),
         )
-        system = OranSystem(env, agent)
+        system = AsyncOranSystem(env, agent)
         records = system.run(10)
         costs = [r.cost for r in records]
         assert all(80.0 < c < 200.0 for c in costs)
 
     def test_smo_framework_wiring(self):
-        smo = SMOFramework()
+        bus = AsyncMessageBus()
+        smo = SMOFramework(bus)
+        bus.drain()
         assert smo.near_rt_ric.a1_service.policy_types() == [RADIO_POLICY_TYPE_ID]
         assert len(smo.near_rt_ric.xapps) == 2
         assert len(smo.non_rt_ric.rapps) == 2
@@ -303,31 +336,8 @@ class TestReleaseDueReentrancy:
                       magnitude=1.0),
         ))
 
-    def test_sync_bus_no_duplicate_release(self):
-        from repro.faults import use
-
-        with use(self._plan()):
-            bus = MessageBus()
-            seen = []
-            fired = []
-
-            def handler(message):
-                seen.append(message)
-                if message == "A" and not fired:
-                    fired.append(True)
-                    bus.publish("t", "R")  # reentrant same-topic publish
-
-            bus.subscribe("t", handler)
-            bus.publish("t", "A")   # held for 1 publish
-            bus.publish("t", "B")   # releases A (handler republishes), held
-            bus.publish("t", "C")   # releases B
-            assert seen.count("A") == 1, "delayed message delivered twice"
-            assert seen == ["A", "R", "B", "C"]
-            assert bus.history("t") == seen
-
     def test_async_bus_no_duplicate_release(self):
         from repro.faults import use
-        from repro.oran import AsyncMessageBus, post
 
         with use(self._plan()):
             bus = AsyncMessageBus()
@@ -347,8 +357,23 @@ class TestReleaseDueReentrancy:
             assert seen.count("A") == 1, "delayed message delivered twice"
             # The handler runs deferred (after publish "B" completed and
             # held its message), so its reentrant publish is the aging
-            # publish that releases "B" — ahead of "R", unlike the
-            # inline sync ordering.  The invariants under test hold on
-            # both transports: exactly-once release, history == delivery.
+            # publish that releases "B" — ahead of "R".  The invariants
+            # under test: exactly-once release, history == delivery.
             assert seen == ["A", "B", "R", "C"]
             assert bus.history("t") == seen
+
+
+class TestIntegrationExample:
+    """``examples/oran_integration.py`` runs on the current API."""
+
+    def test_main_runs_three_periods(self, capsys):
+        path = Path(__file__).parents[1] / "examples" / "oran_integration.py"
+        spec = importlib.util.spec_from_file_location("oran_integration", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        example.main(3)
+        out = capsys.readouterr().out
+        for counter in ("periods run", "A1 policies deployed (rApp)",
+                        "O1 reports received (collector rApp)"):
+            assert re.search(rf"{re.escape(counter)}\s+\| 3\s", out), counter
+        assert "O-eNB MAC state after the run" in out

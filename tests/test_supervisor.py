@@ -7,7 +7,9 @@ run at the same seed — warm restores replay, they do not re-randomise.
 See ``docs/ROBUSTNESS.md`` ("Fleet resilience").
 """
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro.core import EdgeBOL, state
 from repro.experiments.fleet import run_fleet_cell_sim, run_fleet_spec_cell
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import diagnose
-from repro.oran.alerts import AlertRouter, AlertRule
+from repro.oran.alerts import AlertRouter, AlertRule, default_rules
 from repro.oran.load import FleetLoadModel
 from repro.oran.runtime import FleetRuntime
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
@@ -262,6 +264,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="snapshot_every"):
             make_runtime(1, supervise=True, snapshot_every=4,
                          supervisor_policy=SupervisorPolicy())
+
+    def test_rejected_fleets_leave_no_unawaited_coroutines(self):
+        """Arguments are checked before any bus task is scheduled, so a
+        rejected fleet leaves no never-started coroutine for the GC."""
+        invalid = [
+            {"supervise": True, "batch_size": 2},
+            {"supervise": True, "snapshot_every": 4,
+             "supervisor_policy": SupervisorPolicy()},
+            {"trace_rounds_every": 0},
+            {"snapshot_every": 0},
+            {"indication_policy": "bogus"},
+            {"indication_capacity": 0},
+            {"alert_rules": list(default_rules()) * 2},
+        ]
+        gc.collect()  # earlier tests' garbage is not this test's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for kwargs in invalid:
+                with pytest.raises(ValueError):
+                    make_runtime(2, **kwargs)
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
