@@ -2,7 +2,8 @@
 """Full O-RAN integration: every decision travels A1 -> E2, every KPI
 travels E2 -> O1.
 
-Deploys EdgeBOL as an rApp in the SMO framework of the paper's Fig. 7:
+Deploys EdgeBOL as an rApp in the O-RAN plane of the paper's Fig. 7,
+run as a one-cell fleet:
 the learning agent's radio policies are pushed as A1 policy instances,
 enforced on the simulated O-eNB through E2 RIC Control by the policy
 xApp, while the BS power KPI flows back through E2 indications, the KPI
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from repro import CostWeights, EdgeBOL, ServiceConstraints, TestbedConfig
-from repro.oran import AsyncOranSystem
+from repro.oran import FleetRuntime
 from repro.testbed.scenarios import static_scenario
 from repro.utils.ascii import render_table
 
@@ -33,31 +34,29 @@ def main(n_periods: int = 50) -> None:
         ServiceConstraints(d_max_s=0.4, rho_min=0.5),
         CostWeights(delta1=1.0, delta2=2.0),
     )
-    system = AsyncOranSystem(env, agent)
-    records = system.run(n_periods)
+    fleet = FleetRuntime([(env, agent)])
+    log = fleet.run(n_periods).logs["cell000"]
 
-    smo = system.smo
-    bus = smo.bus
-    last = records[-1]
+    cell = fleet.cells[0]
     rows = [
-        ["periods run", len(records)],
-        ["A1 policies deployed (rApp)", smo.policy_rapp.deployed_policies],
-        ["E2 controls enforced (xApp)", smo.policy_xapp.enforced],
-        ["E2 indications stored (KPI xApp)", len(smo.kpi_xapp.records)],
-        ["O1 reports received (collector rApp)", smo.data_rapp.report_count],
-        ["bus topics", ", ".join(bus.topics())],
-        ["final cost", last.cost],
-        ["final enforced airtime", last.policy.airtime],
-        ["final enforced MCS cap", last.policy.radio_policy().max_mcs],
+        ["periods run", len(log)],
+        ["A1 policies deployed (rApp)", cell.policy_rapp.deployed_policies],
+        ["E2 controls enforced (xApp)", cell.policy_xapp.enforced],
+        ["E2 indications stored (KPI xApp)", len(cell.kpi_xapp.records)],
+        ["O1 reports received (collector rApp)", cell.collector.report_count],
+        ["bus topics", ", ".join(fleet.bus.topics())],
+        ["final cost", log.cost[-1]],
+        ["final enforced airtime", log.airtime[-1]],
+        ["final enforced MCS cap", cell.e2_node.radio_policy.max_mcs],
     ]
     print(render_table(["metric", "value"], rows))
 
-    costs = [r.cost for r in records]
+    costs = log.cost
     print(
         f"\ncost: first-5 mean {np.mean(costs[:5]):.1f} -> "
         f"last-10 mean {np.mean(costs[-10:]):.1f}"
     )
-    enforced = smo.e2_node.radio_policy
+    enforced = cell.e2_node.radio_policy
     print(
         f"O-eNB MAC state after the run: airtime={enforced.airtime:.2f}, "
         f"max_mcs={enforced.max_mcs} (set exclusively via A1->E2)"

@@ -13,8 +13,6 @@ Minimising an optimistic (lower) bound of the cost both exploits
 low-cost regions and explores uncertain ones; because low-power
 controls sit near the constraint boundary, this acquisition expands the
 safe set without an explicit expansion phase (Section 5).
-
-Alternative acquisitions used by the ablation study are included.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 
 from repro.core.gp import GaussianProcess
 from repro.core.posterior import PosteriorBatch
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_non_negative
 
 
@@ -110,32 +107,3 @@ def safe_lcb_index(
     mean, std = cost_gp.predict_std(joint_grid[safe_indices])
     lcb = mean - beta * std
     return int(safe_indices[int(np.argmin(lcb))])
-
-
-def greedy_mean_index(
-    cost_gp: GaussianProcess, joint_grid: np.ndarray, safe_mask: np.ndarray
-) -> int:
-    """Pure exploitation: minimise the posterior mean (beta = 0)."""
-    return safe_lcb_index(cost_gp, joint_grid, safe_mask, beta=0.0)
-
-
-def random_safe_index(safe_mask: np.ndarray, rng=None) -> int:
-    """Uniformly random safe control (exploration-only baseline)."""
-    generator = ensure_rng(rng)
-    safe_indices = np.nonzero(np.asarray(safe_mask, dtype=bool))[0]
-    if safe_indices.size == 0:
-        raise ValueError("safe set is empty; include S0 in the mask")
-    return int(generator.choice(safe_indices))
-
-
-def max_variance_index(
-    cost_gp: GaussianProcess, joint_grid: np.ndarray, safe_mask: np.ndarray
-) -> int:
-    """Uncertainty sampling: most uncertain safe point (ablation)."""
-    safe_mask = np.asarray(safe_mask, dtype=bool)
-    joint_grid = np.asarray(joint_grid, dtype=float)
-    safe_indices = np.nonzero(safe_mask)[0]
-    if safe_indices.size == 0:
-        raise ValueError("safe set is empty; include S0 in the mask")
-    _, std = cost_gp.predict_std(joint_grid[safe_indices])
-    return int(safe_indices[int(np.argmax(std))])

@@ -12,16 +12,18 @@ into independent cells and executes them:
   dispatches cells to a :class:`concurrent.futures.ProcessPoolExecutor`
   by spec *name* — workers re-import the registry, so only plain data
   crosses the process boundary;
-* **checkpointing** — completed cells are appended to a JSONL manifest
-  under the output directory; re-running the same sweep resumes by
-  skipping cells already in the manifest (a changed seed or parameter
-  set invalidates it);
+* **cell keys** — every cell is identified by its canonical
+  configuration hash (spec + params + seed node + fault plan +
+  numerics + code fingerprint, see :func:`repro.store.key.cell_key`);
+  the manifest and the store reuse a result only under its cell's key;
+* **checkpointing** — completed cells are appended, with their keys, to
+  a JSONL manifest under the output directory; re-running the same
+  sweep resumes by skipping cells whose recorded key matches (a changed
+  seed, parameter, fault plan, numerics mode or code re-runs them);
 * **content-addressed caching** — with a ``store`` configured
   (``--store DIR`` / ``REPRO_STORE``), every cell not already resumed
   from the manifest is looked up in the
-  :class:`~repro.store.store.ExperimentStore` by its canonical
-  configuration hash (spec + params + seed node + fault plan +
-  numerics + code fingerprint, see :func:`repro.store.key.cell_key`);
+  :class:`~repro.store.store.ExperimentStore` by its key;
   a hit returns the stored rows bit-identically without dispatching a
   worker (``CellResult.store_hit``, counted in
   :attr:`SweepResult.store_hits`), a miss is written through on
@@ -355,14 +357,30 @@ def _load_manifest(path: Path, header: dict) -> dict[str, dict]:
     return done
 
 
-def _resume_cells(cells: "list[SweepCell]",
+def _cell_keys(spec: ExperimentSpec, cells: "list[SweepCell]",
+               plan: "FaultPlan | None") -> dict[str, str]:
+    """Each cell's content key (:func:`repro.store.key.cell_key`)."""
+    numerics = active_numerics()
+    fingerprint = code_fingerprint()
+    plan_dict = plan.to_dict() if plan is not None else None
+    return {
+        cell.cell_id: cell_key(
+            spec.name, cell.params,
+            entropy=cell.entropy, spawn_key=cell.spawn_key,
+            fault_plan=plan_dict, numerics=numerics, code=fingerprint,
+        )
+        for cell in cells
+    }
+
+
+def _resume_cells(cells: "list[SweepCell]", keys: dict[str, str],
                   records: dict[str, dict]) -> dict[str, CellResult]:
     """Recorded cells safe to reuse for this exact sweep.
 
-    A record is only reused when its ``spawn_key`` and parameters match
-    the cell being scheduled — cell seeds derive from the cell's index
-    in the expanded grid, so a manifest from a differently-shaped sweep
-    (e.g. other ``--sweep`` values) must not leak results across grids.
+    A record is only reused when it carries the cell's key: the key
+    covers the cell's seed-tree node and parameters (a differently
+    shaped sweep must not leak results across grids) as well as the
+    fault plan, the numerics mode and the code that computed it.
     """
     done: dict[str, CellResult] = {}
     for cell in cells:
@@ -371,9 +389,7 @@ def _resume_cells(cells: "list[SweepCell]",
             continue
         if record.get("quarantined"):
             continue  # a poisoned cell gets a fresh chance on resume
-        if record.get("spawn_key") != list(cell.spawn_key):
-            continue
-        if record.get("params") != _jsonable(cell.params):
+        if record.get("key") != keys[cell.cell_id]:
             continue
         done[cell.cell_id] = CellResult(
             index=cell.index,
@@ -392,31 +408,21 @@ def _resume_cells(cells: "list[SweepCell]",
 # -- content-addressed store consultation -------------------------------
 
 
-def _store_scan(store: ExperimentStore, spec: ExperimentSpec,
-                cells: "list[SweepCell]", done: "dict[str, CellResult]",
-                plan: "FaultPlan | None", collect_decisions: bool):
+def _store_scan(store: ExperimentStore, cells: "list[SweepCell]",
+                keys: dict[str, str], done: "dict[str, CellResult]",
+                collect_decisions: bool):
     """Consult the experiment store for every cell before dispatch.
 
-    Returns ``(keys, hits, write_ids)``: each cell's content key, the
-    store-served :class:`CellResult` per cell the store can satisfy
-    (manifest-resumed cells are never double-served), and the ids of
-    cells whose completion should be written through — misses, plus
-    manifest-resumed cells the store has never seen (so resuming an
-    older sweep back-fills the store).
+    Returns ``(hits, write_ids)``: the store-served :class:`CellResult`
+    per cell the store can satisfy (manifest-resumed cells are never
+    double-served), and the ids of cells whose completion should be
+    written through — misses, plus manifest-resumed cells the store has
+    never seen (so resuming an older sweep back-fills the store).
     """
-    numerics = active_numerics()
-    fingerprint = code_fingerprint()
-    plan_dict = plan.to_dict() if plan is not None else None
-    keys: dict[str, str] = {}
     hits: dict[str, CellResult] = {}
     write_ids: set[str] = set()
     for cell in cells:
-        key = cell_key(
-            spec.name, cell.params,
-            entropy=cell.entropy, spawn_key=cell.spawn_key,
-            fault_plan=plan_dict, numerics=numerics, code=fingerprint,
-        )
-        keys[cell.cell_id] = key
+        key = keys[cell.cell_id]
         if cell.cell_id in done:
             if not store.contains(key):
                 write_ids.add(cell.cell_id)
@@ -428,7 +434,7 @@ def _store_scan(store: ExperimentStore, spec: ExperimentSpec,
         else:
             hits[cell.cell_id] = result
             telemetry.inc("sweep.store.hits")
-    return keys, hits, write_ids
+    return hits, write_ids
 
 
 def _store_hit(store: ExperimentStore, key: str, cell: SweepCell,
@@ -483,14 +489,16 @@ class _ManifestWriter:
     """
 
     def __init__(self, path: Path | None, header: dict, fresh: bool,
+                 keys: dict[str, str],
                  store: "ExperimentStore | None" = None,
-                 store_keys: "dict[str, str] | None" = None,
+                 store_writes: "set[str] | None" = None,
                  store_meta: "dict | None" = None) -> None:
         self.path = path
         self._handle = None
         self._spawn_keys: dict[str, tuple[int, ...]] = {}
+        self._keys = keys
         self._store = store
-        self._store_keys = store_keys or {}
+        self._store_writes = store_writes or set()
         self._store_meta = store_meta or {}
         if path is None:
             return
@@ -513,7 +521,7 @@ class _ManifestWriter:
         """Write one completed cell through to the experiment store.
 
         Only cells whose key missed during the pre-dispatch scan are
-        written (``store_keys`` holds exactly those); quarantined cells
+        written (``store_writes`` holds exactly those); quarantined cells
         never are — a failure is not a result.  Cells containing
         crash-recovered fleet rows (``recovered`` flag) are stamped
         ``recovered: true`` and never overwrite an existing blob, so a
@@ -525,9 +533,9 @@ class _ManifestWriter:
         if self._store is None or result.error is not None \
                 or result.store_hit:
             return
-        key = self._store_keys.get(result.cell_id)
-        if key is None:
+        if result.cell_id not in self._store_writes:
             return
+        key = self._keys[result.cell_id]
         recovered = any(
             isinstance(row, dict) and row.get("recovered")
             for row in result.rows
@@ -567,6 +575,7 @@ class _ManifestWriter:
         record = {
             "index": result.index,
             "cell_id": result.cell_id,
+            "key": self._keys[result.cell_id],
             "spawn_key": list(self._spawn_keys.get(result.cell_id, ())),
             "params": _jsonable(result.params),
             "rows": result.rows,
@@ -812,7 +821,8 @@ def run_sweep(
         Directory for the resume manifest (``None`` disables
         checkpointing).
     resume:
-        Skip cells already recorded in a matching manifest.
+        Skip cells the manifest already records under their current
+        cell key.
     sweep_overrides:
         Extra/replacement axis values (``repro run --sweep key=a,b,c``).
     max_retries:
@@ -852,9 +862,10 @@ def run_sweep(
     manifest_path = _manifest_path(spec, Path(out)) if out is not None else None
     plan = fault_plan if fault_plan is not None else faults.active_plan()
 
+    keys = _cell_keys(spec, cells, plan)
     done: dict[str, CellResult] = {}
     if manifest_path is not None and resume:
-        done = _resume_cells(cells, _load_manifest(manifest_path, header))
+        done = _resume_cells(cells, keys, _load_manifest(manifest_path, header))
     collect_telemetry = telemetry.enabled() and jobs > 1
     collect_decisions = decision_path is not None or obs.enabled()
 
@@ -862,16 +873,13 @@ def run_sweep(
         store if isinstance(store, ExperimentStore) or store is None
         else ExperimentStore(store)
     )
-    store_keys: dict[str, str] = {}
     store_hits: dict[str, CellResult] = {}
+    write_ids: set[str] = set()
     store_meta: dict = {}
     if store_obj is not None:
-        store_keys, store_hits, write_ids = _store_scan(
-            store_obj, spec, cells, done, plan, collect_decisions
+        store_hits, write_ids = _store_scan(
+            store_obj, cells, keys, done, collect_decisions
         )
-        store_keys = {
-            cid: key for cid, key in store_keys.items() if cid in write_ids
-        }
         store_meta = {
             "spec": spec.name,
             "numerics_mode": active_numerics().mode,
@@ -885,8 +893,8 @@ def run_sweep(
 
     # Rewrite the manifest from the reused records: a corrupt tail (or
     # a stale quarantine entry) must not sit beneath fresh appends.
-    writer = _ManifestWriter(manifest_path, header, fresh=True,
-                             store=store_obj, store_keys=store_keys,
+    writer = _ManifestWriter(manifest_path, header, fresh=True, keys=keys,
+                             store=store_obj, store_writes=write_ids,
                              store_meta=store_meta)
     writer.track(cells)
     results: dict[str, CellResult] = {**done, **store_hits}

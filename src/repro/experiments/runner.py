@@ -79,11 +79,14 @@ def run_agent(
     ``plane`` selects the transport between agent and testbed:
     ``"direct"`` (default) applies decisions inline, ``"async"`` routes
     every decision and KPI through the O-RAN plane on the event loop
-    (:class:`~repro.oran.runtime.AsyncOranSystem`).  Async rows and
-    decision traces are pinned by committed digests (the determinism
-    contract of ``docs/CONTROL_PLANE.md``); they differ from
-    ``direct`` only by MCS quantisation through the A1 radio policy.
-    Constraint schedules require the direct plane.
+    as a one-cell :class:`~repro.oran.runtime.FleetRuntime` (no load
+    model, no supervisor): the fleet supplies each period's enforced
+    policy, merged observation and cost, and this loop keeps the log,
+    the tracer and the spans.  Async rows and decision traces are
+    pinned by committed digests (the determinism contract of
+    ``docs/CONTROL_PLANE.md``); they differ from ``direct`` only by
+    MCS quantisation through the A1 radio policy.  Constraint
+    schedules require the direct plane.
 
     With telemetry enabled (:func:`repro.telemetry.record`), the run is
     traced as one ``experiment.run`` root span with one
@@ -104,12 +107,12 @@ def run_agent(
         raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
     if plane != "direct" and schedule is not None:
         raise ValueError("constraint schedules require plane='direct'")
-    system = None
+    fleet = None
     if plane != "direct":
         # Deferred import: repro.oran pulls the experiment registry.
-        from repro.oran.runtime import AsyncOranSystem
+        from repro.oran.runtime import FleetRuntime
 
-        system = AsyncOranSystem(env, agent)
+        fleet = FleetRuntime([(env, agent)])
     log = RunLog()
     active = schedule.initial if schedule is not None else getattr(
         agent, "constraints", ServiceConstraints()
@@ -130,16 +133,15 @@ def run_agent(
                             agent.set_constraints(new_constraints)
                             active = new_constraints
                     snr = float(np.mean(env.current_snrs_db))
-                    if system is None:
+                    if fleet is None:
                         context = env.observe_context()
                         policy = agent.select(context)
                         observation = env.step(policy)
                         cost = agent.observe(context, policy, observation)
                     else:
-                        record = system.run_period()
-                        policy = record.policy
-                        observation = record.observation
-                        cost = record.cost
+                        policy, observation, cost = fleet.cell_period(
+                            fleet.cells[0], t
+                        )
                     safe_size = (
                         getattr(agent, "last_safe_set_size", None)
                         if track_safe_set else None
@@ -156,6 +158,9 @@ def run_agent(
     finally:
         if tracer is not None:
             agent.attach_tracer(None)
+    if fleet is not None:
+        # The last period's alert publish is still in flight.
+        fleet.bus.drain()
     if tracer is not None:
         log.decisions = tracer.summary()
     engine = getattr(agent, "engine", None)

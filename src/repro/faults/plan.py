@@ -35,7 +35,7 @@ firing streams bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.utils.validation import check_non_negative, check_probability

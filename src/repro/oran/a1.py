@@ -6,16 +6,13 @@ lightweight schema; the non-RT RIC side creates, replaces, queries and
 deletes policy *instances*.  Instance changes are announced to
 registered enforcement callbacks (the policy xApp).
 
-Two transports exist for A1-P requests:
-
-* the direct call path — ``A1PolicyService.handle(request)`` — used by
-  the single-cell SMO wiring;
-* the bus path — :class:`A1Termination` (provider side) and
-  :class:`A1Client` (consumer side) moving
-  :class:`~repro.oran.messages.A1PolicyRequest` /
-  :class:`~repro.oran.messages.A1PolicyResponse` over the
-  ``a1.request`` / ``a1.response`` topics — used by the multi-cell
-  event-loop runtime, where many cells share one policy service.
+A1-P requests travel over the bus: :class:`A1Client` (consumer side)
+publishes :class:`~repro.oran.messages.A1PolicyRequest` on
+``a1.request``, and :class:`A1Termination` (provider side) hands each
+one to :meth:`A1PolicyService.handle` and publishes the
+:class:`~repro.oran.messages.A1PolicyResponse` on ``a1.response``.
+The runtime (:class:`~repro.oran.runtime.FleetRuntime`) shares one
+policy service among all its cells, one policy instance per cell.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ experiment's rows).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.oran.bus import post
 from repro.telemetry import runtime as telemetry

@@ -1,10 +1,11 @@
 """rApps and xApps (the application layer of Fig. 7).
 
 * :class:`PolicyServiceRApp` (non-RT RIC): translates the learning
-  agent's joint decisions into A1 policy instances for the radio knobs
-  and direct edge-orchestrator calls for the service knobs.
-* :class:`PolicyServiceXApp` (near-RT RIC): enforces A1 policies onto
-  the E2 node through RIC Control.
+  agent's joint decisions into A1 policy requests for the radio knobs,
+  published through an :class:`~repro.oran.a1.A1Client`, and direct
+  edge-orchestrator calls for the service knobs.
+* :class:`PolicyServiceXApp` (near-RT RIC): enforces one cell's A1
+  policy instance onto its E2 node through RIC Control.
 * :class:`KPIDatabaseXApp` (near-RT RIC): subscribes to E2 KPI
   indications, stores them, and forwards them over O1.
 * :class:`DataCollectorRApp` (non-RT RIC): receives O1 reports and
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.oran.a1 import RADIO_POLICY_TYPE_ID, A1PolicyService
+from repro.oran.a1 import RADIO_POLICY_TYPE_ID, A1Client, A1PolicyService
 from repro.oran.e2 import E2Termination
 from repro.oran.messages import A1PolicyRequest, E2Indication, O1Report
 from repro.oran.o1 import O1Termination
@@ -27,16 +28,16 @@ class PolicyServiceRApp:
 
     The image-resolution and GPU-speed knobs do not traverse A1 (they
     go to the service application and the edge orchestrator, per
-    Section 4.2); callbacks allow the SMO wiring to route them.
+    Section 4.2); callbacks allow the runtime to route them.
     """
 
     def __init__(
         self,
-        a1_service,
-        policy_id: str = "edgebol-slice-0",
+        a1_client: A1Client,
+        policy_id: str,
         on_service_policy: Callable[[float, float], None] | None = None,
     ) -> None:
-        self.a1_service = a1_service
+        self.a1_client = a1_client
         self.policy_id = policy_id
         self.on_service_policy = on_service_policy
         self.deployed_policies = 0
@@ -44,43 +45,32 @@ class PolicyServiceRApp:
     def deploy(self, policy: ControlPolicy) -> None:
         """Push one joint control decision into the system.
 
-        ``a1_service`` may be the in-process
-        :class:`~repro.oran.a1.A1PolicyService` (direct call, rejection
-        raises here) or a bus-side :class:`~repro.oran.a1.A1Client`
-        (the request is published; a rejection raises from the client's
-        response handler at the next drain).
+        The A1 request is published; it is enforced — or a rejection
+        raises from the client's response handler — at the next drain.
         """
         radio = policy.radio_policy()
-        request = A1PolicyRequest(
+        self.a1_client.send(A1PolicyRequest(
             operation="PUT",
             policy_type_id=RADIO_POLICY_TYPE_ID,
             policy_id=self.policy_id,
             body={"airtime": radio.airtime, "max_mcs": radio.max_mcs},
-        )
-        handle = getattr(self.a1_service, "handle", None)
-        if handle is not None:
-            response = handle(request)
-            if not response.ok:
-                raise RuntimeError(f"A1 policy rejected: {response.body}")
-        else:
-            self.a1_service.send(request)
+        ))
         if self.on_service_policy is not None:
             self.on_service_policy(policy.resolution, policy.gpu_speed)
         self.deployed_policies += 1
 
 
 class PolicyServiceXApp:
-    """Enforces A1 policy instances on the E2 node (near-RT RIC side).
+    """Enforces one A1 policy instance on an E2 node (near-RT RIC side).
 
-    ``policy_id`` scopes the xApp to one policy instance: in the
-    multi-cell runtime every cell hosts its own enforcement xApp
-    against the *shared* A1 service, and the filter keeps cell A's
-    policies off cell B's E2 node.  ``None`` (the single-cell default)
-    enforces every instance of the radio policy type.
+    ``policy_id`` scopes the xApp to its cell's policy instance: every
+    cell hosts its own enforcement xApp against the *shared* A1
+    service, and the filter keeps cell A's policies off cell B's E2
+    node.
     """
 
     def __init__(self, a1_service: A1PolicyService, e2: E2Termination,
-                 policy_id: str | None = None) -> None:
+                 policy_id: str) -> None:
         self.e2 = e2
         self.policy_id = policy_id
         self.enforced = 0
@@ -89,9 +79,8 @@ class PolicyServiceXApp:
     def _on_policy(
         self, policy_type_id: int, policy_id: str, body: dict | None
     ) -> None:
-        if policy_type_id != RADIO_POLICY_TYPE_ID or body is None:
-            return
-        if self.policy_id is not None and policy_id != self.policy_id:
+        if (policy_type_id != RADIO_POLICY_TYPE_ID or body is None
+                or policy_id != self.policy_id):
             return
         self.e2.send_control(
             airtime=float(body["airtime"]), max_mcs=int(body["max_mcs"])

@@ -50,7 +50,8 @@ class E2Node:
     bus:
         Transport used for indications (topic ``{prefix}e2.indication``).
     prefix:
-        Topic namespace (empty for the single-cell layout).
+        Topic namespace (the runtime gives each cell its own, e.g.
+        ``cell000.``; empty for a standalone node).
     batch_size:
         Indications buffered per :class:`E2IndicationBatch`; ``1``
         publishes unbatched indications.

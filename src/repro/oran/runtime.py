@@ -1,18 +1,16 @@
-"""Event-loop control-plane runtimes: one cell or a whole fleet.
+"""The event-loop control-plane runtime: one O-RAN plane for 1..N cells.
 
-Two layers on top of :class:`~repro.oran.bus.AsyncMessageBus`:
-
-* :class:`AsyncOranSystem` — the single-cell Fig. 7 loop: it drives an
-  :class:`~repro.oran.smo.SMOFramework` on the deterministic event loop
-  with a quiescence barrier (``bus.drain()``) at the two
-  synchronisation points of a period.  Its rows and decision traces
-  are pinned by committed digests (``tests/test_fleet.py``).
-* :class:`FleetRuntime` — tens of cells in one process sharing one
-  SMO: one bus, one event loop, one A1 policy service (per-cell policy
-  instances enforced by per-cell xApps), per-cell E2/O1 planes under
-  topic prefixes (``cell003.e2.indication``), one EdgeBOL-style agent
-  per cell, a per-period load harness (:mod:`repro.oran.load`) and a
-  throttled alert router (:mod:`repro.oran.alerts`).
+:class:`FleetRuntime` runs the Fig. 7 loop on top of
+:class:`~repro.oran.bus.AsyncMessageBus` for every cell in one process,
+sharing one SMO: one bus, one event loop, one A1 policy service
+(per-cell policy instances enforced by per-cell xApps), per-cell E2/O1
+planes under topic prefixes (``cell003.e2.indication``), one
+EdgeBOL-style agent per cell, an optional per-period load harness
+(:mod:`repro.oran.load`) and a throttled alert router
+(:mod:`repro.oran.alerts`).  A single cell is a one-cell fleet:
+``run_agent(..., plane="async")`` drives one through
+:meth:`FleetRuntime.cell_period`, and its rows and decision traces are
+pinned by committed digests (``tests/test_fleet.py``).
 
 Determinism: cells are stepped in index order, every stage ends on a
 ``drain()`` barrier, and all randomness lives in the per-cell envs and
@@ -26,7 +24,7 @@ Resilience: every fleet owns a
 ``supervise=True``) providing snapshot checkpointing, crash/stall
 detection with restart policies and a mailbox circuit breaker; a
 supervised warm restore replays missed periods through
-:meth:`FleetRuntime._cell_period` bit-identically to the uninterrupted
+:meth:`FleetRuntime.cell_period` bit-identically to the uninterrupted
 run.  See ``docs/ROBUSTNESS.md`` ("Fleet resilience").
 """
 
@@ -55,7 +53,6 @@ from repro.oran.bus import AsyncMessageBus
 from repro.oran.e2 import E2Node, E2Termination
 from repro.oran.loop import VirtualTimeLoop
 from repro.oran.o1 import O1Termination
-from repro.oran.smo import SMOFramework
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
 from repro.obs import runtime as obs
 from repro.ran.phy import MAX_MCS
@@ -63,8 +60,7 @@ from repro.telemetry import runtime as telemetry
 from repro.testbed.config import ControlPolicy, ServiceConstraints
 from repro.testbed.env import TestbedObservation
 
-__all__ = ["AsyncOranSystem", "FleetCell", "FleetResult", "FleetRuntime",
-           "OrchestrationRecord"]
+__all__ = ["FleetCell", "FleetResult", "FleetRuntime"]
 
 
 def _merge_observation(observation, bs_power: float) -> TestbedObservation:
@@ -86,87 +82,6 @@ def _merge_observation(observation, bs_power: float) -> TestbedObservation:
         per_user_delay_s=observation.per_user_delay_s,
         per_user_rate_hz=observation.per_user_rate_hz,
     )
-
-
-@dataclass(frozen=True)
-class OrchestrationRecord:
-    """One period of the O-RAN-mediated loop (for inspection)."""
-
-    period: int
-    policy: ControlPolicy
-    observation: TestbedObservation
-    cost: float
-
-
-class AsyncOranSystem:
-    """The closed single-cell loop: agent -> O-RAN plane -> testbed -> agent.
-
-    Every decision travels rApp -> A1 -> xApp -> E2 control to the
-    O-eNB MAC, and every BS power sample travels E2 -> KPI xApp -> O1
-    to the collector rApp; the E2 and O1 hops are messages on one
-    event loop.
-
-    Parameters
-    ----------
-    env:
-        The simulated prototype.
-    agent:
-        Anything exposing ``select(context)``, ``observe(context,
-        policy, observation)`` — EdgeBOL or any benchmark controller.
-    loop, loop_seed:
-        The scheduler to run on, or the tie-breaking seed of a fresh
-        one (``None``: canonical FIFO order).
-    batch_size:
-        E2 indication batch size (see :class:`~repro.oran.e2.E2Node`).
-    capacity, policy:
-        Default mailbox bounds of the bus.
-    """
-
-    def __init__(self, env, agent, loop: VirtualTimeLoop | None = None,
-                 loop_seed=None, batch_size: int = 1,
-                 capacity: int = 64, policy: str = "block") -> None:
-        """Build the plane and deliver the initial subscriptions."""
-        self.env = env
-        self.agent = agent
-        self.loop = loop if loop is not None else VirtualTimeLoop(seed=loop_seed)
-        self.bus = AsyncMessageBus(
-            loop=self.loop, default_capacity=capacity, default_policy=policy
-        )
-        self.smo = SMOFramework(self.bus, batch_size=batch_size)
-        self._period = 0
-        self.records: list[OrchestrationRecord] = []
-        # The constructor's KPI subscription is still in flight.
-        self.bus.drain()
-
-    def run_period(self) -> OrchestrationRecord:
-        """Execute one orchestration period through the O-RAN plane."""
-        context = self.env.observe_context()
-        decision = self.agent.select(context)
-        # Control path, then the barrier: the enforced policy is the
-        # O-eNB's MAC state once A1 -> xApp -> E2 control has landed.
-        self.smo.policy_rapp.deploy(decision)
-        self.bus.drain()
-        enforced = self.smo.enforced_policy
-        observation = self.env.step(enforced)
-        # KPI path: E2 indication -> KPI xApp -> O1 -> collector rApp.
-        self.smo.e2_node.report_kpis({"bs_power_w": observation.bs_power_w})
-        self.bus.drain()
-        collected = self.smo.data_rapp.latest_kpis
-        bs_power = collected.get("bs_power_w", observation.bs_power_w)
-        merged = _merge_observation(observation, bs_power)
-        cost = self.agent.observe(context, enforced, merged)
-        self._period += 1
-        record = OrchestrationRecord(
-            period=self._period, policy=enforced, observation=merged, cost=cost
-        )
-        self.records.append(record)
-        return record
-
-    def run(self, n_periods: int) -> list[OrchestrationRecord]:
-        """Run several periods; returns the new records."""
-        if n_periods < 0:
-            raise ValueError(f"n_periods must be non-negative, got {n_periods}")
-        return [self.run_period() for _ in range(n_periods)]
 
 
 @dataclass
@@ -280,7 +195,7 @@ class FleetCell:
 
 
 class FleetRuntime:
-    """Tens of cells, one process, one shared SMO on one event loop.
+    """One or tens of cells, one process, one shared SMO on one event loop.
 
     Parameters
     ----------
@@ -477,20 +392,27 @@ class FleetRuntime:
         if trace:
             cell.env.set_load_multiplier(trace[min(t, len(trace) - 1)])
 
-    def _cell_period(self, cell: FleetCell, t: int, fresh: bool = True) -> None:
-        """One full period for a *single* cell (the replay path).
+    def cell_period(self, cell: FleetCell, t: int, fresh: bool = True):
+        """One full period for a *single* cell.
 
         Runs the same select → deploy → actuate → merge → learn
         sequence as :meth:`run_period`, with drain barriers at the same
         two synchronisation points — per-cell message flows are
         independent (per-cell topic prefixes, per-cell A1 policy
-        instances, env-local RNGs), so replaying one cell alone is
-        bit-identical to its slice of the batched fleet period.
+        instances, env-local RNGs), so running one cell alone is
+        bit-identical to its slice of the batched fleet period.  It is
+        the supervisor's replay path and the whole period of a
+        one-cell fleet (``run_agent(..., plane="async")``).
         ``fresh=False`` marks a period the uninterrupted run already
         emitted: the agent/tracer/log all advance identically, but the
         alert router is skipped (its state survived the crash on the
         shared runtime) and the work is counted as ``replayed`` rather
         than ``decisions``.
+
+        Returns ``(enforced, merged, cost)``: the policy the O-eNB
+        enforced, the observation the agent learned from and its cost.
+        A fresh period's alert publish is still in flight; the caller
+        drains the bus after its last period.
         """
         snr = float(np.mean(cell.env.current_snrs_db))
         context = cell.env.observe_context()
@@ -525,6 +447,7 @@ class FleetRuntime:
         else:
             self.replayed += 1
         cell._stage = ()
+        return enforced, merged, cost
 
     def _shed_period(self, cell: FleetCell, t: int) -> None:
         """One circuit-breaker-shed period: S0 degraded service, no bus.

@@ -389,7 +389,7 @@ class FleetSupervisor:
         format-tag failures fall back to older checkpoints; none intact
         quarantines the cell),
         then replays every period from the snapshot horizon to ``t``
-        through :meth:`FleetRuntime._cell_period` — suppressed for
+        through :meth:`FleetRuntime.cell_period` — suppressed for
         periods the run already emitted, fresh for missed ones.
         Returns True when the cell is back in service.
         """
@@ -422,10 +422,10 @@ class FleetSupervisor:
             runtime._set_cell_load(cell, p)
             if p < down_since:
                 with obs.suppress():
-                    runtime._cell_period(cell, p, fresh=False)
+                    runtime.cell_period(cell, p, fresh=False)
                 replayed += 1
             else:
-                runtime._cell_period(cell, p, fresh=True)
+                runtime.cell_period(cell, p, fresh=True)
                 caught_up += 1
         runtime._set_cell_load(cell, t)
         books.down_reason = None

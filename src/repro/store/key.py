@@ -141,7 +141,9 @@ def cell_key(
     fault_plan:
         The installed fault plan as a plain dict (``FaultPlan.to_dict``)
         or ``None`` for a fault-free run — a chaos run never shares a
-        key with a clean one.
+        key with a clean one.  ``worker`` faults are left out: they
+        crash or hang a cell's dispatch, and the cell is re-run from
+        its own seed node or quarantined, so they never reach its rows.
     numerics:
         The active numerics configuration (every field participates:
         conservative invalidation — a sparse run is keyed apart from
@@ -154,6 +156,9 @@ def cell_key(
         numerics = active_numerics()
     if isinstance(numerics, NumericsConfig):
         numerics = asdict(numerics)
+    if fault_plan is not None:
+        in_cell = [f for f in fault_plan["faults"] if f["kind"] != "worker"]
+        fault_plan = {**fault_plan, "faults": in_cell} if in_cell else None
     payload = {
         "spec": str(spec_name),
         "params": params,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.oran.bus import MAILBOX_POLICIES, AsyncMessageBus, Mailbox, post
-from repro.oran.loop import Future, VirtualTimeLoop, sleep
+from repro.oran.loop import VirtualTimeLoop, sleep
 from repro.oran.messages import E2Indication, E2IndicationBatch
 from repro.telemetry import spans
 

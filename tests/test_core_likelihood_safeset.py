@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.acquisition import (
-    greedy_mean_index,
-    max_variance_index,
-    random_safe_index,
-    safe_lcb_index,
-)
+from repro.core.acquisition import safe_lcb_index
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.likelihood import fit_hyperparameters, log_marginal_likelihood
@@ -182,22 +177,3 @@ class TestAcquisition:
         gp = self.build_cost_gp()
         with pytest.raises(ValueError):
             safe_lcb_index(gp, np.array([[0.0]]), np.array([False]))
-
-    def test_greedy_is_beta_zero(self):
-        gp = self.build_cost_gp()
-        grid = np.array([[0.2], [0.5], [0.8], [100.0]])
-        mask = np.ones(4, dtype=bool)
-        assert greedy_mean_index(gp, grid, mask) == safe_lcb_index(
-            gp, grid, mask, beta=0.0
-        )
-
-    def test_random_safe_in_mask(self):
-        mask = np.array([False, True, False, True])
-        for _ in range(20):
-            assert random_safe_index(mask, rng=0) in (1, 3)
-
-    def test_max_variance_prefers_unexplored(self):
-        gp = self.build_cost_gp()
-        grid = np.array([[0.5], [10.0]])
-        mask = np.array([True, True])
-        assert max_variance_index(gp, grid, mask) == 1

@@ -1,17 +1,21 @@
 """Tests for the experiment registry, the sweep engine and the CLI shell."""
 
 import json
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import pytest
 
 import repro.experiments  # noqa: F401  (populate the spec registry)
 from repro.cli import main
+from repro.core.numerics import NumericsConfig, use_numerics
 from repro.experiments import parallel
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import merge_metrics, run_sweep
 from repro.experiments.runner import ConstraintSchedule, band
 from repro.experiments.spec import ExperimentSpec, ParamSpec, cell_id
+from repro.faults import FaultPlan, FaultSpec
+from repro.store.key import ENV_FINGERPRINT
 from repro.testbed.config import ServiceConstraints
 
 # -- CLI smoke: every registered spec end-to-end with tiny budgets -------
@@ -225,6 +229,32 @@ def test_reshaped_sweep_does_not_reuse_stale_seeds(tmp_path):
     )
     assert rerun.resumed == 0
     assert _CALLS == [3]
+
+
+@pytest.mark.parametrize("change", ["faults", "numerics", "code"])
+def test_changed_configuration_forces_recompute(tmp_path, monkeypatch,
+                                                change):
+    """A record is resumed only under its cell's full content key: a
+    changed fault plan, numerics mode or code fingerprint re-runs every
+    cell instead of serving the rows the old configuration computed."""
+    spec = _toy_spec()
+    params = spec.resolve({})
+    run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
+    plan = None
+    scope = nullcontext()
+    if change == "faults":
+        plan = FaultPlan(specs=(FaultSpec(kind="sensor", mode="nan",
+                                          at=(1,)),))
+    elif change == "numerics":
+        scope = use_numerics(NumericsConfig(sparse=True))
+    else:
+        monkeypatch.setenv(ENV_FINGERPRINT, "edited-code")
+    _CALLS.clear()
+    with scope:
+        rerun = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path,
+                          fault_plan=plan)
+    assert rerun.resumed == 0
+    assert _CALLS == [1, 2, 3]
 
 
 def test_manifest_records_carry_spawn_keys(tmp_path):

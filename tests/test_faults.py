@@ -15,7 +15,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    InjectedWorkerCrash,
     install,
     make_injector,
     uninstall,

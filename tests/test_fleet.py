@@ -1,17 +1,21 @@
 """Tests for the async O-RAN runtime and the multi-cell fleet harness.
 
 The headline contract (``docs/CONTROL_PLANE.md``): a single-cell run
-through the event-loop plane is **bit-identical** to committed digests
-of its RunLog rows, decision-trace records and orchestration records —
+through the event-loop plane — a one-cell fleet — is **bit-identical**
+to committed digests of its RunLog rows, decision-trace records and
+the per-period policy, observation and cost the agent learned from,
 with and without an installed fault plan.  The digests were taken when
-a second, synchronous transport still existed and agreed with them.
-On top: fleet determinism, per-cell policy isolation, the load models,
-and alert rule/throttle behaviour.
+a second, synchronous transport and a separate single-cell runtime
+still existed and agreed with them.  On top: fleet determinism,
+per-cell policy isolation, the load models, and alert rule/throttle
+behaviour.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +28,6 @@ from repro.obs import runtime as obs
 from repro.oran import (
     AlertRouter,
     AlertRule,
-    AsyncOranSystem,
     FleetLoadModel,
     FleetRuntime,
     default_rules,
@@ -51,14 +54,24 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
-def _record_fields(record) -> list:
-    """Every field of an orchestration record, arrays as lists."""
-    observation = {
-        name: value.tolist() if isinstance(value, np.ndarray) else value
-        for name, value in dataclasses.asdict(record.observation).items()
-    }
-    return [record.period, dataclasses.asdict(record.policy), observation,
-            record.cost]
+def _record_observations(agent) -> list:
+    """Wrap ``agent.observe``; the list fills with one entry per period:
+    ``[period, policy, observation, cost]``, arrays as lists."""
+    records = []
+    observe = agent.observe
+
+    def recording_observe(context, policy, observation):
+        cost = observe(context, policy, observation)
+        fields = {
+            name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in dataclasses.asdict(observation).items()
+        }
+        records.append([len(records) + 1, dataclasses.asdict(policy),
+                        fields, cost])
+        return cost
+
+    agent.observe = recording_observe
+    return records
 
 
 # -- async plane == committed digests ------------------------------------
@@ -85,9 +98,9 @@ class TestBitIdentity:
         """Bus faults are drawn per publish, in publish order: the
         faulted rows are as reproducible as clean ones."""
         plan = FaultPlan(specs=(
-            FaultSpec(kind="bus", mode="loss", target="e2.indication",
-                      at=(2,)),
-            FaultSpec(kind="bus", mode="delay", target="e2.control",
+            FaultSpec(kind="bus", mode="loss",
+                      target="cell000.e2.indication", at=(2,)),
+            FaultSpec(kind="bus", mode="delay", target="cell000.e2.control",
                       at=(4,), magnitude=2.0),
         ))
         with use(plan):
@@ -98,13 +111,34 @@ class TestBitIdentity:
         )
 
     def test_orchestration_records_identical(self):
-        """Records carry the full observation (per-user arrays, GPU and
-        rate KPIs), which RunLog rows do not: pinned separately."""
+        """What the agent observed carries the full observation
+        (per-user arrays, GPU and rate KPIs), which RunLog rows do not:
+        pinned separately."""
         env, agent = _make_cell(5)
-        records = AsyncOranSystem(env, agent).run(10)
-        assert _digest([_record_fields(r) for r in records]) == (
+        records = _record_observations(agent)
+        run_agent(env, agent, 10, plane="async")
+        assert _digest(records) == (
             "f86b371faf7aa7ab8d1b29f9fff413e6464f925ed311df04e475c7b987976c62"
         )
+
+    def test_async_run_leaves_no_unawaited_coroutines(self):
+        """The last period's alert publish is drained before the run
+        returns, so no never-started coroutine is left for the GC."""
+        env, _ = _make_cell(7)
+        agent = EdgeBOL(TESTBED.control_grid(),
+                        ServiceConstraints(d_max_s=1e-6),
+                        CostWeights(1.0, 1.0))
+        gc.collect()  # earlier tests' garbage is not this test's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Every delay breaches d_max: `negative_margin` (sustain 3)
+            # first raises in the third and last period.
+            log = run_agent(env, agent, 3, plane="async")
+            assert min(log.delay_s) > 1e-6
+            del env, agent, log
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
     def test_plane_validation(self):
         env, agent = _make_cell(0)
@@ -153,22 +187,6 @@ class TestFleetRuntime:
             last_control = fleet.bus.history(f"{cell.prefix}e2.control")[-1]
             assert last_control.airtime \
                 == pytest.approx(cell.e2_node.radio_policy.airtime)
-
-    def test_single_cell_fleet_matches_async_system(self):
-        """A 1-cell fleet (no load model) and AsyncOranSystem agree on
-        the policies and KPIs the agent saw (the fleet's own loop is
-        the same plane, prefixed)."""
-        env_f, agent_f = _make_cell(17)
-        env_a, agent_a = _make_cell(17)
-        fleet = FleetRuntime([(env_f, agent_f)])
-        fleet_result = fleet.run(6)
-        system = AsyncOranSystem(env_a, agent_a)
-        records = system.run(6)
-        rows = fleet_result.logs["cell000"].as_rows()
-        assert len(rows) == len(records)
-        for row, record in zip(rows, records):
-            assert row["cost"] == record.cost
-            assert row["delay_s"] == record.observation.delay_s
 
     def test_load_model_mismatch_rejected(self):
         cells = [_make_cell(0)]

@@ -11,14 +11,15 @@ from pathlib import Path
 import pytest
 
 from repro.oran import (
+    A1Client,
     A1PolicyRequest,
     A1PolicyService,
+    A1Termination,
     AsyncMessageBus,
-    AsyncOranSystem,
     E2Node,
     E2Termination,
+    FleetRuntime,
     O1Termination,
-    SMOFramework,
     post,
 )
 from repro.oran.a1 import RADIO_POLICY_TYPE_ID, PolicyType, radio_policy_type
@@ -29,6 +30,7 @@ from repro.oran.apps import (
     PolicyServiceXApp,
 )
 from repro.core import EdgeBOL
+from repro.experiments.runner import run_agent
 from repro.testbed.config import (
     ControlPolicy,
     CostWeights,
@@ -251,15 +253,18 @@ class TestO1AndApps:
         assert len(xapp.records) == 1
 
     def test_policy_rapp_xapp_path(self):
+        """rApp -> A1 client -> A1 termination -> xApp -> E2 control."""
         bus = AsyncMessageBus()
         node = E2Node("enb", bus)
         e2 = E2Termination(bus)
         a1 = A1PolicyService()
         a1.register_type(radio_policy_type())
-        PolicyServiceXApp(a1, e2)
+        A1Termination(bus, a1)
+        PolicyServiceXApp(a1, e2, policy_id="slice-0")
         service_knobs = []
         rapp = PolicyServiceRApp(
-            a1, on_service_policy=lambda r, g: service_knobs.append((r, g))
+            A1Client(bus), "slice-0",
+            on_service_policy=lambda r, g: service_knobs.append((r, g)),
         )
         decision = ControlPolicy(0.5, 0.6, 0.7, 0.8)
         rapp.deploy(decision)
@@ -267,10 +272,11 @@ class TestO1AndApps:
         assert node.radio_policy.airtime == pytest.approx(0.6)
         assert node.radio_policy.max_mcs == decision.radio_policy().max_mcs
         assert service_knobs == [(0.5, 0.7)]
+        assert a1.instances(RADIO_POLICY_TYPE_ID) == ["slice-0"]
 
 
 class TestOranSystem:
-    """The single-cell loop, :class:`AsyncOranSystem`."""
+    """One cell's loop: a one-cell :class:`FleetRuntime`."""
 
     def test_full_loop_enforces_decision(self):
         testbed = TestbedConfig(n_levels=5)
@@ -280,17 +286,16 @@ class TestOranSystem:
             ServiceConstraints(0.4, 0.5),
             CostWeights(1.0, 1.0),
         )
-        system = AsyncOranSystem(env, agent)
-        records = system.run(5)
-        assert len(records) == 5
-        smo = system.smo
-        assert smo.policy_rapp.deployed_policies == 5
-        assert smo.policy_xapp.enforced == 5
-        assert smo.data_rapp.report_count == 5
+        fleet = FleetRuntime([(env, agent)])
+        log = fleet.run(5).logs["cell000"]
+        assert len(log) == 5
+        cell = fleet.cells[0]
+        assert cell.policy_rapp.deployed_policies == 5
+        assert cell.policy_xapp.enforced == 5
+        assert cell.collector.report_count == 5
         # KPI path delivered the BS power the agent consumed.
-        last = records[-1]
-        assert last.observation.bs_power_w == pytest.approx(
-            smo.data_rapp.latest_kpis["bs_power_w"]
+        assert log.bs_power_w[-1] == pytest.approx(
+            cell.collector.latest_kpis["bs_power_w"]
         )
 
     def test_loop_matches_direct_drive_structure(self):
@@ -303,19 +308,8 @@ class TestOranSystem:
             ServiceConstraints(0.4, 0.5),
             CostWeights(1.0, 1.0),
         )
-        system = AsyncOranSystem(env, agent)
-        records = system.run(10)
-        costs = [r.cost for r in records]
-        assert all(80.0 < c < 200.0 for c in costs)
-
-    def test_smo_framework_wiring(self):
-        bus = AsyncMessageBus()
-        smo = SMOFramework(bus)
-        bus.drain()
-        assert smo.near_rt_ric.a1_service.policy_types() == [RADIO_POLICY_TYPE_ID]
-        assert len(smo.near_rt_ric.xapps) == 2
-        assert len(smo.non_rt_ric.rapps) == 2
-        assert smo.e2_node.subscriptions  # KPI subscription registered
+        log = run_agent(env, agent, 10, plane="async")
+        assert all(80.0 < c < 200.0 for c in log.cost)
 
 
 class TestReleaseDueReentrancy:
