@@ -46,7 +46,10 @@ does not rescale all ``M`` grid points.
 
 New ``v`` rows are built where they live: :meth:`Kernel.fill` writes
 the kernel rows into them, and one BLAS ``dtrsm`` solves them from the
-right, in place (docs/NUMERICS.md, "The in-place row solve").  Heads
+right, in place (docs/NUMERICS.md, "The in-place row solve").  Each
+head reserves its rows once (:data:`RESERVE_BYTES` of address space,
+of which only the rows written commit memory), so no sweep copies a
+kept row unless ``N`` outgrows the reservation.  Heads
 whose kernels differ only in ``output_scale`` — EdgeBOL's cost and
 delay heads — share one correlation block and one scaled grid per
 sweep; each head's rows are that block times its own scale, which is
@@ -83,6 +86,14 @@ from repro.core.gp import GaussianProcess
 from repro.core.kernels import Kernel, ScaledPoints
 from repro.core.numerics import NumericalInstabilityError
 from repro.telemetry import runtime as telemetry
+
+#: Bytes of ``v`` rows each head reserves on its first sweep of a
+#: context (:meth:`_HeadState.rows`).  Above glibc's 32 MiB ceiling on
+#: its mmap threshold, so each reservation is an anonymous mapping of
+#: its own: its pages commit when a row is first written and return to
+#: the OS when the entry is dropped.  That is 572 rows on the paper's
+#: 14,641-point grid and 13,421 on the fleet's 625-point grid.
+RESERVE_BYTES = 64 << 20
 
 
 @dataclass
@@ -210,9 +221,10 @@ def _solve_rows(chol: np.ndarray, rows: np.ndarray) -> None:
 class _HeadState:
     """Cached solves and running moments of one head on one joint grid.
 
-    ``v`` holds the rows of ``L^-1 K(X, grid)`` in a capacity-doubled
-    buffer, so per-period extensions append without reallocating the
-    full ``N x M`` block.  Beside it run ``sumsq = sum(v**2, axis=0)``,
+    ``v`` holds the rows of ``L^-1 K(X, grid)`` in a buffer reserved
+    once, on the first :meth:`rows` call, for ``max(n, RESERVE_BYTES //
+    (8 M))`` rows; rebuilds, extensions and context returns write their
+    rows into it in place.  Beside it run ``sumsq = sum(v**2, axis=0)``,
     accumulated one row at a time in arrival order, and
     ``mean_acc = v^T w`` against the GP's whitened residual ``w``, built
     while the head's prior mean was ``mean_prior``.  ``scaled`` is the
@@ -232,7 +244,7 @@ class _HeadState:
     def __init__(self, n_points: int, prior_var: np.ndarray) -> None:
         self.n = 0
         self.factor_version = -1
-        self.v = np.empty((0, n_points))
+        self.v = np.empty((0, n_points))  # reserved by the first rows()
         self.sumsq = np.zeros(n_points)
         self.mean_acc = np.zeros(n_points)
         self.mean_prior = 0.0
@@ -243,13 +255,17 @@ class _HeadState:
     def rows(self, k0: int, n: int) -> np.ndarray:
         """The ``v`` rows ``k0:n``, to be filled with ``K(x[k0:n], grid)``.
 
-        Grows the buffer as needed, carrying over only the ``k0`` rows
-        that stay (none for a rebuild, ``k0 = 0``).
+        The first call reserves the buffer; past the reservation it
+        doubles, carrying over only the ``k0`` rows that stay (none for
+        a rebuild, ``k0 = 0``).
         """
-        capacity = self.v.shape[0]
+        capacity, m = self.v.shape
         if n > capacity:
-            grown = np.empty((max(n, 2 * capacity, 8), self.v.shape[1]))
-            grown[:k0] = self.v[:k0]
+            if capacity:
+                grown = np.empty((max(n, 2 * capacity), m))
+                grown[:k0] = self.v[:k0]
+            else:
+                grown = np.empty((max(n, RESERVE_BYTES // (8 * m)), m))
             self.v = grown
         return self.v[k0:n]
 
@@ -273,6 +289,13 @@ class _HeadState:
         else:
             self.row_ends = [n]
         return new
+
+
+class VBytes(NamedTuple):
+    """Bytes of the engine's cached ``v`` rows (:attr:`SurrogateEngine.v_bytes`)."""
+
+    written: int
+    reserved: int
 
 
 class _Step(NamedTuple):
@@ -301,9 +324,12 @@ class SurrogateEngine:
         row.
     max_cached_contexts:
         LRU bound on distinct contexts whose joint grid and per-head
-        solves are retained.  Each entry costs about
-        ``heads * N * M`` floats (the ``V`` rows), so the bound caps
-        memory on long runs with many distinct contexts.
+        solves are retained.  Each entry keeps ``heads * N * M``
+        resident floats (the ``V`` rows written so far), so the bound
+        caps memory on long runs with many distinct contexts.  Each
+        head's rows sit in a reservation of :data:`RESERVE_BYTES` of
+        address space (more once ``N`` outgrows it); only written rows
+        commit memory (:attr:`v_bytes`).
     """
 
     def __init__(
@@ -342,9 +368,10 @@ class SurrogateEngine:
         self._cache: OrderedDict[bytes, tuple[np.ndarray, dict[str, _HeadState]]]
         self._cache = OrderedDict()
         self.stats = EngineStats()
-        # Scratch for the L21 v_old product of an extension, kept across
-        # sweeps.
+        # Scratch for the L21 v_old product of an extension and for one
+        # squared v row, kept across sweeps.
         self._product = np.empty((0, grid.shape[0]))
+        self._square = np.empty(grid.shape[0])
 
     # -- introspection --------------------------------------------------
 
@@ -357,6 +384,24 @@ class SurrogateEngine:
     def n_cached_contexts(self) -> int:
         """Contexts whose joint grid and head states are cached."""
         return len(self._cache)
+
+    @property
+    def v_bytes(self) -> VBytes:
+        """Bytes of cached ``v`` rows, written and reserved, over all entries.
+
+        ``written`` is ``sum(n * M * 8)`` over every cached head — what
+        the rows hold now (a stale entry restored from a snapshot holds
+        none until its rebuild); ``reserved`` is the address space their
+        buffers span.  A reserved page commits memory when a row on it
+        is first written.
+        """
+        written = reserved = 0
+        for _, states in self._cache.values():
+            for state in states.values():
+                capacity, m = state.v.shape
+                written += min(state.n, capacity) * m * 8
+                reserved += state.v.nbytes
+        return VBytes(written, reserved)
 
     def reset_cache(self) -> None:
         """Drop every cached context (the GPs are untouched)."""
@@ -423,7 +468,7 @@ class SurrogateEngine:
         return grid
 
     def _scratch(self, rows: int) -> np.ndarray:
-        """A ``(rows, M)`` scratch block, capacity-doubled like ``v``."""
+        """A ``(rows, M)`` scratch block, grown by doubling."""
         capacity = self._product.shape[0]
         if rows > capacity:
             self._product = np.empty(
@@ -468,20 +513,23 @@ class SurrogateEngine:
         state.rows(k0, n)
         return _Step(gp, state, k0, n)
 
-    def _fill(self, steps: list[_Step]) -> None:
-        """Write the kernel rows of every step that has new rows.
+    @staticmethod
+    def _fill(steps: Iterable[_Step]) -> int:
+        """Write the kernel rows ``K(x[k0:n], grid)`` of every step's new rows.
 
         Heads with one :meth:`~repro.core.kernels.Kernel.correlation_key`
         whose new rows have byte-equal inputs get one correlation block,
         scaled into each head's rows by its own ``output_scale`` — the
         very op a lone ``kernel(x, grid)`` ends with, so sharing changes
-        no bit.  A shared block counts once in ``kernel_evals``.
+        no bit.  Returns the kernel entries computed, for
+        ``kernel_evals``; a shared block counts once.
         """
         groups: dict[tuple, list[tuple[_Step, np.ndarray]]] = {}
         for step in steps:
             x = step.gp._posterior_state()[0][step.k0:step.n]
             key = (step.gp.kernel.correlation_key(), x.tobytes())
             groups.setdefault(key, []).append((step, x))
+        evals = 0
         for members in groups.values():
             first, x = members[0]
             first.gp.kernel.fill(
@@ -489,7 +537,8 @@ class SurrogateEngine:
                 [step.state.v[step.k0:step.n] for step, _ in members],
                 [step.gp.kernel.output_scale for step, _ in members],
             )
-            self.stats.kernel_evals += x.shape[0] * self.control_grid.shape[0]
+            evals += x.shape[0] * first.state.v.shape[1]
+        return evals
 
     def _finish(self, step: _Step,
                 joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,8 +563,10 @@ class SurrogateEngine:
                 state.sumsq = np.zeros(joint.shape[0])
                 state.factor_version = factor_version
             # Row by row, in the order np.sum(v**2, axis=0) adds them.
+            square = self._square
             for row in new:
-                state.sumsq += row**2
+                np.square(row, out=square)
+                state.sumsq += square
             if not stale_mean:
                 state.mean_acc += new.T @ w[k0:n]
         if stale_mean:
@@ -559,7 +610,8 @@ class SurrogateEngine:
             scaled: dict[tuple, ScaledPoints] = {}
             steps = {name: self._begin(name, joint, states, scaled)
                      for name in dict.fromkeys(names)}
-            self._fill([step for step in steps.values() if step.k0 < step.n])
+            self.stats.kernel_evals += self._fill(
+                [step for step in steps.values() if step.k0 < step.n])
             means = {}
             variances = {}
             for name, step in steps.items():

@@ -63,6 +63,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.posterior import _Step
 from repro.ran.channel import GaussMarkovChannel, SnrTrace
 from repro.testbed.config import CostWeights, ServiceConstraints
 
@@ -338,20 +339,30 @@ def _check_row_ends(name: str, row_ends: np.ndarray, n: int) -> None:
         )
 
 
-def _replay(engine, head_state, gp, row_ends: list[int]) -> None:
-    """Rebuild ``head_state.v`` by repeating its rebuild and extensions.
+def _replay(engine, heads: list[tuple]) -> None:
+    """Rebuild the ``v`` rows of one entry's heads by repeating their builds.
 
-    The calls and shapes are the live sweep's, against the restored
-    factor, whose leading blocks are the factors the live calls saw.
+    ``heads`` holds ``(head_state, gp, row_ends)`` triples.  Block ``i``
+    of every schedule is filled and solved as the live sweep did: heads
+    of one correlation key whose block has byte-equal inputs share one
+    kernel fill (:meth:`SurrogateEngine._fill`), and each head's solve
+    repeats the live call's shapes against the restored factor, whose
+    leading blocks are the factors the live calls saw.  Each buffer is
+    reserved once, for the final row count, so no replayed block
+    regrows it.  The replay's kernel entries are not counted in the
+    engine's stats.
     """
-    x, chol, kernel = gp._x, gp._chol, gp.kernel
-    k0 = 0
-    for end in row_ends:
-        rows = head_state.rows(k0, end)
-        kernel.fill(x[k0:end], head_state.scaled, [rows],
-                    [kernel.output_scale])
-        head_state.solve(chol, k0, end, engine._scratch)
-        k0 = end
+    for head_state, _, row_ends in heads:
+        head_state.rows(0, row_ends[-1])
+    for block in range(max(len(row_ends) for _, _, row_ends in heads)):
+        steps = [
+            _Step(gp, head_state, row_ends[block - 1] if block else 0,
+                  row_ends[block])
+            for head_state, gp, row_ends in heads if block < len(row_ends)
+        ]
+        engine._fill(steps)
+        for step in steps:
+            step.state.solve(step.gp._chol, step.k0, step.n, engine._scratch)
 
 
 def restore_engine_state(engine, state: dict) -> None:
@@ -379,6 +390,7 @@ def restore_engine_state(engine, state: dict) -> None:
         context = _decode_array(entry["context"])
         joint, states = engine._entry(context)
         scaled = {}
+        replays = []
         for name, payload in entry["heads"].items():
             if name not in engine._heads:
                 raise SnapshotError(
@@ -405,7 +417,7 @@ def restore_engine_state(engine, state: dict) -> None:
                         f"head {name!r}: the cache entry is current, but "
                         "the restored GP has no factor to replay it against"
                     )
-                _replay(engine, head_state, gp, row_ends)
+                replays.append((head_state, gp, row_ends))
             else:
                 head_state.n = n
                 head_state.row_ends = row_ends
@@ -413,6 +425,8 @@ def restore_engine_state(engine, state: dict) -> None:
             head_state.mean_acc = _decode_array(payload["mean_acc"])
             head_state.mean_prior = float(payload["mean_prior"])
             head_state.factor_version = factor_version
+        if replays:
+            _replay(engine, replays)
 
 
 # -- the EdgeBOL agent ----------------------------------------------------

@@ -480,7 +480,7 @@ def _store_hit(store: ExperimentStore, key: str, cell: SweepCell,
 
 
 class _ManifestWriter:
-    """Append-only JSONL checkpoint of completed cells.
+    """JSONL checkpoint of completed cells: rewritten on open, then appended.
 
     Doubles as the store write-through point: every completion path
     (serial, pool, manifest re-append) funnels through :meth:`append`,
@@ -488,7 +488,7 @@ class _ManifestWriter:
     there exactly once, even when manifest checkpointing is disabled.
     """
 
-    def __init__(self, path: Path | None, header: dict, fresh: bool,
+    def __init__(self, path: Path | None, header: dict,
                  keys: dict[str, str],
                  store: "ExperimentStore | None" = None,
                  store_writes: "set[str] | None" = None,
@@ -503,11 +503,8 @@ class _ManifestWriter:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        if fresh or not path.exists():
-            self._handle = path.open("w")
-            self._write(header)
-        else:
-            self._handle = path.open("a")
+        self._handle = path.open("w")
+        self._write(header)
 
     def _write(self, record: dict) -> None:
         self._handle.write(json.dumps(record) + "\n")
@@ -893,7 +890,7 @@ def run_sweep(
 
     # Rewrite the manifest from the reused records: a corrupt tail (or
     # a stale quarantine entry) must not sit beneath fresh appends.
-    writer = _ManifestWriter(manifest_path, header, fresh=True, keys=keys,
+    writer = _ManifestWriter(manifest_path, header, keys=keys,
                              store=store_obj, store_writes=write_ids,
                              store_meta=store_meta)
     writer.track(cells)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from repro.core import posterior
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.posterior import PosteriorBatch, SurrogateEngine, _solve_rows
@@ -413,6 +414,117 @@ class TestValidationAndStats:
         assert mean.shape == (grid.shape[0],)
         # std is cached after the first derivation.
         assert batch.std("cost") is batch.std("cost")
+
+
+def feed(heads, context, rng, count):
+    """``count`` adds of one observation to every head, under ``context``."""
+    for _ in range(count):
+        z = np.concatenate([context, rng.random(CONTROL_DIM)])
+        y = float(rng.standard_normal())
+        for gp in heads.values():
+            gp.add(z, y)
+
+
+class TestReservedRows:
+    def test_v_buffer_stays_put_while_n_fits(self):
+        """Rebuilds, extensions and context returns write in place."""
+        rng = np.random.default_rng(32)
+        grid = make_grid(rng)
+        engine, heads = make_engine(grid)
+        home, away = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+        feed(heads, home, rng, 5)
+        engine.posterior(home)
+        states = engine._entry(home)[1]
+        reserve = posterior.RESERVE_BYTES // (8 * grid.shape[0])
+        assert all(s.v.shape == (reserve, grid.shape[0])
+                   for s in states.values())
+        where = {name: s.v.ctypes.data for name, s in states.items()}
+
+        def assert_in_place():
+            assert {name: s.v.ctypes.data
+                    for name, s in states.items()} == where
+
+        feed(heads, home, rng, 1)
+        engine.posterior(home)  # 1-row extension
+        assert_in_place()
+        feed(heads, home, rng, 3)
+        engine.posterior(home)  # 3-row extension
+        assert_in_place()
+        for _ in range(4):
+            feed(heads, away, rng, 2)
+            engine.posterior(away)
+        engine.posterior(home)  # context return: an 8-row extension
+        assert_in_place()
+        assert all(s.row_ends == [5, 6, 9, 17] for s in states.values())
+        for gp in heads.values():
+            gp.fit(gp.inputs, gp.targets)
+        rebuilds = engine.stats.rebuilds
+        engine.posterior(home)
+        assert engine.stats.rebuilds == rebuilds + len(heads)
+        assert_in_place()
+        assert_matches_direct(engine, heads, home)
+
+    def test_overflow_copy_path_matches_a_reserved_engine(self, monkeypatch):
+        """Past a 3-row reservation ``v`` doubles; the bytes do not move."""
+        rng = np.random.default_rng(33)
+        grid = make_grid(rng)
+        heads = {
+            "cost": make_gp(output_scale=4.0),
+            "delay": make_gp(output_scale=0.02, prior_mean=0.8),
+        }
+        roomy = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        tight = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        reserve = posterior.RESERVE_BYTES
+        home, away = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+
+        def assert_same_bytes(context):
+            monkeypatch.setattr(posterior, "RESERVE_BYTES", reserve)
+            want = roomy.posterior(context)
+            monkeypatch.setattr(posterior, "RESERVE_BYTES",
+                                3 * 8 * grid.shape[0])
+            got = tight.posterior(context)
+            for name in heads:
+                assert got.mean(name).tobytes() == want.mean(name).tobytes()
+                assert got.variance(name).tobytes() \
+                    == want.variance(name).tobytes()
+
+        feed(heads, home, rng, 2)
+        assert_same_bytes(home)  # rebuild into a 3-row reservation
+        for count in (1, 1, 3, 1):
+            feed(heads, home, rng, count)
+            assert_same_bytes(home)  # extensions past it: copy, double
+        feed(heads, away, rng, 4)
+        assert_same_bytes(away)
+        feed(heads, away, rng, 6)
+        assert_same_bytes(away)
+        assert_same_bytes(home)  # a context return that regrows
+        for gp in heads.values():
+            gp.fit(gp.inputs, gp.targets)
+        assert_same_bytes(home)  # a rebuild that fits the grown buffer
+        tight_rows = tight._entry(home)[1]["cost"].v.shape[0]
+        assert tight_rows == 24  # 3, 6, 12, 24 rows: three doublings
+        assert roomy._entry(home)[1]["cost"].v.shape[0] \
+            == reserve // (8 * grid.shape[0])
+
+    def test_v_bytes_follow_n(self):
+        rng = np.random.default_rng(34)
+        grid = make_grid(rng)
+        engine, heads = make_engine(grid)
+        row = 8 * grid.shape[0]
+        reserved = len(heads) * (posterior.RESERVE_BYTES // row) * row
+        assert engine.v_bytes == (0, 0)
+        home, away = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+        engine.posterior(home)  # empty heads write and reserve nothing
+        assert engine.v_bytes == (0, 0)
+        feed(heads, home, rng, 4)
+        engine.posterior(home)
+        assert engine.v_bytes == (len(heads) * 4 * row, reserved)
+        feed(heads, home, rng, 3)
+        engine.posterior(home)
+        engine.posterior(away)
+        assert engine.v_bytes == (2 * len(heads) * 7 * row, 2 * reserved)
+        engine.reset_cache()
+        assert engine.v_bytes == (0, 0)
 
 
 def sharing_heads():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import state
+from repro.core import posterior, state
 from repro.core.edgebol import EdgeBOL
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
@@ -292,6 +292,19 @@ def restored_engine(engine):
     return restored
 
 
+def count_fills(monkeypatch):
+    """Record the row count of every ``Matern.fill`` call from now on."""
+    rows = []
+    fill = Matern.fill
+
+    def counted(self, x, *args, **kwargs):
+        rows.append(len(x))
+        return fill(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Matern, "fill", counted)
+    return rows
+
+
 def assert_cache_replayed(live, restored):
     """Same entries in LRU order, bit-equal ``v`` rows and posteriors."""
     assert list(restored._cache) == list(live._cache)
@@ -377,9 +390,10 @@ class TestEngineCacheState:
         assert head.row_ends == [21, 23, 24, 27]
         assert_cache_replayed(engine, restored_engine(engine))
 
-    def test_shared_heads_after_a_two_add_extension(self):
+    def test_shared_heads_after_a_two_add_extension(self, monkeypatch):
         # Two heads of one correlation share the block of their 2-row
-        # extension live, and the replay fills each head alone.
+        # extension live, and so does the replay: one fill per block,
+        # into buffers reserved once.
         rng = np.random.default_rng(25)
         heads = {"a": engine_gp(rng), "b": engine_gp(rng)}
         heads["b"].kernel = Matern([0.5, 0.8, 0.6], output_scale=0.3)
@@ -396,9 +410,40 @@ class TestEngineCacheState:
         states = engine._cache[np.array([0.2]).tobytes()][1]
         assert states["a"].row_ends == states["b"].row_ends == [14, 16]
         assert states["a"].scaled is states["b"].scaled
+        fills = count_fills(monkeypatch)
         restored = restored_engine(engine)
+        assert fills == [14, 2]
         restored_states = restored._cache[np.array([0.2]).tobytes()][1]
         assert restored_states["a"].scaled is restored_states["b"].scaled
+        reserve = posterior.RESERVE_BYTES // (8 * ENGINE_GRID.shape[0])
+        for head in restored_states.values():
+            assert head.v.shape == (reserve, ENGINE_GRID.shape[0])
+        assert_cache_replayed(engine, restored)
+
+    def test_replay_shares_only_the_blocks_the_schedules_share(
+            self, monkeypatch):
+        # "a" was once swept alone, so the two schedules part after the
+        # rebuild: [14, 15, 16] and [14, 16].  Only the rebuild block has
+        # byte-equal inputs in both.
+        rng = np.random.default_rng(26)
+        heads = {"a": engine_gp(rng), "b": engine_gp(rng)}
+        heads["b"].kernel = Matern([0.5, 0.8, 0.6], output_scale=0.3)
+        x, y = rng.uniform(size=(14, 3)), rng.standard_normal(14)
+        for gp in heads.values():
+            gp.fit(x, y)
+        engine = SurrogateEngine(heads, ENGINE_GRID, context_dim=1)
+        engine.posterior([0.2])
+        for only in (["a"], None):
+            z, target = rng.uniform(size=3), float(rng.standard_normal())
+            for gp in heads.values():
+                gp.add(z, target)
+            engine.posterior([0.2], heads=only)
+        states = engine._cache[np.array([0.2]).tobytes()][1]
+        assert states["a"].row_ends == [14, 15, 16]
+        assert states["b"].row_ends == [14, 16]
+        fills = count_fills(monkeypatch)
+        restored = restored_engine(engine)
+        assert sorted(fills) == [1, 1, 2, 14]
         assert_cache_replayed(engine, restored)
 
     def test_contexts_in_lru_order_with_a_stale_entry_and_an_empty_head(self):
