@@ -53,7 +53,11 @@ kept row unless ``N`` outgrows the reservation.  Heads
 whose kernels differ only in ``output_scale`` — EdgeBOL's cost and
 delay heads — share one correlation block and one scaled grid per
 sweep; each head's rows are that block times its own scale, which is
-how a lone kernel call ends, so sharing changes no bit.
+how a lone kernel call ends, so sharing changes no bit.  A sweep with
+many new rows runs its group fills, then its head solves, on two lanes:
+the caller's thread and one process-wide worker thread, each head
+written by one lane, every BLAS call unchanged (:func:`_sweep`,
+docs/NUMERICS.md, "Two lanes").
 
 All heads are evaluated in one pass over one shared joint grid and
 returned as a :class:`PosteriorBatch`, which
@@ -72,15 +76,20 @@ through :class:`repro.experiments.recorder.RunLog`.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import queue
+import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg import cython_blas
 
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Kernel, ScaledPoints
@@ -94,6 +103,175 @@ from repro.telemetry import runtime as telemetry
 #: the OS when the entry is dropped.  That is 572 rows on the paper's
 #: 14,641-point grid and 13,421 on the fleet's 625-point grid.
 RESERVE_BYTES = 64 << 20
+
+#: New ``v`` rows times grid points, summed over a sweep's heads, from
+#: which the sweep runs on two lanes (docs/NUMERICS.md, "Two lanes").
+#: Below it, handing tasks to the worker costs more than it saves.
+_LANE_ELEMENTS = 1 << 18
+
+
+class _Lane:
+    """One lane of a sweep: the scratch block its head solves write through.
+
+    A lane runs one task at a time, so one block serves the ``L21 v_old``
+    product of an extension and, after it, the squared row of the
+    moment fold.  The block grows to the largest one asked for and no
+    further; every engine of the process shares it.
+    """
+
+    __slots__ = ("_block",)
+
+    def __init__(self) -> None:
+        self._block = np.empty(0)
+
+    def scratch(self, rows: int, m: int) -> np.ndarray:
+        """A C-ordered ``(rows, m)`` scratch block."""
+        size = rows * m
+        if size > self._block.size:
+            self._block = np.empty(size)
+        return self._block[:size].reshape(rows, m)
+
+
+class _Raised(NamedTuple):
+    """A lane task's exception, re-raised on the caller's thread."""
+
+    error: BaseException
+
+
+class _Worker:
+    """The process-wide second lane: one daemon thread and its scratch.
+
+    Jobs are lists of ``(index, task)`` pairs; each ``task(lane)``'s
+    result, or its exception as :class:`_Raised`, lands in
+    ``results[index]``, and the job's lock is released when all are done.
+    """
+
+    def __init__(self) -> None:
+        self.lane = _Lane()
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve,
+                                        name="posterior-lane", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            tasks, results, done = job
+            self._work(tasks, results)
+            # Hold nothing of a finished job, even before the caller
+            # wakes: its tasks reach the heads' state and results.
+            del job, tasks, results
+            done.release()
+
+    def _work(self, tasks: list, results: list) -> None:
+        for index, task in tasks:
+            try:
+                results[index] = task(self.lane)
+            except BaseException as error:  # re-raised by the caller
+                results[index] = _Raised(error)
+
+    def submit(self, tasks: list, results: list) -> threading.Lock:
+        """Queue one job; the returned lock is acquirable once it is done."""
+        done = threading.Lock()
+        done.acquire()
+        self._jobs.put((tasks, results, done))
+        return done
+
+    def stop(self) -> None:
+        """Finish the queued jobs, then end the thread and wait for it."""
+        self._jobs.put(None)
+        self._thread.join()
+
+
+#: The worker lane, started by the first sweep that crosses
+#: :data:`_LANE_ELEMENTS`; ``None`` until then, and in a forked child.
+_worker: _Worker | None = None
+_worker_start = threading.Lock()
+#: Each calling thread's own lane (its scratch).
+_callers = threading.local()
+#: False in processes whose siblings already share the CPUs.
+_lanes_allowed = True
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread; the next sweep starts one."""
+    global _worker, _worker_start
+    _worker = None
+    _worker_start = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, no hook (Windows)
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def keep_one_lane() -> None:
+    """Run every later sweep of this process on the caller's thread alone.
+
+    For processes that share the CPUs with sibling processes, such as
+    the workers of a parallel experiment sweep, so the two kinds of
+    parallelism do not stack.
+    """
+    global _lanes_allowed
+    _lanes_allowed = False
+
+
+def _caller_lane() -> _Lane:
+    lane = getattr(_callers, "lane", None)
+    if lane is None:
+        lane = _callers.lane = _Lane()
+    return lane
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity set, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _two_lanes(elements: int) -> bool:
+    """Whether a sweep of ``elements`` new ``v`` entries uses the worker."""
+    return elements >= _LANE_ELEMENTS and _lanes_allowed and _cpus() >= 2
+
+
+def _worker_lane() -> _Worker:
+    global _worker
+    with _worker_start:
+        if _worker is None:
+            _worker = _Worker()
+        return _worker
+
+
+def _run(tasks: list[tuple[int, Callable[[_Lane], object]]],
+         caller: _Lane) -> list:
+    """Run each ``(size, task)`` as ``task(lane)`` on two lanes.
+
+    Tasks go largest first to the lane with less work so far (the
+    caller's on a tie); the caller runs its share on ``caller`` while
+    the worker runs the rest, then waits for it.  Returns the results in
+    task order; the first exception in task order is re-raised.  Tasks
+    must touch disjoint state: the lanes run concurrently.
+    """
+    if len(tasks) < 2:
+        return [task(caller) for _, task in tasks]
+    mine, theirs = [], []
+    loads = [0, 0]
+    for index in sorted(range(len(tasks)), key=lambda i: -tasks[i][0]):
+        lane = 0 if loads[0] <= loads[1] else 1
+        loads[lane] += tasks[index][0]
+        (theirs if lane else mine).append((index, tasks[index][1]))
+    results: list = [None] * len(tasks)
+    done = _worker_lane().submit(theirs, results) if theirs else None
+    for index, task in mine:
+        try:
+            results[index] = task(caller)
+        except BaseException as error:
+            results[index] = _Raised(error)
+    if done is not None:
+        done.acquire()
+    for result in results:
+        if type(result) is _Raised:
+            raise result.error
+    return results
 
 
 @dataclass
@@ -185,22 +363,53 @@ class PosteriorBatch:
         return self.means[head], self.std(head)
 
 
+def _blas_dtrsm():
+    """The BLAS ``dtrsm`` scipy links, as a ctypes function.
+
+    ``scipy.linalg.blas.dtrsm`` holds the GIL for the whole solve, which
+    would serialise the two lanes' solves; a ctypes call releases it.
+    This is the routine the scipy wrapper calls — the pointer scipy's
+    ``cython_blas`` exports — so the bits are the same.
+    """
+    capsule = cython_blas.__pyx_capi__["dtrsm"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    char, int_p = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    array = ctypes.c_void_p  # an array's data address
+    return ctypes.CFUNCTYPE(
+        None, char, char, char, char, int_p, int_p,
+        ctypes.POINTER(ctypes.c_double), array, int_p, array, int_p,
+    )(pointer(capsule, name(capsule)))
+
+
+_dtrsm = _blas_dtrsm()
+
+
 def _solve_rows(chol: np.ndarray, rows: np.ndarray) -> None:
     """``rows <- L^-1 rows`` in place, for a lower-triangular ``L``.
 
     ``rows`` is a C-ordered ``(k, M)`` block, so its transpose is a
     Fortran ``(M, k)`` array, and BLAS ``dtrsm`` solves that from the
     right, ``X L^T = rows^T``, where it lies: no copy of the rows either
-    way.  The ``k x k`` ``chol`` may have any memory order; the wrapper
-    hands BLAS a Fortran copy of it when it is not one, so the bits do
-    not depend on the order (docs/NUMERICS.md).  One row is scaled by
+    way.  The ``k x k`` ``chol`` may have any memory order; BLAS gets a
+    Fortran copy of it when it is not one, as scipy's wrapper does, so
+    the bits do not depend on the order (docs/NUMERICS.md).  The call
+    releases the GIL (:func:`_blas_dtrsm`).  One row is scaled by
     ``1 / L[0, 0]``, the 1x1 solve without its call overhead.  As
     ``solve_triangular`` does, raises ``ValueError`` when the factor
     block or the rows are not finite and ``LinAlgError`` on a zero
     pivot.
     """
-    if not rows.flags.c_contiguous:
-        raise ValueError("the rows to solve must be C-contiguous")
+    if rows.dtype != np.float64 or not rows.flags.c_contiguous:
+        raise ValueError("the rows to solve must be C-contiguous float64")
+    if chol.shape != (rows.shape[0],) * 2:
+        raise ValueError(
+            f"a {rows.shape[0]}-row block needs a square factor block of "
+            f"that size, got {chol.shape}"
+        )
     if not np.isfinite(rows).all():
         raise ValueError("array must not contain infs or NaNs")
     if rows.shape[0] == 1:
@@ -215,7 +424,12 @@ def _solve_rows(chol: np.ndarray, rows: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
     if not chol.diagonal().all():
         raise np.linalg.LinAlgError("singular matrix: zero pivot")
-    dtrsm(1.0, chol, rows.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    factor = np.asfortranarray(chol, dtype=np.float64)
+    k, m = ctypes.c_int(rows.shape[0]), ctypes.c_int(rows.shape[1])
+    # X L^T = B for the Fortran (M, k) B = rows^T: side R, lower L,
+    # transposed, non-unit diagonal, alpha 1, lda k, ldb M.
+    _dtrsm(b"R", b"L", b"T", b"N", m, k, ctypes.c_double(1.0),
+           factor.ctypes.data, k, rows.ctypes.data, m)
 
 
 class _HeadState:
@@ -224,7 +438,9 @@ class _HeadState:
     ``v`` holds the rows of ``L^-1 K(X, grid)`` in a buffer reserved
     once, on the first :meth:`rows` call, for ``max(n, RESERVE_BYTES //
     (8 M))`` rows; rebuilds, extensions and context returns write their
-    rows into it in place.  Beside it run ``sumsq = sum(v**2, axis=0)``,
+    rows into it in place.  ``prior_var`` is the kernel's prior variance
+    ``k(x, x)``, one scalar for every grid point (:meth:`Kernel.diag`
+    is constant).  Beside it run ``sumsq = sum(v**2, axis=0)``,
     accumulated one row at a time in arrival order, and
     ``mean_acc = v^T w`` against the GP's whitened residual ``w``, built
     while the head's prior mean was ``mean_prior``.  ``scaled`` is the
@@ -241,7 +457,7 @@ class _HeadState:
     __slots__ = ("n", "factor_version", "v", "sumsq", "mean_acc",
                  "mean_prior", "prior_var", "scaled", "row_ends")
 
-    def __init__(self, n_points: int, prior_var: np.ndarray) -> None:
+    def __init__(self, n_points: int, prior_var: float) -> None:
         self.n = 0
         self.factor_version = -1
         self.v = np.empty((0, n_points))  # reserved by the first rows()
@@ -269,17 +485,18 @@ class _HeadState:
             self.v = grown
         return self.v[k0:n]
 
-    def solve(self, chol: np.ndarray, k0: int, n: int, scratch) -> np.ndarray:
+    def solve(self, chol: np.ndarray, k0: int, n: int,
+              lane: _Lane) -> np.ndarray:
         """Turn the filled kernel rows ``k0:n`` into ``v`` rows; returns them.
 
         ``v_new = L22^-1 (K_new - L21 v_old)``, in place.  ``chol`` holds
         at least ``n`` rows of the factor lineage the first ``k0`` rows
-        were solved against; ``scratch(k)`` returns a ``(k, M)`` array
-        for the ``L21 v_old`` product.
+        were solved against; the ``L21 v_old`` product goes through the
+        lane's scratch.
         """
         new = self.v[k0:n]
         if k0:
-            product = scratch(n - k0)
+            product = lane.scratch(n - k0, new.shape[1])
             np.matmul(chol[k0:n, :k0], self.v[:k0], out=product)
             new -= product
         _solve_rows(chol[k0:n, k0:n], new)
@@ -305,6 +522,58 @@ class _Step(NamedTuple):
     state: _HeadState
     k0: int
     n: int
+
+
+def _fill_group(members: list[_Step], x: np.ndarray, lane: _Lane) -> None:
+    """Write ``K(x, grid)`` into the new rows of every member step.
+
+    The members share one :meth:`~repro.core.kernels.Kernel.
+    correlation_key` and byte-equal new inputs ``x``: one correlation
+    block serves them all, scaled into each head's rows by its own
+    ``output_scale`` — the very op a lone ``kernel(x, grid)`` ends with,
+    so sharing changes no bit.
+    """
+    first = members[0]
+    first.gp.kernel.fill(
+        x, first.state.scaled,
+        [step.state.v[step.k0:step.n] for step in members],
+        [step.gp.kernel.output_scale for step in members],
+    )
+
+
+def _sweep(steps: list[_Step], finish: Callable[[_Step, _Lane], object],
+           n_points: int) -> tuple[int, list]:
+    """Fill the steps' new rows, then run ``finish(step, lane)`` on each.
+
+    Two phases, each on two lanes when the sweep's new rows times
+    ``n_points`` cross :data:`_LANE_ELEMENTS` (:func:`_run`): first one
+    fill task per correlation group (:func:`_fill_group`), then one
+    ``finish`` per step.  A task writes only its own heads' rows and
+    state, and every BLAS call keeps the operands and shape it has
+    inline, so the lanes change no bit (docs/NUMERICS.md, "Two lanes").
+    Returns the kernel entries computed, for ``kernel_evals`` (a shared
+    block counts once), and ``finish``'s results in step order.
+    """
+    groups: dict[tuple, tuple[np.ndarray, list[_Step]]] = {}
+    rows = 0
+    for step in steps:
+        if step.k0 < step.n:
+            rows += step.n - step.k0
+            x = step.gp._posterior_state()[0][step.k0:step.n]
+            key = (step.gp.kernel.correlation_key(), x.tobytes())
+            groups.setdefault(key, (x, []))[1].append(step)
+    lane = _caller_lane()
+    if _two_lanes(rows * n_points):
+        _run([(x.shape[0] * len(members), partial(_fill_group, members, x))
+              for x, members in groups.values()], lane)
+        results = _run([((step.n - step.k0) * (step.n + 1),
+                         partial(finish, step)) for step in steps], lane)
+    else:
+        for x, members in groups.values():
+            _fill_group(members, x, lane)
+        results = [finish(step, lane) for step in steps]
+    evals = sum(x.shape[0] for x, _ in groups.values()) * n_points
+    return evals, results
 
 
 class SurrogateEngine:
@@ -368,10 +637,6 @@ class SurrogateEngine:
         self._cache: OrderedDict[bytes, tuple[np.ndarray, dict[str, _HeadState]]]
         self._cache = OrderedDict()
         self.stats = EngineStats()
-        # Scratch for the L21 v_old product of an extension and for one
-        # squared v row, kept across sweeps.
-        self._product = np.empty((0, grid.shape[0]))
-        self._square = np.empty(grid.shape[0])
 
     # -- introspection --------------------------------------------------
 
@@ -452,7 +717,7 @@ class SurrogateEngine:
         state = states.get(name)
         if state is None:
             state = _HeadState(
-                joint.shape[0], self._heads[name].kernel.diag(joint)
+                joint.shape[0], self._heads[name].kernel.output_scale
             )
             states[name] = state
         return state
@@ -466,15 +731,6 @@ class SurrogateEngine:
         if grid is None:
             grid = scaled[key] = kernel.scale(joint)
         return grid
-
-    def _scratch(self, rows: int) -> np.ndarray:
-        """A ``(rows, M)`` scratch block, grown by doubling."""
-        capacity = self._product.shape[0]
-        if rows > capacity:
-            self._product = np.empty(
-                (max(rows, 2 * capacity, 8), self._product.shape[1])
-            )
-        return self._product[:rows]
 
     def _begin(self, name: str, joint: np.ndarray,
                states: dict[str, _HeadState],
@@ -499,7 +755,7 @@ class SurrogateEngine:
         if state.factor_version != factor_version:
             # Cold cache, or the factor lineage broke (fit / eviction /
             # hyperparameter change): rebuild this entry exactly.
-            state.prior_var = gp.kernel.diag(joint)
+            state.prior_var = gp.kernel.output_scale
             state.scaled = self._scaled_grid(gp.kernel, joint, scaled)
             k0 = 0
             self.stats.rebuilds += 1
@@ -514,56 +770,33 @@ class SurrogateEngine:
         return _Step(gp, state, k0, n)
 
     @staticmethod
-    def _fill(steps: Iterable[_Step]) -> int:
-        """Write the kernel rows ``K(x[k0:n], grid)`` of every step's new rows.
+    def _finish(step: _Step, lane: _Lane) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the step's new rows and fold them into its moments.
 
-        Heads with one :meth:`~repro.core.kernels.Kernel.correlation_key`
-        whose new rows have byte-equal inputs get one correlation block,
-        scaled into each head's rows by its own ``output_scale`` — the
-        very op a lone ``kernel(x, grid)`` ends with, so sharing changes
-        no bit.  Returns the kernel entries computed, for
-        ``kernel_evals``; a shared block counts once.
+        Touches only the step's own head state (a lane task, see
+        :func:`_sweep`).
         """
-        groups: dict[tuple, list[tuple[_Step, np.ndarray]]] = {}
-        for step in steps:
-            x = step.gp._posterior_state()[0][step.k0:step.n]
-            key = (step.gp.kernel.correlation_key(), x.tobytes())
-            groups.setdefault(key, []).append((step, x))
-        evals = 0
-        for members in groups.values():
-            first, x = members[0]
-            first.gp.kernel.fill(
-                x, first.state.scaled,
-                [step.state.v[step.k0:step.n] for step, _ in members],
-                [step.gp.kernel.output_scale for step, _ in members],
-            )
-            evals += x.shape[0] * first.state.v.shape[1]
-        return evals
-
-    def _finish(self, step: _Step,
-                joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the step's new rows and fold them into its moments."""
         gp, state, k0, n = step
+        m = state.v.shape[1]
         x, chol, w, factor_version = gp._posterior_state()
         if x is None:
             if state.factor_version != factor_version:
                 # Covers a kernel/noise swap while the head is empty.
-                state.prior_var = gp.kernel.diag(joint)
+                state.prior_var = gp.kernel.output_scale
                 state.factor_version = factor_version
             state.n = 0
             state.row_ends = []
-            mean = np.full(joint.shape[0], gp.prior_mean)
-            return mean, state.prior_var.copy()
+            return np.full(m, gp.prior_mean), np.full(m, state.prior_var)
 
         rebuild = state.factor_version != factor_version
         stale_mean = rebuild or state.mean_prior != gp.prior_mean
         if k0 < n:
-            new = state.solve(chol, k0, n, self._scratch)
+            new = state.solve(chol, k0, n, lane)
             if rebuild:
-                state.sumsq = np.zeros(joint.shape[0])
+                state.sumsq = np.zeros(m)
                 state.factor_version = factor_version
             # Row by row, in the order np.sum(v**2, axis=0) adds them.
-            square = self._square
+            square = lane.scratch(1, m)[0]
             for row in new:
                 np.square(row, out=square)
                 state.sumsq += square
@@ -610,12 +843,13 @@ class SurrogateEngine:
             scaled: dict[tuple, ScaledPoints] = {}
             steps = {name: self._begin(name, joint, states, scaled)
                      for name in dict.fromkeys(names)}
-            self.stats.kernel_evals += self._fill(
-                [step for step in steps.values() if step.k0 < step.n])
+            evals, moments = _sweep(list(steps.values()), self._finish,
+                                    joint.shape[0])
             means = {}
             variances = {}
-            for name, step in steps.items():
-                means[name], variances[name] = self._finish(step, joint)
+            for name, (mean, variance) in zip(steps, moments):
+                means[name], variances[name] = mean, variance
+            self.stats.kernel_evals += evals
             self.stats.queries += 1
             self.stats.head_queries += len(names)
             self.stats.wall_time_s += time.perf_counter() - started

@@ -27,8 +27,8 @@ The contract of this module, asserted by ``tests/test_state.py``:
   are *replayed*, not stored: the snapshot carries each entry's
   extension schedule, and the restore repeats the same rebuild and
   extension calls, with the same shapes, against the restored factor.
-  Replay is bit-identical on the same BLAS build and thread count —
-  which replaying periods after a restore already needs;
+  Replay is bit-identical on the same BLAS build and BLAS thread
+  count — which replaying periods after a restore already needs;
 * the safe set itself needs no dedicated state: eq. 8 is a pure
   function of the delay/mAP surrogates and the constraints, both of
   which are snapshotted.
@@ -63,7 +63,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.posterior import _Step
+from repro.core.posterior import _Step, _sweep
 from repro.ran.channel import GaussMarkovChannel, SnrTrace
 from repro.testbed.config import CostWeights, ServiceConstraints
 
@@ -343,26 +343,30 @@ def _replay(engine, heads: list[tuple]) -> None:
     """Rebuild the ``v`` rows of one entry's heads by repeating their builds.
 
     ``heads`` holds ``(head_state, gp, row_ends)`` triples.  Block ``i``
-    of every schedule is filled and solved as the live sweep did: heads
-    of one correlation key whose block has byte-equal inputs share one
-    kernel fill (:meth:`SurrogateEngine._fill`), and each head's solve
-    repeats the live call's shapes against the restored factor, whose
-    leading blocks are the factors the live calls saw.  Each buffer is
-    reserved once, for the final row count, so no replayed block
-    regrows it.  The replay's kernel entries are not counted in the
-    engine's stats.
+    of every schedule is filled and solved as the live sweep did, through
+    the same two-phase helper (:func:`~repro.core.posterior._sweep`):
+    heads of one correlation key whose block has byte-equal inputs share
+    one kernel fill, and each head's solve repeats the live call's
+    shapes against the restored factor, whose leading blocks are the
+    factors the live calls saw.  Each buffer is reserved once, for the
+    final row count, so no replayed block regrows it.  The replay's
+    kernel entries are not counted in the engine's stats.
     """
     for head_state, _, row_ends in heads:
         head_state.rows(0, row_ends[-1])
+    n_points = heads[0][0].v.shape[1]
     for block in range(max(len(row_ends) for _, _, row_ends in heads)):
         steps = [
             _Step(gp, head_state, row_ends[block - 1] if block else 0,
                   row_ends[block])
             for head_state, gp, row_ends in heads if block < len(row_ends)
         ]
-        engine._fill(steps)
-        for step in steps:
-            step.state.solve(step.gp._chol, step.k0, step.n, engine._scratch)
+        _sweep(steps, _solve_step, n_points)
+
+
+def _solve_step(step: _Step, lane) -> None:
+    """Solve one replayed block of one head (a lane task of :func:`_replay`)."""
+    step.state.solve(step.gp._chol, step.k0, step.n, lane)
 
 
 def restore_engine_state(engine, state: dict) -> None:
@@ -380,7 +384,7 @@ def restore_engine_state(engine, state: dict) -> None:
     moments and stamp are restored as they are, without ``v`` rows.
 
     Replay repeats the live sweep's BLAS calls with the same shapes, so
-    it needs the same BLAS build and thread count as the live run — as
+    it needs the same BLAS build and BLAS thread count as the live run — as
     replaying periods after a restore already does.  Raises
     :class:`SnapshotError` on a head unknown to the engine or a
     malformed schedule.

@@ -11,7 +11,9 @@ into independent cells and executes them:
   nest under the caller's trace as ``sweep.cell``); ``jobs > 1``
   dispatches cells to a :class:`concurrent.futures.ProcessPoolExecutor`
   by spec *name* — workers re-import the registry, so only plain data
-  crosses the process boundary;
+  crosses the process boundary, and sweep their posteriors on one lane
+  (:func:`repro.core.posterior.keep_one_lane`), so process and lane
+  parallelism do not stack;
 * **cell keys** — every cell is identified by its canonical
   configuration hash (spec + params + seed node + fault plan +
   numerics + code fingerprint, see :func:`repro.store.key.cell_key`);
@@ -57,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.numerics import active_numerics
+from repro.core.posterior import keep_one_lane
 from repro.experiments import spec as registry
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import runtime as faults
@@ -728,7 +731,8 @@ def _run_pool(spec, pending, results, writer, plan_dict, collect_telemetry,
     waited on) and the cell is resubmitted — the stuck worker frees
     itself when its cell body eventually returns.
     """
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
+                             initializer=keep_one_lane) as pool:
 
         def submit(cell: SweepCell, attempt: int) -> None:
             """Submit one cell attempt and start its deadline clock."""

@@ -80,12 +80,13 @@ def run_agent(
     ``"direct"`` (default) applies decisions inline, ``"async"`` routes
     every decision and KPI through the O-RAN plane on the event loop
     as a one-cell :class:`~repro.oran.runtime.FleetRuntime` (no load
-    model, no supervisor): the fleet supplies each period's enforced
-    policy, merged observation and cost, and this loop keeps the log,
-    the tracer and the spans.  Async rows and decision traces are
-    pinned by committed digests (the determinism contract of
-    ``docs/CONTROL_PLANE.md``); they differ from ``direct`` only by
-    MCS quantisation through the A1 radio policy.  Constraint
+    model, no supervisor): the fleet runs each period and logs its row
+    in the cell's log, which is the log returned (with ``-1`` safe-set
+    sizes unless ``track_safe_set``); this loop keeps the tracer and
+    the spans, and closes the fleet's bus at the end.  Async rows and
+    decision traces are pinned by committed digests (the determinism
+    contract of ``docs/CONTROL_PLANE.md``); they differ from ``direct``
+    only by MCS quantisation through the A1 radio policy.  Constraint
     schedules require the direct plane.
 
     With telemetry enabled (:func:`repro.telemetry.record`), the run is
@@ -113,7 +114,8 @@ def run_agent(
         from repro.oran.runtime import FleetRuntime
 
         fleet = FleetRuntime([(env, agent)])
-    log = RunLog()
+    # The fleet's cell logs every period itself: one log, not two.
+    log = RunLog() if fleet is None else fleet.cells[0].log
     active = schedule.initial if schedule is not None else getattr(
         agent, "constraints", ServiceConstraints()
     )
@@ -132,16 +134,14 @@ def run_agent(
                         if new_constraints != active:
                             agent.set_constraints(new_constraints)
                             active = new_constraints
+                    if fleet is not None:
+                        fleet.cell_period(fleet.cells[0], t)
+                        continue
                     snr = float(np.mean(env.current_snrs_db))
-                    if fleet is None:
-                        context = env.observe_context()
-                        policy = agent.select(context)
-                        observation = env.step(policy)
-                        cost = agent.observe(context, policy, observation)
-                    else:
-                        policy, observation, cost = fleet.cell_period(
-                            fleet.cells[0], t
-                        )
+                    context = env.observe_context()
+                    policy = agent.select(context)
+                    observation = env.step(policy)
+                    cost = agent.observe(context, policy, observation)
                     safe_size = (
                         getattr(agent, "last_safe_set_size", None)
                         if track_safe_set else None
@@ -155,12 +155,16 @@ def run_agent(
                         d_max_s=active.d_max_s,
                         rho_min=active.rho_min,
                     )
+        if fleet is not None:
+            # The last period's alert publish is still in flight.
+            fleet.bus.drain()
     finally:
         if tracer is not None:
             agent.attach_tracer(None)
-    if fleet is not None:
-        # The last period's alert publish is still in flight.
-        fleet.bus.drain()
+        if fleet is not None:
+            fleet.bus.close()
+    if fleet is not None and not track_safe_set:
+        log.safe_set_size = [-1] * len(log)
     if tracer is not None:
         log.decisions = tracer.summary()
     engine = getattr(agent, "engine", None)

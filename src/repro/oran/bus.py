@@ -246,6 +246,7 @@ class AsyncMessageBus:
         )
         self._bus_faults = faults.make_injector("bus")
         self._delayed: dict[str, list[list]] = defaultdict(list)
+        self._closed = False
 
     # -- configuration ---------------------------------------------------
 
@@ -274,6 +275,8 @@ class AsyncMessageBus:
             raise ValueError("topic must be non-empty")
         if not callable(handler):
             raise TypeError("handler must be callable")
+        if self._closed:
+            raise RuntimeError("the bus is closed")
         topic_capacity, topic_policy = self._topic_config.get(topic, (None, None))
         capacity = capacity if capacity is not None else topic_capacity
         policy = policy if policy is not None else topic_policy
@@ -318,6 +321,8 @@ class AsyncMessageBus:
         """
         if not topic:
             raise ValueError("topic must be non-empty")
+        if self._closed:
+            raise RuntimeError("the bus is closed")
         if self._bus_faults is not None:
             spec = self._bus_faults.bus_decision(topic)
             if spec is not None and spec.mode == "loss":
@@ -405,6 +410,23 @@ class AsyncMessageBus:
                 await result
 
     # -- synchronisation & inspection ------------------------------------
+
+    def close(self) -> None:
+        """Close every consumer coroutine; the bus takes no more traffic.
+
+        Consumers park on their empty mailboxes for good, so without a
+        close they are finalised by the garbage collector, in whatever
+        order it picks — a coroutine finalised before its task reports
+        "never awaited".  Call it once the bus is drained for the last
+        time; publishing or subscribing afterwards raises
+        ``RuntimeError``.  History and mailbox counters stay readable.
+        Closing twice is a no-op.
+        """
+        self._closed = True
+        for subscribers in self._subscribers.values():
+            for subscriber in subscribers:
+                subscriber.closed = True
+                subscriber.task.close()
 
     def drain(self) -> int:
         """Run the loop until quiescent; returns task steps executed.

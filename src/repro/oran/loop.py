@@ -147,12 +147,24 @@ class Task:
         """Await the task's completion; yields its return value."""
         return self._completion.__await__()
 
+    def close(self) -> None:
+        """Close the task's coroutine and mark the task done.
+
+        For long-lived service tasks (bus consumers parked on empty
+        mailboxes), which never complete on their own.  A closed task
+        still waiting on the ready queue is skipped.
+        """
+        if not self.done:
+            self.done = True
+            self.coro.close()
+
     def __del__(self):
         """Close an unfinished coroutine quietly at collection time.
 
-        Long-lived service tasks (bus consumers parked on empty
-        mailboxes) never complete; without the close, dropping the loop
-        emits "coroutine was never awaited" warnings from the GC.
+        Only a safety net: when the garbage collector finalises the
+        coroutine before its task, the coroutine still warns that it
+        was never awaited, so owners close their service tasks
+        themselves (:meth:`close`).
         """
         if not self.done:
             try:
@@ -223,6 +235,8 @@ class VirtualTimeLoop:
 
     def _step(self, task: Task, value) -> None:
         """Advance one task by one suspension point."""
+        if task.done:  # closed while it was ready
+            return
         self.steps += 1
         saved = spans.set_context(task._context)
         self._current = task

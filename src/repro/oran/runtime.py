@@ -409,10 +409,9 @@ class FleetRuntime:
         shared runtime) and the work is counted as ``replayed`` rather
         than ``decisions``.
 
-        Returns ``(enforced, merged, cost)``: the policy the O-eNB
-        enforced, the observation the agent learned from and its cost.
-        A fresh period's alert publish is still in flight; the caller
-        drains the bus after its last period.
+        The period's row goes to ``cell.log``.  A fresh period's alert
+        publish is still in flight; the caller drains the bus after its
+        last period.
         """
         snr = float(np.mean(cell.env.current_snrs_db))
         context = cell.env.observe_context()
@@ -447,7 +446,6 @@ class FleetRuntime:
         else:
             self.replayed += 1
         cell._stage = ()
-        return enforced, merged, cost
 
     def _shed_period(self, cell: FleetCell, t: int) -> None:
         """One circuit-breaker-shed period: S0 degraded service, no bus.
@@ -606,7 +604,9 @@ class FleetRuntime:
         With a decision sink installed (:func:`repro.obs.use`), every
         cell's agent is traced for the run with the cell id as the
         record's ``agent`` label, so one sink collects the whole
-        fleet's decision stream.
+        fleet's decision stream.  The run closes the fleet's bus
+        (:meth:`~repro.oran.bus.AsyncMessageBus.close`): a runtime runs
+        once.
         """
         if n_periods < 0:
             raise ValueError(f"n_periods must be non-negative, got {n_periods}")
@@ -626,14 +626,16 @@ class FleetRuntime:
             for t in range(n_periods):
                 self.run_period(t)
             self.supervisor.finish(n_periods)
+            wall_s = time.perf_counter() - started
+            for cell in self.cells:
+                # Ship any partially filled indication batches.
+                cell.e2_node.flush()
+            self.bus.drain()
         finally:
             for cell, _tracer in tracers:
                 cell.agent.attach_tracer(None)
-        wall_s = time.perf_counter() - started
-        for cell in self.cells:
-            # Ship any partially filled indication batches.
-            cell.e2_node.flush()
-        self.bus.drain()
+            # The run is the fleet's whole life: its bus is done.
+            self.bus.close()
         partial = self.supervisor.partial_cells(n_periods)
         for cell in self.cells:
             rows = len(cell.log)

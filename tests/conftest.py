@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import posterior
+from repro.oran.bus import AsyncMessageBus
 from repro.testbed.config import (
     ControlPolicy,
     CostWeights,
@@ -48,3 +50,41 @@ def unit_weights() -> CostWeights:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def new_bus():
+    """Make :class:`AsyncMessageBus` instances, closed at teardown."""
+    buses = []
+
+    def make(**kwargs) -> AsyncMessageBus:
+        bus = AsyncMessageBus(**kwargs)
+        buses.append(bus)
+        return bus
+
+    yield make
+    for bus in buses:
+        bus.close()
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Every posterior sweep runs on two lanes, whatever its size.
+
+    Yields the list of jobs handed to the worker lane (each a list of
+    ``(index, task)`` pairs); the worker thread is stopped at teardown.
+    """
+    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 0)
+    monkeypatch.setattr(posterior, "_cpus", lambda: 2)
+    jobs = []
+    submit = posterior._Worker.submit
+
+    def recorded(self, tasks, results):
+        jobs.append(tasks)
+        return submit(self, tasks, results)
+
+    monkeypatch.setattr(posterior._Worker, "submit", recorded)
+    yield jobs
+    if posterior._worker is not None:
+        posterior._worker.stop()
+        posterior._worker = None

@@ -12,6 +12,9 @@ publish/consume pipeline, and the two property-based invariants of
   blocked_waiting``).
 """
 
+import gc
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,8 +204,8 @@ class TestMailbox:
 
 
 class TestAsyncMessageBus:
-    def test_publish_subscribe_via_drain(self):
-        bus = AsyncMessageBus()
+    def test_publish_subscribe_via_drain(self, new_bus):
+        bus = new_bus()
         seen = []
         bus.subscribe("t", seen.append)
         post(bus, "t", "hello")
@@ -211,8 +214,8 @@ class TestAsyncMessageBus:
         assert seen == ["hello"]
         assert bus.history("t") == ["hello"]
 
-    def test_multiple_subscribers_fan_out_per_mailbox_order(self):
-        bus = AsyncMessageBus()
+    def test_multiple_subscribers_fan_out_per_mailbox_order(self, new_bus):
+        bus = new_bus()
         log = []
         bus.subscribe("t", lambda m: log.append(("a", m)))
         bus.subscribe("t", lambda m: log.append(("b", m)))
@@ -227,8 +230,8 @@ class TestAsyncMessageBus:
         assert [m for tag, m in log if tag == "b"] == [1, 2]
         assert len(log) == 4
 
-    def test_unsubscribe_stops_delivery(self):
-        bus = AsyncMessageBus()
+    def test_unsubscribe_stops_delivery(self, new_bus):
+        bus = new_bus()
         seen = []
         bus.subscribe("t", seen.append)
         bus.unsubscribe("t", seen.append)
@@ -236,8 +239,8 @@ class TestAsyncMessageBus:
         bus.drain()
         assert seen == []
 
-    def test_async_handlers_are_awaited(self):
-        bus = AsyncMessageBus()
+    def test_async_handlers_are_awaited(self, new_bus):
+        bus = new_bus()
         seen = []
 
         async def handler(message):
@@ -249,16 +252,16 @@ class TestAsyncMessageBus:
         bus.drain()
         assert seen == ["x"]
 
-    def test_topic_configuration_applies_to_new_subscriptions(self):
-        bus = AsyncMessageBus()
+    def test_topic_configuration_applies_to_new_subscriptions(self, new_bus):
+        bus = new_bus()
         bus.configure_topic("kpi", capacity=1, policy="coalesce")
         seen = []
         bus.subscribe("kpi", seen.append)
         stats = bus.mailbox_stats()["kpi"][0]
         assert stats["capacity"] == 1 and stats["policy"] == "coalesce"
 
-    def test_mailbox_stats_for_one_topic(self):
-        bus = AsyncMessageBus()
+    def test_mailbox_stats_for_one_topic(self, new_bus):
+        bus = new_bus()
         bus.subscribe("a", lambda message: None)
         bus.subscribe("b", lambda message: None)
         bus.subscribe("b", lambda message: None)
@@ -269,8 +272,30 @@ class TestAsyncMessageBus:
         assert bus.mailbox_stats("unknown") == {}
         assert "unknown" not in bus.mailbox_stats()  # no entry created
 
-    def test_handler_exception_fails_fast_at_drain(self):
+    def test_close_ends_consumers_and_refuses_traffic(self):
         bus = AsyncMessageBus()
+        seen = []
+        bus.subscribe("t", seen.append)
+        post(bus, "t", "x")
+        bus.drain()
+        bus.subscribe("u", seen.append)  # its consumer never started
+        bus.close()
+        bus.close()  # a no-op
+        assert bus.history("t") == ["x"]
+        assert bus.mailbox_stats("t")["t"][0]["delivered"] == 1
+        with pytest.raises(RuntimeError, match="closed"):
+            bus.subscribe("t", seen.append)
+        with pytest.raises(RuntimeError, match="closed"):
+            bus.loop.run_until_complete(bus.publish("t", "y"))
+        assert bus.drain() == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del bus
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_handler_exception_fails_fast_at_drain(self, new_bus):
+        bus = new_bus()
 
         def handler(message):
             raise ValueError("boom")
@@ -382,6 +407,7 @@ def test_bus_counters_reconcile_with_published(policy, capacity, n_messages,
     for i in range(n_messages):
         post(bus, "e2.indication", i)
     bus.drain()
+    bus.close()  # history and counters stay readable
 
     history = bus.history("e2.indication")
     assert len(history) == n_messages
@@ -411,10 +437,10 @@ class TestE2Batching:
         with pytest.raises(ValueError, match="must not be empty"):
             E2IndicationBatch(node_id="enb", indications=(), period=0)
 
-    def test_batching_flushes_at_size_and_on_demand(self):
+    def test_batching_flushes_at_size_and_on_demand(self, new_bus):
         from repro.oran.e2 import E2Node, E2Termination
 
-        bus = AsyncMessageBus()
+        bus = new_bus()
         term = E2Termination(bus)
         node = E2Node(node_id="enb", bus=bus, batch_size=3)
         bus.drain()

@@ -8,14 +8,25 @@ the retained data) parametrised over the direct and the engine path;
 cache/invalidation behaviour; and the batch/stat APIs.
 """
 
+import gc
+import multiprocessing
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
-from repro.core import posterior
+from repro.core import posterior, state
+from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.posterior import PosteriorBatch, SurrogateEngine, _solve_rows
+from repro.experiments.runner import run_agent
+from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
+from repro.testbed.scenarios import static_scenario
 
 CONTEXT_DIM = 3
 CONTROL_DIM = 4
@@ -675,3 +686,295 @@ class TestRowSolve:
             rows[-1, 7] = value
         with pytest.raises(ValueError, match="infs or NaNs"):
             _solve_rows(chol, rows)
+
+    @pytest.mark.parametrize("bad", ["fortran-rows", "float32-rows",
+                                     "short-factor"])
+    def test_blocks_blas_cannot_take_are_rejected(self, bad):
+        """Checked before any pointer reaches BLAS."""
+        chol, rows = lower_factor(4)
+        if bad == "fortran-rows":
+            rows = np.asfortranarray(rows)
+        elif bad == "float32-rows":
+            rows = rows.astype(np.float32)
+        else:
+            chol = chol[:3, :3]
+        with pytest.raises(ValueError):
+            _solve_rows(chol, rows)
+
+    @pytest.mark.parametrize("k", [2, 30])
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_same_bits_as_the_scipy_wrapper(self, k, fortran):
+        """The GIL-free call is the routine scipy's ``dtrsm`` wraps."""
+        chol, rows = lower_factor(k)
+        want = rows.copy()
+        dtrsm(1.0, chol, want.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        got = rows.copy()
+        _solve_rows(strided(chol, fortran), got)
+        assert got.tobytes() == want.tobytes()
+
+
+# -- two lanes -------------------------------------------------------------
+
+
+def lane_heads(kind):
+    """Head sets whose sweeps split differently over the two lanes.
+
+    ``edgebol``: two correlation groups (cost + delay, map); ``shared``:
+    the ``BENCH_posterior`` heads, one three-way group; ``decoupled``:
+    the four heads EdgeBOL's decoupled-power mode sweeps (delay and the
+    two power heads share one group) plus an ``idle`` head that never
+    sees data.
+    """
+    shared = np.full(CONTEXT_DIM + CONTROL_DIM, 0.7)
+    other = np.full(CONTEXT_DIM + CONTROL_DIM, 0.9)
+
+    def gp(scale, lengthscales=shared, noise=0.01, prior_mean=0.0):
+        return GaussianProcess(Matern(lengthscales, output_scale=scale),
+                               noise_variance=noise, prior_mean=prior_mean)
+
+    if kind == "edgebol":
+        return {"cost": gp(4.0), "delay": gp(0.02, prior_mean=0.8),
+                "map": gp(0.02, other)}
+    if kind == "shared":
+        return {"cost": gp(60.0**2, noise=4.0),
+                "delay": gp(0.15**2, noise=4e-4, prior_mean=0.8),
+                "map": gp(0.15**2, noise=4e-4)}
+    return {"delay": gp(0.02, prior_mean=0.8), "map": gp(0.02, other),
+            "server_power": gp(1600.0, noise=6.0), "bs_power": gp(2.25),
+            "idle": gp(1.0)}
+
+
+def play_sweeps(kind, n_points=60, scale=1):
+    """Every kind of sweep on one engine; returns all the bytes it left.
+
+    Rebuild, 1- and 3-row extensions, a cache hit, a context return,
+    prior-mean changes with and without new rows, a rebuild after a
+    refit and a subset sweep: each sweep's moments and ``v`` rows, then
+    the engine's stats (bar wall time) and its snapshot.  ``scale``
+    multiplies every block's rows: with a few thousand grid points and
+    ``scale=4`` the lanes' BLAS calls run long enough to overlap.
+    """
+    rng = np.random.default_rng(60)
+    grid = make_grid(rng, n_points)
+    heads = lane_heads(kind)
+    fed = {name: gp for name, gp in heads.items() if name != "idle"}
+    engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+    home, away = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+    trace = []
+
+    def sweep(context, names=None):
+        batch = engine.posterior(context, heads=names)
+        for name in batch.heads:
+            trace.append(batch.mean(name).tobytes())
+            trace.append(batch.variance(name).tobytes())
+        for head in engine._cache[context.tobytes()][1].values():
+            trace.append(head.v[:head.n].tobytes())
+
+    feed(fed, home, rng, 6 * scale)
+    sweep(home)  # rebuild
+    feed(fed, home, rng, 1)
+    sweep(home)
+    feed(fed, home, rng, 3 * scale)
+    sweep(home)
+    sweep(home)  # cache hit
+    for _ in range(3):
+        feed(fed, away, rng, 2 * scale)
+        sweep(away)
+    sweep(home)  # context return: 6 blocks' rows at once
+    heads["delay"].set_prior_mean(0.7)
+    feed(fed, home, rng, 2 * scale)
+    sweep(home)
+    heads["map"].set_prior_mean(0.1)
+    sweep(home)  # a stale mean, no new rows
+    for gp in fed.values():
+        gp.fit(gp.inputs, gp.targets)
+    sweep(home)  # rebuild after a refit
+    feed(fed, home, rng, 2)
+    sweep(home, names=("map", "delay"))
+    stats = engine.stats.snapshot()
+    del stats["wall_time_s"]
+    trace.append(repr(stats).encode())
+    trace.append(state.encode_snapshot(state.engine_state(engine)))
+    return trace
+
+
+def inline_then_two_lanes(monkeypatch, jobs, play):
+    """``play()`` inline, then on two lanes; returns both results."""
+    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 1 << 62)
+    inline = play()
+    assert not jobs
+    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 0)
+    lanes = play()
+    assert jobs, "no task ran on the worker lane"
+    return inline, lanes
+
+
+class TestTwoLanes:
+    @pytest.mark.parametrize("kind, n_points, scale", [
+        ("edgebol", 60, 1), ("shared", 60, 1), ("decoupled", 60, 1),
+        ("edgebol", 4000, 4),  # long enough for the lanes to overlap
+    ])
+    def test_every_sweep_is_byte_equal_to_inline(self, kind, n_points, scale,
+                                                 monkeypatch, two_lanes):
+        inline, lanes = inline_then_two_lanes(
+            monkeypatch, two_lanes,
+            lambda: play_sweeps(kind, n_points, scale))
+        assert len(lanes) == len(inline)
+        for got, want in zip(lanes, inline):
+            assert got == want
+
+    def test_edgebol_decoupled_power_run_is_byte_equal(self, monkeypatch,
+                                                       two_lanes):
+        """Four heads and an agent's whole loop, through the engine."""
+        testbed = TestbedConfig(n_levels=3)
+
+        def run():
+            env = static_scenario(n_users=1, rng=3, config=testbed)
+            agent = EdgeBOL(testbed.control_grid(), ServiceConstraints(),
+                            CostWeights(1.0, 1.0),
+                            config=EdgeBOLConfig(decoupled_power_gps=True))
+            log = run_agent(env, agent, 12)
+            return log.as_rows(), agent.engine.stats.snapshot()["rebuilds"]
+
+        inline, lanes = inline_then_two_lanes(monkeypatch, two_lanes, run)
+        assert lanes == inline
+
+    def test_callers_on_three_threads_share_the_worker(self, monkeypatch,
+                                                       two_lanes):
+        """Three threads sweep their own engines through the one worker,
+        with the interpreter switching threads as often as it can."""
+        inline, _ = inline_then_two_lanes(
+            monkeypatch, two_lanes, lambda: play_sweeps("edgebol", 2000, 4))
+        traces = [None] * 3
+
+        def play(index):
+            traces[index] = play_sweeps("edgebol", 2000, 4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=play, args=(index,))
+                       for index in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(trace == inline for trace in traces)
+
+    def test_tasks_go_largest_first_to_the_idler_lane(self, two_lanes):
+        ran = []
+
+        def task(name):
+            return lambda lane: ran.append(name) or name
+
+        sizes = {"a": 1, "b": 5, "c": 3, "d": 3}
+        results = posterior._run(
+            [(size, task(name)) for name, size in sizes.items()],
+            posterior._Lane())
+        assert results == ["a", "b", "c", "d"]  # in task order
+        # b to the caller, c and d to the worker (loads 5 vs 3, then
+        # 5 vs 6), a to the caller.
+        assert [[index for index, _ in job] for job in two_lanes] == [[2, 3]]
+        assert sorted(ran) == ["a", "b", "c", "d"]
+
+    def test_a_worker_lane_error_surfaces_and_the_next_sweep_recovers(
+            self, two_lanes):
+        rng = np.random.default_rng(61)
+        grid = make_grid(rng)
+        heads = lane_heads("edgebol")
+        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        home = rng.random(CONTEXT_DIM)
+        feed(heads, home, rng, 5)
+        engine.posterior(home)
+        feed(heads, home, rng, 3)
+        # Equal sizes: cost to the caller, delay to the worker, map to
+        # the caller (tied loads go to the caller).
+        gp = heads["delay"]
+        n = gp.n_observations
+        saved = gp._chol[n - 1, n - 2]
+        gp._chol[n - 1, n - 2] = np.nan
+        two_lanes.clear()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            engine.posterior(home)
+        worker_gps = {task.args[0].gp for job in two_lanes for _, task in job
+                      if task.func == SurrogateEngine._finish}
+        assert worker_gps == {gp}
+        gp._chol[n - 1, n - 2] = saved
+        assert_matches_direct(engine, heads, home)
+
+    def test_the_worker_keeps_nothing_of_a_finished_sweep(self, two_lanes):
+        rng = np.random.default_rng(64)
+        heads = lane_heads("edgebol")
+        engine = SurrogateEngine(heads, make_grid(rng),
+                                 context_dim=CONTEXT_DIM)
+        home = rng.random(CONTEXT_DIM)
+        feed(heads, home, rng, 4)
+        engine.posterior(home)
+        assert two_lanes
+        two_lanes.clear()  # the fixture's record of the tasks
+        gps = [weakref.ref(gp) for gp in heads.values()]
+        del engine, heads
+        gc.collect()
+        assert all(ref() is None for ref in gps)
+
+    def test_lane_scratch_grows_to_the_largest_block_only(self):
+        lane = posterior._Lane()
+        first = lane.scratch(3, 10)
+        assert first.shape == (3, 10) and first.flags.c_contiguous
+        assert lane.scratch(2, 15).base is first.base  # 30 elements fit
+        assert lane.scratch(5, 10).base.size == 50  # grown, not doubled
+
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_sweeps_after_the_parent_used_the_worker(
+            self, two_lanes):
+        rng = np.random.default_rng(62)
+        grid = make_grid(rng)
+        heads = lane_heads("edgebol")
+        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        home, away = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+        feed(heads, home, rng, 5)
+        engine.posterior(home)
+        assert two_lanes and posterior._worker is not None
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def child():
+            batch = engine.posterior(away)
+            sender.send([batch.mean(name).tobytes() for name in heads])
+
+        process = context.Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+            pytest.fail("the forked child hung in its sweep")
+        assert process.exitcode == 0
+        batch = engine.posterior(away)
+        assert receiver.recv() == [batch.mean(name).tobytes()
+                                   for name in heads]
+
+
+def test_fleet_sized_sweeps_stay_inline(monkeypatch):
+    """The fleet's 625-point grid over a 100-period episode never
+    reaches the worker: a cold three-head rebuild of all 100 rows is
+    below the threshold, whatever the CPUs."""
+    monkeypatch.setattr(posterior, "_cpus", lambda: 2)
+    submitted = []
+    monkeypatch.setattr(posterior._Worker, "submit",
+                        lambda self, tasks, results: submitted.append(tasks))
+    testbed = TestbedConfig(n_levels=5)
+    grid = testbed.control_grid()
+    assert 3 * 100 * grid.shape[0] < posterior._LANE_ELEMENTS
+    rng = np.random.default_rng(63)
+    heads = lane_heads("edgebol")
+    engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+    home, away = rng.random(CONTEXT_DIM), rng.random(CONTEXT_DIM)
+    feed(heads, away, rng, 100)
+    engine.posterior(home)  # cold rebuild of 100 rows per head
+    feed(heads, home, rng, 1)
+    engine.posterior(home)
+    assert not submitted

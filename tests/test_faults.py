@@ -20,7 +20,7 @@ from repro.faults import (
     uninstall,
     use,
 )
-from repro.oran.bus import AsyncMessageBus, post
+from repro.oran.bus import post
 from repro.testbed.config import ControlPolicy, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
@@ -263,12 +263,12 @@ def _publish(bus, topic, message):
     return task.result
 
 
-def test_bus_loss_drops_messages_deterministically():
+def test_bus_loss_drops_messages_deterministically(new_bus):
     plan = FaultPlan(specs=(
         FaultSpec(kind="bus", mode="loss", target="e2.control", at=(1,)),
     ))
     with use(plan):
-        bus = AsyncMessageBus()
+        bus = new_bus()
         seen = []
         bus.subscribe("e2.control", seen.append)
         assert _publish(bus, "e2.control", "m0") == 1
@@ -280,13 +280,13 @@ def test_bus_loss_drops_messages_deterministically():
         assert _publish(bus, "o1", "x") == 0 and bus.history("o1") == ["x"]
 
 
-def test_bus_delay_reorders_but_eventually_delivers():
+def test_bus_delay_reorders_but_eventually_delivers(new_bus):
     plan = FaultPlan(specs=(
         FaultSpec(kind="bus", mode="delay", target="a1", at=(0,),
                   magnitude=2.0),
     ))
     with use(plan):
-        bus = AsyncMessageBus()
+        bus = new_bus()
         seen = []
         bus.subscribe("a1", seen.append)
         assert _publish(bus, "a1", "held") == 0  # held for 2 publishes

@@ -302,10 +302,8 @@ class TestAlerts:
         critical = [a for a in fired if a.severity == "critical"]
         assert len(critical) == len(fired) - names.count("delay_violation")
 
-    def test_alerts_route_to_bus_topic(self):
-        from repro.oran import AsyncMessageBus
-
-        bus = AsyncMessageBus()
+    def test_alerts_route_to_bus_topic(self, new_bus):
+        bus = new_bus()
         seen = []
         bus.subscribe("smo.alerts", seen.append)
         router = AlertRouter(default_rules(), bus=bus)

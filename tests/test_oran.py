@@ -15,7 +15,6 @@ from repro.oran import (
     A1PolicyRequest,
     A1PolicyService,
     A1Termination,
-    AsyncMessageBus,
     E2Node,
     E2Termination,
     FleetRuntime,
@@ -43,16 +42,16 @@ from repro.testbed.scenarios import static_scenario
 class TestMessageBus:
     """The topic surface of :class:`AsyncMessageBus`."""
 
-    def test_publish_subscribe(self):
-        bus = AsyncMessageBus()
+    def test_publish_subscribe(self, new_bus):
+        bus = new_bus()
         received = []
         bus.subscribe("topic", received.append)
         task = post(bus, "topic", "hello")
         bus.drain()
         assert task.result == 1 and received == ["hello"]
 
-    def test_multiple_subscribers_in_order(self):
-        bus = AsyncMessageBus()
+    def test_multiple_subscribers_in_order(self, new_bus):
+        bus = new_bus()
         log = []
         bus.subscribe("t", lambda m: log.append(("a", m)))
         bus.subscribe("t", lambda m: log.append(("b", m)))
@@ -60,8 +59,8 @@ class TestMessageBus:
         bus.drain()
         assert log == [("a", 1), ("b", 1)]
 
-    def test_unsubscribe(self):
-        bus = AsyncMessageBus()
+    def test_unsubscribe(self, new_bus):
+        bus = new_bus()
         received = []
         bus.subscribe("t", received.append)
         bus.unsubscribe("t", received.append)
@@ -69,23 +68,23 @@ class TestMessageBus:
         bus.drain()
         assert received == []
 
-    def test_history_bounded(self):
-        bus = AsyncMessageBus(history_limit=3)
+    def test_history_bounded(self, new_bus):
+        bus = new_bus(history_limit=3)
         for i in range(10):
             post(bus, "t", i)
         bus.drain()
         assert bus.history("t") == [7, 8, 9]
 
-    def test_empty_topic_rejected(self):
-        bus = AsyncMessageBus()
+    def test_empty_topic_rejected(self, new_bus):
+        bus = new_bus()
         post(bus, "", 1)
         with pytest.raises(ValueError, match="topic"):
             bus.drain()
         with pytest.raises(ValueError, match="topic"):
             bus.subscribe("", lambda m: None)
 
-    def test_topics_listing(self):
-        bus = AsyncMessageBus()
+    def test_topics_listing(self, new_bus):
+        bus = new_bus()
         post(bus, "a", 1)
         bus.subscribe("b", lambda m: None)
         bus.drain()
@@ -190,8 +189,8 @@ class TestA1PolicyService:
 
 
 class TestE2:
-    def test_control_sets_mac_policy(self):
-        bus = AsyncMessageBus()
+    def test_control_sets_mac_policy(self, new_bus):
+        bus = new_bus()
         node = E2Node("enb", bus)
         termination = E2Termination(bus)
         termination.send_control(airtime=0.3, max_mcs=12)
@@ -199,8 +198,8 @@ class TestE2:
         assert node.radio_policy.airtime == 0.3
         assert node.radio_policy.max_mcs == 12
 
-    def test_indication_requires_subscription(self):
-        bus = AsyncMessageBus()
+    def test_indication_requires_subscription(self, new_bus):
+        bus = new_bus()
         node = E2Node("enb", bus)
         termination = E2Termination(bus)
         received = []
@@ -215,8 +214,8 @@ class TestE2:
         assert len(received) == 1
         assert received[0].kpis == {"bs_power_w": 5.0}
 
-    def test_indication_filters_kpis(self):
-        bus = AsyncMessageBus()
+    def test_indication_filters_kpis(self, new_bus):
+        bus = new_bus()
         node = E2Node("enb", bus)
         termination = E2Termination(bus)
         received = []
@@ -229,8 +228,8 @@ class TestE2:
 
 
 class TestO1AndApps:
-    def test_o1_forwarding(self):
-        bus = AsyncMessageBus()
+    def test_o1_forwarding(self, new_bus):
+        bus = new_bus()
         o1 = O1Termination(bus)
         received = []
         o1.register_handler(received.append)
@@ -238,8 +237,8 @@ class TestO1AndApps:
         bus.drain()
         assert received[0].kpis == {"k": 1.0}
 
-    def test_kpi_xapp_pipeline(self):
-        bus = AsyncMessageBus()
+    def test_kpi_xapp_pipeline(self, new_bus):
+        bus = new_bus()
         node = E2Node("enb", bus)
         e2 = E2Termination(bus)
         o1 = O1Termination(bus)
@@ -252,9 +251,9 @@ class TestO1AndApps:
         assert collector.latest_kpis == {"bs_power_w": 6.2}
         assert len(xapp.records) == 1
 
-    def test_policy_rapp_xapp_path(self):
+    def test_policy_rapp_xapp_path(self, new_bus):
         """rApp -> A1 client -> A1 termination -> xApp -> E2 control."""
-        bus = AsyncMessageBus()
+        bus = new_bus()
         node = E2Node("enb", bus)
         e2 = E2Termination(bus)
         a1 = A1PolicyService()
@@ -330,11 +329,11 @@ class TestReleaseDueReentrancy:
                       magnitude=1.0),
         ))
 
-    def test_async_bus_no_duplicate_release(self):
+    def test_async_bus_no_duplicate_release(self, new_bus):
         from repro.faults import use
 
         with use(self._plan()):
-            bus = AsyncMessageBus()
+            bus = new_bus()
             seen = []
             fired = []
 

@@ -446,6 +446,36 @@ class TestEngineCacheState:
         assert sorted(fills) == [1, 1, 2, 14]
         assert_cache_replayed(engine, restored)
 
+    def test_replay_on_two_lanes_matches_the_inline_live_cache(
+            self, monkeypatch, two_lanes):
+        # Three heads, two correlation groups, schedules that part: each
+        # replayed block's fills and solves are split over the lanes.
+        rng = np.random.default_rng(27)
+        heads = {"a": engine_gp(rng), "b": engine_gp(rng),
+                 "c": engine_gp(rng, lengthscales=(0.9, 0.4, 0.7))}
+        heads["b"].kernel = Matern([0.5, 0.8, 0.6], output_scale=0.3)
+        x, y = rng.uniform(size=(14, 3)), rng.standard_normal(14)
+        for gp in heads.values():
+            gp.fit(x, y)
+        monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 1 << 62)
+        engine = SurrogateEngine(heads, ENGINE_GRID, context_dim=1)
+        for context, block, only in (([0.2], 0, None), ([0.7], 3, None),
+                                     ([0.2], 1, ["a", "c"]),
+                                     ([0.2], 3, None)):
+            z, target = rng.uniform(size=(block, 3)), rng.standard_normal(block)
+            for gp in heads.values():
+                for point, value in zip(z, target):
+                    gp.add(point, float(value))
+            engine.posterior(context, heads=only)
+        states = engine._cache[np.array([0.2]).tobytes()][1]
+        assert states["a"].row_ends == [14, 18, 21]
+        assert states["b"].row_ends == [14, 21]
+        assert not two_lanes
+        monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 0)
+        restored = restored_engine(engine)
+        assert two_lanes, "the replay ran no task on the worker lane"
+        assert_cache_replayed(engine, restored)
+
     def test_contexts_in_lru_order_with_a_stale_entry_and_an_empty_head(self):
         rng = np.random.default_rng(23)
         gp, emptied = engine_gp(rng, n_obs=10), engine_gp(rng, n_obs=5)
