@@ -68,11 +68,6 @@ class PenalizedGPBandit:
         """The single-head posterior engine (grid hot path)."""
         return self._engine
 
-    def _joint_grid(self, context: Context) -> np.ndarray:
-        return self._engine.joint_grid(
-            context.to_array(max_users=self.max_users)
-        )
-
     def select(self, context: Context) -> ControlPolicy:
         """Global (unconstrained) LCB minimisation."""
         batch = self._engine.posterior(

@@ -11,7 +11,6 @@ from repro.core.alternative import PowerBudgetedEdgeBOL, PowerBudgets
 from repro.core.diagnostics import calibration_report, interval_coverage
 from repro.core.sparse import greedy_inducing_indices, make_eviction_policy
 from repro.core.kernels import Kernel, Matern, RBF
-from repro.core.persistence import load_edgebol, save_edgebol
 from repro.core.gp import GaussianProcess
 from repro.core.likelihood import fit_hyperparameters, log_marginal_likelihood
 from repro.core.numerics import (
@@ -25,7 +24,7 @@ from repro.core.numerics import (
 )
 from repro.core.posterior import EngineStats, PosteriorBatch, SurrogateEngine
 from repro.core.safeset import SafeSetEstimator
-from repro.core.acquisition import safe_lcb_index, safe_lcb_index_from_posterior
+from repro.core.acquisition import safe_lcb_index_from_posterior
 from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 
 __all__ = [
@@ -49,13 +48,10 @@ __all__ = [
     "fit_hyperparameters",
     "log_marginal_likelihood",
     "SafeSetEstimator",
-    "safe_lcb_index",
     "EdgeBOL",
     "EdgeBOLConfig",
     "PowerBudgetedEdgeBOL",
     "PowerBudgets",
     "calibration_report",
     "interval_coverage",
-    "load_edgebol",
-    "save_edgebol",
 ]

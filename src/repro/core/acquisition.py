@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gp import GaussianProcess
-from repro.core.posterior import PosteriorBatch
 from repro.utils.validation import check_non_negative
 
 
@@ -72,38 +70,3 @@ def safe_lcb_index_from_posterior(
     return safe_lcb_index_from_values(
         lcb_values(mean, std, beta), safe_mask
     )
-
-
-def safe_lcb_index(
-    cost_gp: "GaussianProcess | PosteriorBatch",
-    joint_grid: np.ndarray | None,
-    safe_mask: np.ndarray,
-    beta: float = 2.5,
-    head: str = "cost",
-) -> int:
-    """Index of the safe grid point minimising the cost LCB (eq. 9).
-
-    ``cost_gp`` may be the cost surrogate itself (posterior evaluated at
-    the safe subset of ``joint_grid``) or a
-    :class:`~repro.core.posterior.PosteriorBatch` whose ``head`` moments
-    are consumed directly (``joint_grid`` may then be ``None``).
-
-    Raises
-    ------
-    ValueError
-        If the safe mask is empty (callers must guarantee S0 is in it).
-    """
-    if isinstance(cost_gp, PosteriorBatch):
-        mean, std = cost_gp.moments(head)
-        return safe_lcb_index_from_posterior(mean, std, safe_mask, beta=beta)
-    check_non_negative(beta, "beta")
-    safe_mask = np.asarray(safe_mask, dtype=bool)
-    joint_grid = np.asarray(joint_grid, dtype=float)
-    if safe_mask.size != joint_grid.shape[0]:
-        raise ValueError("safe_mask length must match the grid")
-    safe_indices = np.nonzero(safe_mask)[0]
-    if safe_indices.size == 0:
-        raise ValueError("safe set is empty; include S0 in the mask")
-    mean, std = cost_gp.predict_std(joint_grid[safe_indices])
-    lcb = mean - beta * std
-    return int(safe_indices[int(np.argmin(lcb))])

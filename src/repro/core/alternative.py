@@ -153,9 +153,6 @@ class PowerBudgetedEdgeBOL:
     def _context_array(self, context: Context) -> np.ndarray:
         return context.to_array(max_users=self.max_users)
 
-    def _joint_grid(self, context: Context) -> np.ndarray:
-        return self._engine.joint_grid(self._context_array(context))
-
     def _mask_heads(self) -> tuple[str, ...]:
         heads = ("server_power", "bs_power")
         return heads + ("map",) if self.budgets.rho_min > 0 else heads

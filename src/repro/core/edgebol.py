@@ -308,8 +308,6 @@ class EdgeBOL:
             heads, grid, context_dim=self.context_dim
         )
         self._safe_estimator = SafeSetEstimator(
-            delay_gp=self._gps[DELAY],
-            map_gp=self._gps[MAP],
             beta=self.config.beta,
             noise_beta=self.config.noise_beta,
             delay_noise_rel=self.config.delay_noise_rel,
@@ -459,9 +457,6 @@ class EdgeBOL:
     def _context_array(self, context: Context) -> np.ndarray:
         return context.to_array(max_users=self.max_users)
 
-    def _joint_grid(self, context: Context) -> np.ndarray:
-        return self._engine.joint_grid(self._context_array(context))
-
     def _joint_point(self, context: Context, policy: ControlPolicy) -> np.ndarray:
         return np.concatenate(
             [self._context_array(context), policy.to_array()]
@@ -518,13 +513,9 @@ class EdgeBOL:
                 )
                 mask = self._safe_mask_from_batch(batch)
                 self._last_safe_size = int(np.count_nonzero(mask))
-                if self._power_gps is not None:
-                    index = self._decoupled_lcb_index(batch, mask)
-                else:
-                    index = safe_lcb_index_from_posterior(
-                        batch.mean("cost"), batch.std("cost"), mask,
-                        beta=self.config.beta,
-                    )
+                index = safe_lcb_index_from_posterior(
+                    *self._cost_moments(batch), mask, beta=self.config.beta
+                )
             except NumericalInstabilityError:
                 self._mark_surrogate_down()
                 return self._degraded_select(sp, context)
@@ -571,57 +562,34 @@ class EdgeBOL:
         telemetry.inc("edgebol.recoveries")
         return True
 
-    def _decoupled_lcb_index(self, batch: "PosteriorBatch | np.ndarray",
-                             mask: np.ndarray) -> int:
-        """Cost LCB assembled from the two power surrogates.
+    def _cost_moments(self, batch: PosteriorBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Full-grid ``(mean, std)`` of the cost from an engine sweep.
 
-        ``u = delta1 p_s + delta2 p_b`` is linear in the (independent)
-        GP posteriors, so its posterior is Gaussian with
+        In the default coupled mode this is the cost head itself.  In
+        decoupled-power mode ``u = delta1 p_s + delta2 p_b`` is linear
+        in the (independent) GP posteriors of the two power heads, so
+        its posterior is Gaussian with
         ``mu = delta1 mu_s + delta2 mu_b`` and
         ``sigma^2 = delta1^2 sigma_s^2 + delta2^2 sigma_b^2``.
-
-        ``batch`` is an engine sweep carrying the two power heads, or a
-        raw joint grid (the surrogates are then queried at the safe
-        subset directly).
-        """
-        safe_indices = np.nonzero(mask)[0]
-        if safe_indices.size == 0:
-            raise ValueError("safe set is empty; include S0 in the mask")
-        if isinstance(batch, PosteriorBatch):
-            s_mean, s_std = batch.moments("server_power")
-            b_mean, b_std = batch.moments("bs_power")
-            s_mean, s_std = s_mean[safe_indices], s_std[safe_indices]
-            b_mean, b_std = b_mean[safe_indices], b_std[safe_indices]
-        else:
-            points = np.asarray(batch, dtype=float)[safe_indices]
-            s_mean, s_std = self._power_gps[0].predict_std(points)
-            b_mean, b_std = self._power_gps[1].predict_std(points)
-        d1, d2 = self.cost_weights.delta1, self.cost_weights.delta2
-        mean = d1 * s_mean + d2 * b_mean
-        std = np.sqrt((d1 * s_std) ** 2 + (d2 * b_std) ** 2)
-        lcb = lcb_values(mean, std, beta=self.config.beta)
-        return int(safe_indices[int(np.argmin(lcb))])
-
-    def cost_lcb_values(self, batch: PosteriorBatch) -> np.ndarray:
-        """Full-grid eq.-9 objective (cost LCB) from an engine sweep.
-
-        In the default coupled mode this is exactly the surface the
-        acquisition minimised; in decoupled-power mode it assembles the
-        same linear-combination posterior as
-        :meth:`_decoupled_lcb_index` but over the whole grid.  Decision
-        traces use it to price safety (chosen vs unconstrained LCB);
-        it reads only the batch, so calling it cannot perturb a run.
         """
         if self._power_gps is None:
-            return lcb_values(
-                batch.mean("cost"), batch.std("cost"), beta=self.config.beta
-            )
+            return batch.moments("cost")
         s_mean, s_std = batch.moments("server_power")
         b_mean, b_std = batch.moments("bs_power")
         d1, d2 = self.cost_weights.delta1, self.cost_weights.delta2
         mean = d1 * s_mean + d2 * b_mean
         std = np.sqrt((d1 * s_std) ** 2 + (d2 * b_std) ** 2)
-        return lcb_values(mean, std, beta=self.config.beta)
+        return mean, std
+
+    def cost_lcb_values(self, batch: PosteriorBatch) -> np.ndarray:
+        """Full-grid eq.-9 objective (cost LCB) from an engine sweep.
+
+        This is exactly the surface :meth:`select` minimises over the
+        safe set.  Decision traces use it to price safety (chosen vs
+        unconstrained LCB); it reads only the batch, so calling it
+        cannot perturb a run.
+        """
+        return lcb_values(*self._cost_moments(batch), beta=self.config.beta)
 
     def update(
         self,

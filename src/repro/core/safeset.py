@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gp import GaussianProcess
 from repro.core.posterior import PosteriorBatch
 from repro.utils.validation import check_positive
 
@@ -28,12 +27,13 @@ MAP_HEAD = "map"
 class SafeSetEstimator:
     """Confidence-bound safe set over a discretised control grid.
 
+    The constraint posteriors come from a
+    :class:`~repro.core.posterior.SurrogateEngine` sweep: every method
+    reads the ``"delay"`` and ``"map"`` head moments of a
+    :class:`~repro.core.posterior.PosteriorBatch`.
+
     Parameters
     ----------
-    delay_gp:
-        GP over the joint (context, control) space predicting delay.
-    map_gp:
-        GP over the joint space predicting mAP.
     beta:
         Confidence-bound width multiplier: it multiplies sigma
         directly, playing the role of the paper's ``beta^{1/2}`` (2.5 in
@@ -55,15 +55,11 @@ class SafeSetEstimator:
 
     def __init__(
         self,
-        delay_gp: GaussianProcess,
-        map_gp: GaussianProcess,
         beta: float = 2.5,
         noise_beta: float = 1.0,
         delay_noise_rel: float = 0.05,
         map_noise_std: float = 0.02,
     ) -> None:
-        self.delay_gp = delay_gp
-        self.map_gp = map_gp
         self.beta = check_positive(beta, "beta")
         if noise_beta < 0:
             raise ValueError(f"noise_beta must be >= 0, got {noise_beta}")
@@ -73,66 +69,56 @@ class SafeSetEstimator:
         self.delay_noise_rel = float(delay_noise_rel)
         self.map_noise_std = float(map_noise_std)
 
+    def _bounds(self, batch: PosteriorBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Pessimistic bounds of the two eq.-8 tests over the grid.
+
+        Returns ``(delay_upper, map_lower)``: ``mu_d + width_d`` and
+        ``mu_q - width_q``, each width being the confidence term plus
+        the aleatoric margin.
+        """
+        delay_mean, delay_std = batch.moments(DELAY_HEAD)
+        map_mean, map_std = batch.moments(MAP_HEAD)
+        delay_width = self.beta * delay_std + (
+            self.noise_beta * self.delay_noise_rel * np.abs(delay_mean)
+        )
+        map_width = self.beta * map_std + self.noise_beta * self.map_noise_std
+        return delay_mean + delay_width, map_mean - map_width
+
     def safe_mask(
         self,
-        joint_grid: "np.ndarray | PosteriorBatch",
+        batch: PosteriorBatch,
         d_max_s: float,
         rho_min: float,
         always_safe: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Boolean safety mask over an ``(n, d)`` joint grid.
+        """Boolean eq.-8 safety mask over the batch's grid.
 
         Parameters
         ----------
-        joint_grid:
-            Context-control points, typically the control grid stacked
-            with the current context — either as a raw array (the two
-            constraint GPs are queried directly) or as a
-            :class:`~repro.core.posterior.PosteriorBatch` carrying
-            precomputed ``"delay"`` and ``"map"`` head moments from a
-            :class:`~repro.core.posterior.SurrogateEngine` (the hot
-            path: no per-call ``predict``).
+        batch:
+            Engine sweep carrying the ``"delay"`` and ``"map"`` heads
+            for the current context.
         d_max_s, rho_min:
             Constraint thresholds of problem (2).
         always_safe:
             Optional boolean mask (or integer indices) of grid rows
             forced into the safe set — the S0 of Algorithm 1, line 6.
         """
-        if isinstance(joint_grid, PosteriorBatch):
-            delay_mean, delay_std = joint_grid.moments(DELAY_HEAD)
-            map_mean, map_std = joint_grid.moments(MAP_HEAD)
-        else:
-            joint_grid = np.asarray(joint_grid, dtype=float)
-            if joint_grid.ndim != 2:
-                raise ValueError(
-                    f"joint_grid must be 2-D, got shape {joint_grid.shape}"
-                )
-            delay_mean, delay_std = self.delay_gp.predict_std(joint_grid)
-            map_mean, map_std = self.map_gp.predict_std(joint_grid)
-        return self.mask_from_moments(
-            delay_mean, delay_std, map_mean, map_std,
-            d_max_s=d_max_s, rho_min=rho_min, always_safe=always_safe,
-        )
+        delay_upper, map_lower = self._bounds(batch)
+        mask = (delay_upper <= d_max_s) & (map_lower >= rho_min)
+        if always_safe is not None:
+            indices = np.asarray(always_safe)
+            if indices.dtype == bool:
+                if indices.size != mask.size:
+                    raise ValueError("boolean always_safe mask has wrong length")
+                mask = mask | indices
+            else:
+                mask[indices] = True
+        return mask
 
-    def _widths(
+    def margins_from_batch(
         self,
-        delay_mean: np.ndarray,
-        delay_std: np.ndarray,
-        map_std: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Confidence-bound half-widths of the two eq.-8 tests."""
-        delay_width = self.beta * delay_std + (
-            self.noise_beta * self.delay_noise_rel * np.abs(delay_mean)
-        )
-        map_width = self.beta * map_std + self.noise_beta * self.map_noise_std
-        return delay_width, map_width
-
-    def margins_from_moments(
-        self,
-        delay_mean: np.ndarray,
-        delay_std: np.ndarray,
-        map_mean: np.ndarray,
-        map_std: np.ndarray,
+        batch: PosteriorBatch,
         d_max_s: float,
         rho_min: float,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,53 +130,5 @@ class SafeSetEstimator:
         "how close to the boundary did we certify" quantities decision
         traces record per round (``docs/OBSERVABILITY.md``).
         """
-        delay_width, map_width = self._widths(delay_mean, delay_std, map_std)
-        return (
-            d_max_s - (delay_mean + delay_width),
-            (map_mean - map_width) - rho_min,
-        )
-
-    def margins_from_batch(
-        self,
-        batch: PosteriorBatch,
-        d_max_s: float,
-        rho_min: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`margins_from_moments` on a precomputed engine sweep."""
-        delay_mean, delay_std = batch.moments(DELAY_HEAD)
-        map_mean, map_std = batch.moments(MAP_HEAD)
-        return self.margins_from_moments(
-            delay_mean, delay_std, map_mean, map_std,
-            d_max_s=d_max_s, rho_min=rho_min,
-        )
-
-    def mask_from_moments(
-        self,
-        delay_mean: np.ndarray,
-        delay_std: np.ndarray,
-        map_mean: np.ndarray,
-        map_std: np.ndarray,
-        d_max_s: float,
-        rho_min: float,
-        always_safe: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Eq. 8 applied to precomputed posterior moments."""
-        delay_width, map_width = self._widths(delay_mean, delay_std, map_std)
-        mask = (delay_mean + delay_width <= d_max_s) & (
-            map_mean - map_width >= rho_min
-        )
-        if always_safe is not None:
-            indices = np.asarray(always_safe)
-            if indices.dtype == bool:
-                if indices.size != mask.size:
-                    raise ValueError("boolean always_safe mask has wrong length")
-                mask = mask | indices
-            else:
-                mask = mask.copy()
-                mask[indices] = True
-        return mask
-
-    def safe_set_size(self, joint_grid: "np.ndarray | PosteriorBatch",
-                      d_max_s: float, rho_min: float) -> int:
-        """|S_t| over the grid (plotted in Fig. 13)."""
-        return int(np.count_nonzero(self.safe_mask(joint_grid, d_max_s, rho_min)))
+        delay_upper, map_lower = self._bounds(batch)
+        return d_max_s - delay_upper, map_lower - rho_min

@@ -17,9 +17,7 @@ from repro.ran.phy import (
     snr_to_cqi,
     uplink_capacity_bps,
 )
-from repro.ran.harq import HarqModel, first_transmission_bler
 from repro.ran.power import BSPowerModel
-from repro.ran.schedulers import EqualRateScheduler, ProportionalFairScheduler
 from repro.ran.traffic import DiurnalTraffic, OnOffTraffic, PoissonTraffic
 from repro.ran.vbs import UplinkGrantResult, VirtualizedBS
 
@@ -37,10 +35,6 @@ __all__ = [
     "snr_to_cqi",
     "uplink_capacity_bps",
     "BSPowerModel",
-    "HarqModel",
-    "first_transmission_bler",
-    "EqualRateScheduler",
-    "ProportionalFairScheduler",
     "DiurnalTraffic",
     "OnOffTraffic",
     "PoissonTraffic",

@@ -99,13 +99,6 @@ def mcs_efficiency(mcs: int) -> float:
     return float(_MCS_EFFICIENCY[mcs])
 
 
-def mcs_modulation_order(mcs: int) -> int:
-    """Modulation order Qm (2/4/6) of ``mcs``."""
-    if not 0 <= mcs <= MAX_MCS:
-        raise ValueError(f"MCS must be in 0..{MAX_MCS}, got {mcs}")
-    return int(_MCS_QM[mcs])
-
-
 def mcs_from_fraction(fraction: float) -> int:
     """Map a normalised policy level in [0, 1] to an MCS cap.
 

@@ -122,6 +122,9 @@ class TestbedConfig:
     calibration of each default against the paper's measurements.
     """
 
+    #: Not a pytest test class, despite the ``Test`` prefix.
+    __test__ = False
+
     # Radio
     bandwidth_mhz: float = 20.0
     #: End-to-end fraction of the nominal PHY rate a single closed-loop

@@ -71,6 +71,9 @@ class TestbedObservation:
         Per-user served frame rates, frames/second.
     """
 
+    #: Not a pytest test class, despite the ``Test`` prefix.
+    __test__ = False
+
     delay_s: float
     map_score: float
     server_power_w: float

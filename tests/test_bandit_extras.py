@@ -6,6 +6,7 @@ import pytest
 
 from repro.bandit import LinUCBController, SafeOptController
 from repro.core import EdgeBOL, EdgeBOLConfig
+from repro.core.acquisition import safe_lcb_index_from_values
 from repro.experiments.runner import run_agent
 from repro.testbed.config import (
     CostWeights,
@@ -162,8 +163,42 @@ class TestDecoupledPowerGPs:
         # The decision problem changed; the agent must at least be able
         # to produce a (possibly different) safe decision immediately.
         assert repriced_policy is not None
-        joint = agent._joint_grid(context)
         mask = agent.safe_mask(context)
-        idx = agent._decoupled_lcb_index(joint, mask)
+        lcb = agent.cost_lcb_values(agent.posterior(context))
+        idx = safe_lcb_index_from_values(lcb, mask)
         assert mask[idx]
         del baseline_policy
+
+    def test_selection_minimises_traced_lcb_surface(self):
+        """Each pick is the safe argmin of :meth:`EdgeBOL.cost_lcb_values`.
+
+        Decision traces price safety against that surface, so the
+        decoupled-power selection must minimise exactly it.
+        """
+
+        class Recorder:
+            def __init__(self):
+                self.checked = 0
+
+            def on_select(self, context, batch, mask, index):
+                lcb = agent.cost_lcb_values(batch)
+                assert index == safe_lcb_index_from_values(lcb, mask)
+                self.checked += 1
+
+            def on_degraded(self, context):
+                raise AssertionError("surrogate went down")
+
+            def on_observe(self, *args, **kwargs):
+                pass
+
+        testbed = TestbedConfig(n_levels=5)
+        env = static_scenario(mean_snr_db=35.0, rng=7, config=testbed)
+        agent = EdgeBOL(
+            testbed.control_grid(), ServiceConstraints(0.4, 0.5),
+            CostWeights(1.0, 8.0),
+            config=EdgeBOLConfig(decoupled_power_gps=True),
+        )
+        recorder = Recorder()
+        agent.attach_tracer(recorder)
+        run_agent(env, agent, 30)
+        assert recorder.checked == 30

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.acquisition import safe_lcb_index
+from repro.core.acquisition import safe_lcb_index_from_posterior
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.likelihood import fit_hyperparameters, log_marginal_likelihood
+from repro.core.posterior import SurrogateEngine
 from repro.core.safeset import SafeSetEstimator
 
 
@@ -92,12 +93,23 @@ def build_constraint_gps():
     return delay_gp, map_gp
 
 
+def sweep(heads, grid):
+    """One engine sweep of ``heads`` over a context-free 1-D grid."""
+    engine = SurrogateEngine(heads, np.asarray(grid, dtype=float),
+                             context_dim=0)
+    return engine.posterior(np.empty(0))
+
+
+def constraint_batch(grid):
+    delay_gp, map_gp = build_constraint_gps()
+    return sweep({"delay": delay_gp, "map": map_gp}, grid)
+
+
 class TestSafeSet:
     def test_known_safe_point_included(self):
-        delay_gp, map_gp = build_constraint_gps()
-        estimator = SafeSetEstimator(delay_gp, map_gp, beta=2.0)
-        grid = np.linspace(0, 1, 21)[:, None]
-        mask = estimator.safe_mask(grid, d_max_s=0.4, rho_min=0.5)
+        estimator = SafeSetEstimator(beta=2.0)
+        batch = constraint_batch(np.linspace(0, 1, 21)[:, None])
+        mask = estimator.safe_mask(batch, d_max_s=0.4, rho_min=0.5)
         idx_02 = 4  # x = 0.2
         idx_08 = 16  # x = 0.8
         assert mask[idx_02]
@@ -105,75 +117,72 @@ class TestSafeSet:
 
     def test_unexplored_region_unsafe(self):
         """Pessimistic priors keep far regions out of the safe set."""
-        delay_gp, map_gp = build_constraint_gps()
-        estimator = SafeSetEstimator(delay_gp, map_gp, beta=2.0)
+        estimator = SafeSetEstimator(beta=2.0)
         mask = estimator.safe_mask(
-            np.array([[10.0]]), d_max_s=0.4, rho_min=0.5
+            constraint_batch(np.array([[10.0]])), d_max_s=0.4, rho_min=0.5
         )
         assert not mask[0]
 
     def test_always_safe_indices(self):
-        delay_gp, map_gp = build_constraint_gps()
-        estimator = SafeSetEstimator(delay_gp, map_gp, beta=2.0)
-        grid = np.array([[10.0], [20.0]])
+        estimator = SafeSetEstimator(beta=2.0)
+        batch = constraint_batch(np.array([[10.0], [20.0]]))
         mask = estimator.safe_mask(
-            grid, d_max_s=0.4, rho_min=0.5, always_safe=np.array([1])
+            batch, d_max_s=0.4, rho_min=0.5, always_safe=np.array([1])
         )
         assert not mask[0] and mask[1]
 
     def test_always_safe_boolean_mask(self):
-        delay_gp, map_gp = build_constraint_gps()
-        estimator = SafeSetEstimator(delay_gp, map_gp)
-        grid = np.array([[10.0], [20.0]])
+        estimator = SafeSetEstimator()
+        batch = constraint_batch(np.array([[10.0], [20.0]]))
         mask = estimator.safe_mask(
-            grid, 0.4, 0.5, always_safe=np.array([True, False])
+            batch, 0.4, 0.5, always_safe=np.array([True, False])
         )
         assert mask[0] and not mask[1]
 
     def test_larger_beta_shrinks_safe_set(self):
-        delay_gp, map_gp = build_constraint_gps()
-        grid = np.linspace(0, 1, 51)[:, None]
-        small = SafeSetEstimator(delay_gp, map_gp, beta=0.5).safe_mask(grid, 0.4, 0.5)
-        large = SafeSetEstimator(delay_gp, map_gp, beta=3.5).safe_mask(grid, 0.4, 0.5)
+        batch = constraint_batch(np.linspace(0, 1, 51)[:, None])
+        small = SafeSetEstimator(beta=0.5).safe_mask(batch, 0.4, 0.5)
+        large = SafeSetEstimator(beta=3.5).safe_mask(batch, 0.4, 0.5)
         assert small.sum() >= large.sum()
 
     def test_safe_set_size(self):
-        delay_gp, map_gp = build_constraint_gps()
-        estimator = SafeSetEstimator(delay_gp, map_gp, beta=2.0)
-        grid = np.linspace(0, 1, 21)[:, None]
-        size = estimator.safe_set_size(grid, 0.4, 0.5)
-        assert size == estimator.safe_mask(grid, 0.4, 0.5).sum()
+        """|S_t| counts exactly the points whose eq.-8 margins are >= 0."""
+        estimator = SafeSetEstimator(beta=2.0)
+        batch = constraint_batch(np.linspace(0, 1, 21)[:, None])
+        mask = estimator.safe_mask(batch, 0.4, 0.5)
+        delay_slack, map_slack = estimator.margins_from_batch(batch, 0.4, 0.5)
+        certified = (delay_slack >= 0) & (map_slack >= 0)
+        assert 0 < mask.sum() < mask.size
+        assert np.count_nonzero(certified) == mask.sum()
+        np.testing.assert_array_equal(certified, mask)
 
 
 class TestAcquisition:
-    def build_cost_gp(self):
+    def cost_moments(self, grid):
         kernel = Matern(lengthscales=[0.2], output_scale=1.0)
         gp = GaussianProcess(kernel, noise_variance=1e-4)
         gp.add(np.array([0.2]), 5.0)
         gp.add(np.array([0.5]), 1.0)
         gp.add(np.array([0.8]), 3.0)
-        return gp
+        return sweep({"cost": gp}, grid).moments("cost")
 
     def test_lcb_picks_cheapest_when_certain(self):
-        gp = self.build_cost_gp()
-        grid = np.array([[0.2], [0.5], [0.8]])
+        moments = self.cost_moments(np.array([[0.2], [0.5], [0.8]]))
         mask = np.array([True, True, True])
-        assert safe_lcb_index(gp, grid, mask, beta=0.0) == 1
+        assert safe_lcb_index_from_posterior(*moments, mask, beta=0.0) == 1
 
     def test_lcb_respects_mask(self):
-        gp = self.build_cost_gp()
-        grid = np.array([[0.2], [0.5], [0.8]])
+        moments = self.cost_moments(np.array([[0.2], [0.5], [0.8]]))
         mask = np.array([True, False, True])
-        assert safe_lcb_index(gp, grid, mask, beta=0.0) == 2
+        assert safe_lcb_index_from_posterior(*moments, mask, beta=0.0) == 2
 
     def test_lcb_explores_uncertain_points(self):
         """With large beta an unexplored point's LCB wins."""
-        gp = self.build_cost_gp()
-        grid = np.array([[0.5], [10.0]])  # 10.0 unexplored
+        moments = self.cost_moments(np.array([[0.5], [10.0]]))  # 10.0 unexplored
         mask = np.array([True, True])
-        assert safe_lcb_index(gp, grid, mask, beta=5.0) == 1
+        assert safe_lcb_index_from_posterior(*moments, mask, beta=5.0) == 1
 
     def test_empty_mask_raises(self):
-        gp = self.build_cost_gp()
+        moments = self.cost_moments(np.array([[0.0]]))
         with pytest.raises(ValueError):
-            safe_lcb_index(gp, np.array([[0.0]]), np.array([False]))
+            safe_lcb_index_from_posterior(*moments, np.array([False]))

@@ -1,4 +1,4 @@
-"""Tests for the multi-service substrate and scheduler variants."""
+"""Tests for the multi-service substrate and per-slice EdgeBOL."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.experiments.multiservice import (
     summary,
 )
 from repro.ran.channel import constant_trace
-from repro.ran.mac import RadioPolicy, RoundRobinScheduler
-from repro.ran.schedulers import EqualRateScheduler, ProportionalFairScheduler
 from repro.testbed.config import ControlPolicy, TestbedConfig
 from repro.testbed.multiservice import MultiServiceEnvironment, SliceSpec
 
@@ -109,55 +107,3 @@ class TestPerSliceEdgeBOL:
         sv = rows[1]
         assert sv["final_cost"] < sv["initial_cost"] * 1.05
 
-
-class TestSchedulerVariants:
-    def setup_method(self):
-        self.policy = RadioPolicy(airtime=0.9, max_mcs=28)
-        self.snrs = [35.0, 10.0]
-
-    def test_pf_alpha_zero_equals_round_robin(self):
-        pf = ProportionalFairScheduler(mac_efficiency=0.2, alpha=0.0)
-        rr = RoundRobinScheduler(mac_efficiency=0.2)
-        pf_allocs = pf.allocate(self.policy, self.snrs)
-        rr_allocs = rr.allocate(self.policy, self.snrs)
-        for a, b in zip(pf_allocs, rr_allocs):
-            assert a.airtime_share == pytest.approx(b.airtime_share)
-            assert a.goodput_bps == pytest.approx(b.goodput_bps)
-
-    def test_pf_favours_strong_user(self):
-        pf = ProportionalFairScheduler(mac_efficiency=0.2, alpha=1.0)
-        allocs = pf.allocate(self.policy, self.snrs)
-        assert allocs[0].airtime_share > allocs[1].airtime_share
-
-    def test_pf_shares_sum_to_airtime(self):
-        pf = ProportionalFairScheduler(mac_efficiency=0.2, alpha=0.7)
-        allocs = pf.allocate(self.policy, self.snrs + [20.0])
-        assert sum(a.airtime_share for a in allocs) == pytest.approx(0.9)
-
-    def test_pf_total_throughput_beats_rr(self):
-        """Rate-weighted shares raise aggregate goodput."""
-        pf = ProportionalFairScheduler(mac_efficiency=0.2, alpha=1.0)
-        rr = RoundRobinScheduler(mac_efficiency=0.2)
-        pf_total = sum(a.goodput_bps for a in pf.allocate(self.policy, self.snrs))
-        rr_total = sum(a.goodput_bps for a in rr.allocate(self.policy, self.snrs))
-        assert pf_total > rr_total
-
-    def test_equal_rate_equalises_goodput(self):
-        er = EqualRateScheduler(mac_efficiency=0.2)
-        allocs = er.allocate(self.policy, self.snrs)
-        assert allocs[0].goodput_bps == pytest.approx(
-            allocs[1].goodput_bps, rel=1e-6
-        )
-
-    def test_equal_rate_gives_weak_user_more_airtime(self):
-        er = EqualRateScheduler(mac_efficiency=0.2)
-        allocs = er.allocate(self.policy, self.snrs)
-        assert allocs[1].airtime_share > allocs[0].airtime_share
-
-    def test_pf_empty_users(self):
-        pf = ProportionalFairScheduler(mac_efficiency=0.2)
-        assert pf.allocate(self.policy, []) == []
-
-    def test_pf_alpha_validation(self):
-        with pytest.raises(ValueError):
-            ProportionalFairScheduler(alpha=-1.0)

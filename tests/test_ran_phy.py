@@ -52,11 +52,6 @@ class TestMcsTables:
         assert phy.mcs_efficiency(0) == pytest.approx(0.152, abs=0.01)
         assert phy.mcs_efficiency(phy.MAX_MCS) == pytest.approx(5.55, abs=0.05)
 
-    def test_modulation_order_ladder(self):
-        orders = [phy.mcs_modulation_order(m) for m in range(phy.MAX_MCS + 1)]
-        assert orders[0] == 2 and orders[-1] == 6
-        assert all(b >= a for a, b in zip(orders, orders[1:]))
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             phy.mcs_efficiency(-1)

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core import posterior, state
-from repro.core.edgebol import EdgeBOL
+from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.posterior import SurrogateEngine
@@ -24,11 +24,12 @@ from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
 
-def make_world(seed=0, levels=4):
+def make_world(seed=0, levels=4, decoupled=False):
     testbed = TestbedConfig(n_levels=levels)
     env = static_scenario(n_users=1, rng=seed, config=testbed)
     agent = EdgeBOL(
-        testbed.control_grid(), ServiceConstraints(), CostWeights(1.0, 1.0)
+        testbed.control_grid(), ServiceConstraints(), CostWeights(1.0, 1.0),
+        config=EdgeBOLConfig(decoupled_power_gps=decoupled),
     )
     return env, agent
 
@@ -257,6 +258,24 @@ class TestAgentReplay:
         state.restore_agent_state(agent, payload["agent"])
         state.restore_env_state(env, payload["env"])
         assert run_periods(env, agent, 6) == expected
+
+    def test_decoupled_agent_warm_starts_from_a_frame(self):
+        # The warm-start path: a decoupled-power agent's frame restored
+        # into a fresh agent of the same config, power heads included.
+        env, agent = make_world(seed=13, decoupled=True)
+        run_periods(env, agent, 7)
+        blob = state.encode_snapshot({
+            "agent": state.agent_state(agent),
+            "env": state.env_state(env),
+        })
+        expected = run_periods(env, agent, 6)
+        fresh_env, fresh = make_world(seed=13, decoupled=True)
+        payload = state.decode_snapshot(blob)
+        state.restore_agent_state(fresh, payload["agent"])
+        state.restore_env_state(fresh_env, payload["env"])
+        assert set(fresh.head_surrogates()) == {
+            "cost", "delay", "map", "server_power", "bs_power"}
+        assert run_periods(fresh_env, fresh, 6) == expected
 
 
 #: Control grid of the bare-engine tests (context_dim 1, so 3-D inputs).
