@@ -34,14 +34,13 @@ SEED = 7
 SPEEDUP_TARGET = 5.0
 
 
-def _run(store, tmp_path=None):
+def _run(store):
     """One timed sweep of the benchmark grid: ``(seconds, result)``."""
     spec = spec_registry.get("static")
     params = spec.resolve(SETTINGS)
     started = time.perf_counter()
     result = run_sweep(
-        spec, params, seed=SEED, jobs=1, out=tmp_path,
-        sweep_overrides=SWEEP, store=store,
+        spec, params, seed=SEED, jobs=1, sweep_overrides=SWEEP, store=store,
     )
     return time.perf_counter() - started, result
 

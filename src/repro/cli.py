@@ -20,8 +20,7 @@ shared sweep engine (:mod:`repro.experiments.parallel`).  Usage::
 Every experiment prints the series the corresponding paper figure
 plots and writes CSV artifacts (default under ``results/``).  Common
 flags on every experiment: ``--out`` / ``--seed`` / ``--jobs N``
-(process-parallel cells; completed cells checkpoint to a manifest and
-interrupted sweeps resume) / ``--telemetry JSONL`` (record a full
+(process-parallel cells) / ``--telemetry JSONL`` (record a full
 trace of spans + metrics, see ``docs/OBSERVABILITY.md``) /
 ``--trace-decisions [JSONL]`` (record one decision record per BO
 round — safe set, margins, calibration, drift, regret — merged across
@@ -30,9 +29,11 @@ fault-injection plan for the run, see ``docs/ROBUSTNESS.md``) /
 ``--numerics MODE`` + ``--gp-budget N`` (GP numerics mode: dense, or
 a sparse observation budget, exported via environment so sweep
 workers inherit it — see ``docs/NUMERICS.md``) / ``--store DIR`` +
-``--no-store`` (content-addressed experiment store: cells whose exact
-configuration was already computed are served from the store instead
-of re-run, see ``docs/STORE.md``); ``telemetry-report`` renders a
+``--no-store`` (the content-addressed experiment store, by default
+``<out>/store``: each completed cell is stored as it finishes, and
+cells whose exact configuration was already computed are served from
+the store instead of re-run, so an interrupted sweep resumes; see
+``docs/STORE.md``); ``telemetry-report`` renders a
 recorded trace, ``diagnose`` renders a decision trace (one file or a
 directory of per-cell traces) as a dashboard with anomaly flags,
 ``fleet-status`` renders a fleet metrics dump (``repro run fleet --set
@@ -69,9 +70,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="root of the sweep's SeedSequence tree")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for sweep cells (1 = serial)")
-    parser.add_argument("--no-resume", action="store_true",
-                        help="ignore an existing sweep manifest and rerun "
-                             "every cell")
     parser.add_argument(
         "--telemetry", type=Path, default=None, metavar="JSONL",
         help="record a telemetry trace (spans + metrics) to this JSONL file",
@@ -102,12 +100,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
         help="content-addressed experiment store: serve cells already "
-             f"computed for this exact configuration (default ${ENV_STORE}; "
-             "see docs/STORE.md)",
+             f"computed for this exact configuration (default ${ENV_STORE}, "
+             "else <out>/store; see docs/STORE.md)",
     )
     parser.add_argument(
         "--no-store", action="store_true",
-        help=f"disable the experiment store even when ${ENV_STORE} is set",
+        help="disable the experiment store and recompute every cell",
     )
 
 
@@ -135,12 +133,12 @@ def resolve_decision_path(trace_decisions, spec, out: Path) -> "Path | None":
 
 
 def run_spec(spec, params, *, out: Path, seed: int = 0, jobs: int = 1,
-             resume: bool = True, sweep_overrides=None,
+             sweep_overrides=None,
              decision_path: "Path | None" = None,
              store: "Path | None" = None) -> int:
     """Execute one spec through the sweep engine and print its report."""
     result = parallel.run_sweep(
-        spec, params, seed=seed, jobs=jobs, out=out, resume=resume,
+        spec, params, seed=seed, jobs=jobs,
         sweep_overrides=sweep_overrides, decision_path=decision_path,
         store=store,
     )
@@ -149,9 +147,6 @@ def run_spec(spec, params, *, out: Path, seed: int = 0, jobs: int = 1,
         n_records = sum(len(c.decisions or ()) for c in result.cells)
         print(f"wrote decision trace {decision_path} ({n_records} records; "
               f"render with 'repro diagnose {decision_path}')")
-    if result.resumed:
-        print(f"resumed {result.resumed}/{len(result.cells)} cells from "
-              f"{result.manifest_path}")
     if result.store_hits:
         print(f"store hits: {result.store_hits}/{len(result.cells)} cells "
               f"served from {result.store_path} "
@@ -159,7 +154,7 @@ def run_spec(spec, params, *, out: Path, seed: int = 0, jobs: int = 1,
               f"{result.store_path}')")
     if jobs > 1:
         pids = result.pids
-        print(f"ran {len(result.cells) - result.resumed} cells on "
+        print(f"ran {len(result.cells) - result.store_hits} cells on "
               f"{len(pids)} process(es) (jobs={jobs})")
     if result.retries:
         print(f"retried {result.retries} failing cell attempt(s)")
@@ -178,11 +173,10 @@ def _cmd_spec(args) -> int:
     params = spec.resolve(overrides)
     return run_spec(
         spec, params, out=args.out, seed=args.seed, jobs=args.jobs,
-        resume=not args.no_resume,
         decision_path=resolve_decision_path(
             args.trace_decisions, spec, args.out
         ),
-        store=resolve_store_dir(args.store, args.no_store),
+        store=resolve_store_dir(args.store, args.no_store, out=args.out),
     )
 
 
@@ -241,11 +235,11 @@ def _cmd_run(args) -> int:
     sweep_overrides = _parse_sweep_entries(spec, args.sweep)
     return run_spec(
         spec, params, out=args.out, seed=args.seed, jobs=args.jobs,
-        resume=not args.no_resume, sweep_overrides=sweep_overrides,
+        sweep_overrides=sweep_overrides,
         decision_path=resolve_decision_path(
             args.trace_decisions, spec, args.out
         ),
-        store=resolve_store_dir(args.store, args.no_store),
+        store=resolve_store_dir(args.store, args.no_store, out=args.out),
     )
 
 

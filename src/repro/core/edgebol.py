@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.acquisition import lcb_values, safe_lcb_index_from_posterior
 from repro.core.gp import GaussianProcess
-from repro.core.kernels import Kernel, Matern
+from repro.core.kernels import Matern
 from repro.core.likelihood import fit_hyperparameters
 from repro.core.numerics import (
     NumericalInstabilityError,
@@ -782,12 +782,3 @@ class EdgeBOL:
             gp.noise_variance = fitted_noise
             if gp.n_observations:
                 gp.fit(gp.inputs, gp.targets)
-
-
-def make_kernel(context_dim: int, output_scale: float, nu: float = 1.5) -> Kernel:
-    """Convenience: the paper's Matérn-3/2 ARD kernel over (c, x)."""
-    return Matern(
-        lengthscales=_default_lengthscales(context_dim),
-        output_scale=output_scale,
-        nu=nu,
-    )

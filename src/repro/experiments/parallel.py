@@ -17,20 +17,16 @@ into independent cells and executes them:
 * **cell keys** — every cell is identified by its canonical
   configuration hash (spec + params + seed node + fault plan +
   numerics + code fingerprint, see :func:`repro.store.key.cell_key`);
-  the manifest and the store reuse a result only under its cell's key;
-* **checkpointing** — completed cells are appended, with their keys, to
-  a JSONL manifest under the output directory; re-running the same
-  sweep resumes by skipping cells whose recorded key matches (a changed
-  seed, parameter, fault plan, numerics mode or code re-runs them);
-* **content-addressed caching** — with a ``store`` configured
-  (``--store DIR`` / ``REPRO_STORE``), every cell not already resumed
-  from the manifest is looked up in the
-  :class:`~repro.store.store.ExperimentStore` by its key;
-  a hit returns the stored rows bit-identically without dispatching a
-  worker (``CellResult.store_hit``, counted in
-  :attr:`SweepResult.store_hits`), a miss is written through on
-  completion — so cross-sweep reruns of identical cells are near-free
-  (see ``docs/STORE.md``);
+  a result is reused only under its cell's key;
+* **result cache** — with a ``store`` configured (the CLI defaults to
+  ``<out>/store``), every cell is looked up in the
+  :class:`~repro.store.store.ExperimentStore` by its key; a hit returns
+  the stored rows bit-identically without dispatching a worker
+  (``CellResult.store_hit``, counted in :attr:`SweepResult.store_hits`),
+  a miss is written through as soon as it completes — so an interrupted
+  sweep re-runs only its unfinished cells and a repeated one is
+  near-free, while a changed seed, parameter, fault plan, numerics mode
+  or code re-runs them (see ``docs/STORE.md``);
 * **telemetry** — when the parent records a trace, worker cells collect
   their own metrics snapshots which are merged (counters summed,
   histograms bucket-wise) into the parent registry so the final report
@@ -38,9 +34,10 @@ into independent cells and executes them:
 * **robustness** — a crashing cell is retried with exponential backoff
   (``sweep.cell.retries``); with ``cell_timeout_s`` set, a hung worker
   cell is abandoned and retried (``sweep.cell.timeouts``); a cell that
-  still fails after ``max_retries`` is *quarantined* — recorded in the
-  manifest with its error instead of aborting the sweep
-  (``sweep.cell.quarantined``, re-run on resume).  When a fault plan is
+  still fails after ``max_retries`` is *quarantined* — reported with its
+  error in :attr:`SweepResult.quarantined` instead of aborting the sweep
+  (``sweep.cell.quarantined``) and never stored, so the next run
+  re-executes it.  When a fault plan is
   installed (or passed via ``fault_plan``) it is re-installed inside
   every cell scope with the cell's spawn key, so chaos runs are
   bit-identical per seed at any ``--jobs`` (see ``docs/ROBUSTNESS.md``).
@@ -48,7 +45,6 @@ into independent cells and executes them:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -94,11 +90,11 @@ class SweepCell:
 
 @dataclass
 class CellResult:
-    """Outcome of one executed (or resumed) cell.
+    """Outcome of one executed (or store-served) cell.
 
     ``attempts`` counts executions including retries; a non-``None``
     ``error`` marks a quarantined cell (all attempts failed — ``rows``
-    is empty and the manifest records the failure for a later re-run).
+    is empty and nothing is stored, so a later run re-executes it).
     """
 
     index: int
@@ -107,7 +103,6 @@ class CellResult:
     rows: list
     pid: int
     metrics: dict | None = None
-    cached: bool = False
     attempts: int = 1
     error: str | None = None
     #: Per-period decision records the cell emitted while a decision
@@ -125,7 +120,6 @@ class SweepResult:
     spec_name: str
     params: dict
     cells: list[CellResult] = field(default_factory=list)
-    manifest_path: Path | None = None
     #: Root of the experiment store consulted, if any.
     store_path: Path | None = None
 
@@ -136,15 +130,8 @@ class SweepResult:
 
     @property
     def pids(self) -> tuple[int, ...]:
-        """Distinct worker PIDs that executed (non-cached) cells."""
-        return tuple(sorted({
-            c.pid for c in self.cells if not c.cached and not c.store_hit
-        }))
-
-    @property
-    def resumed(self) -> int:
-        """How many cells were skipped thanks to the manifest."""
-        return sum(1 for c in self.cells if c.cached)
+        """Distinct worker PIDs that executed (non-store-served) cells."""
+        return tuple(sorted({c.pid for c in self.cells if not c.store_hit}))
 
     @property
     def store_hits(self) -> int:
@@ -181,7 +168,7 @@ def _build_cells(spec: ExperimentSpec, params: dict, seed: int,
 
 
 def _jsonable(value):
-    """Recursively coerce numpy scalars/arrays for the JSONL manifest."""
+    """Recursively coerce numpy scalars/arrays for the JSON store."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -305,59 +292,7 @@ def _run_cell_inprocess(spec: ExperimentSpec, cell: SweepCell,
     )
 
 
-# -- manifest checkpointing ---------------------------------------------
-
-
-def _manifest_path(spec: ExperimentSpec, out: Path) -> Path:
-    return Path(out) / f"{spec.name}_manifest.jsonl"
-
-
-def _manifest_header(spec: ExperimentSpec, params: dict, seed: int) -> dict:
-    return {
-        "type": "sweep",
-        "spec": spec.name,
-        "seed": seed,
-        "params": _jsonable(params),
-    }
-
-
-def _load_manifest(path: Path, header: dict) -> dict[str, dict]:
-    """Completed-cell records of a matching previous run (empty on mismatch).
-
-    A corrupt line — the classic failure being a truncated final append
-    after a crash or full disk — invalidates only itself and the tail
-    behind it: every intact record *before* it is still reused, and the
-    skipped lines are counted as ``sweep.manifest.corrupt_lines``.
-    """
-    if not path.exists():
-        return {}
-    try:
-        with path.open() as handle:
-            lines = handle.readlines()
-    except OSError:
-        return {}
-    if not lines:
-        return {}
-    try:
-        first = json.loads(lines[0])
-    except json.JSONDecodeError:
-        return {}
-    if first != header:
-        return {}
-    done: dict[str, dict] = {}
-    for position, line in enumerate(lines[1:], start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-            cell_id = record["cell_id"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            telemetry.inc("sweep.manifest.corrupt_lines",
-                          len(lines) - position)
-            break
-        done[cell_id] = record
-    return done
+# -- content-addressed store ------------------------------------------------
 
 
 def _cell_keys(spec: ExperimentSpec, cells: "list[SweepCell]",
@@ -376,68 +311,24 @@ def _cell_keys(spec: ExperimentSpec, cells: "list[SweepCell]",
     }
 
 
-def _resume_cells(cells: "list[SweepCell]", keys: dict[str, str],
-                  records: dict[str, dict]) -> dict[str, CellResult]:
-    """Recorded cells safe to reuse for this exact sweep.
-
-    A record is only reused when it carries the cell's key: the key
-    covers the cell's seed-tree node and parameters (a differently
-    shaped sweep must not leak results across grids) as well as the
-    fault plan, the numerics mode and the code that computed it.
-    """
-    done: dict[str, CellResult] = {}
-    for cell in cells:
-        record = records.get(cell.cell_id)
-        if record is None:
-            continue
-        if record.get("quarantined"):
-            continue  # a poisoned cell gets a fresh chance on resume
-        if record.get("key") != keys[cell.cell_id]:
-            continue
-        done[cell.cell_id] = CellResult(
-            index=cell.index,
-            cell_id=cell.cell_id,
-            params=cell.params,
-            rows=record["rows"],
-            pid=record.get("pid", -1),
-            metrics=record.get("metrics"),
-            cached=True,
-            attempts=record.get("attempts", 1),
-            decisions=record.get("decisions"),
-        )
-    return done
-
-
-# -- content-addressed store consultation -------------------------------
-
-
 def _store_scan(store: ExperimentStore, cells: "list[SweepCell]",
-                keys: dict[str, str], done: "dict[str, CellResult]",
-                collect_decisions: bool):
+                keys: dict[str, str],
+                collect_decisions: bool) -> dict[str, CellResult]:
     """Consult the experiment store for every cell before dispatch.
 
-    Returns ``(hits, write_ids)``: the store-served :class:`CellResult`
-    per cell the store can satisfy (manifest-resumed cells are never
-    double-served), and the ids of cells whose completion should be
-    written through — misses, plus manifest-resumed cells the store has
-    never seen (so resuming an older sweep back-fills the store).
+    Returns the store-served :class:`CellResult` per cell the store can
+    satisfy; every other cell is a miss, executed and written through.
     """
     hits: dict[str, CellResult] = {}
-    write_ids: set[str] = set()
     for cell in cells:
-        key = keys[cell.cell_id]
-        if cell.cell_id in done:
-            if not store.contains(key):
-                write_ids.add(cell.cell_id)
-            continue
-        result = _store_hit(store, key, cell, collect_decisions)
+        result = _store_hit(store, keys[cell.cell_id], cell,
+                            collect_decisions)
         if result is None:
-            write_ids.add(cell.cell_id)
             telemetry.inc("sweep.store.misses")
         else:
             hits[cell.cell_id] = result
             telemetry.inc("sweep.store.hits")
-    return hits, write_ids
+    return hits
 
 
 def _store_hit(store: ExperimentStore, key: str, cell: SweepCell,
@@ -482,119 +373,45 @@ def _store_hit(store: ExperimentStore, key: str, cell: SweepCell,
     )
 
 
-class _ManifestWriter:
-    """JSONL checkpoint of completed cells: rewritten on open, then appended.
+def _store_put(store: ExperimentStore, key: str, cell: SweepCell,
+               result: CellResult, meta: dict) -> None:
+    """Write one executed cell through to the experiment store.
 
-    Doubles as the store write-through point: every completion path
-    (serial, pool, manifest re-append) funnels through :meth:`append`,
-    so cells whose content key missed the experiment store are stored
-    there exactly once, even when manifest checkpointing is disabled.
+    Quarantined cells never are — a failure is not a result, so the
+    next run re-executes them.  Cells containing crash-recovered fleet
+    rows (``recovered`` flag) are stamped ``recovered: true`` and never
+    overwrite an existing blob, so a warm-restored run cannot shadow a
+    clean result under the same key; serving such a blob is also
+    refused (:func:`_store_hit`).  Store I/O errors are downgraded to a
+    telemetry counter: a broken cache must not fail the sweep that
+    would populate it.
     """
-
-    def __init__(self, path: Path | None, header: dict,
-                 keys: dict[str, str],
-                 store: "ExperimentStore | None" = None,
-                 store_writes: "set[str] | None" = None,
-                 store_meta: "dict | None" = None) -> None:
-        self.path = path
-        self._handle = None
-        self._spawn_keys: dict[str, tuple[int, ...]] = {}
-        self._keys = keys
-        self._store = store
-        self._store_writes = store_writes or set()
-        self._store_meta = store_meta or {}
-        if path is None:
+    if result.error is not None:
+        return
+    record = {
+        "rows": result.rows,
+        "metrics": result.metrics,
+        "attempts": result.attempts,
+    }
+    if any(isinstance(row, dict) and row.get("recovered")
+           for row in result.rows):
+        if store.contains(key):
+            telemetry.inc("sweep.store.recovered_skips")
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = path.open("w")
-        self._write(header)
-
-    def _write(self, record: dict) -> None:
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-
-    def track(self, cells: "list[SweepCell]") -> None:
-        """Remember each cell's seed-tree node for its checkpoint line."""
-        self._spawn_keys = {c.cell_id: c.spawn_key for c in cells}
-
-    def _store_put(self, result: CellResult) -> None:
-        """Write one completed cell through to the experiment store.
-
-        Only cells whose key missed during the pre-dispatch scan are
-        written (``store_writes`` holds exactly those); quarantined cells
-        never are — a failure is not a result.  Cells containing
-        crash-recovered fleet rows (``recovered`` flag) are stamped
-        ``recovered: true`` and never overwrite an existing blob, so a
-        warm-restored run cannot shadow a clean result under the same
-        key; serving such a blob is also refused (:func:`_store_hit`).
-        Store I/O errors are downgraded to a telemetry counter: a
-        broken cache must not fail the sweep that would populate it.
-        """
-        if self._store is None or result.error is not None \
-                or result.store_hit:
-            return
-        if result.cell_id not in self._store_writes:
-            return
-        key = self._keys[result.cell_id]
-        recovered = any(
-            isinstance(row, dict) and row.get("recovered")
-            for row in result.rows
-        )
-        record = {
-            "rows": result.rows,
-            "metrics": result.metrics,
-            "attempts": result.attempts,
-        }
-        if recovered:
-            if self._store.contains(key):
-                telemetry.inc("sweep.store.recovered_skips")
-                return
-            record["recovered"] = True
-        if result.decisions is not None:
-            record["decisions"] = result.decisions
-        meta = {
-            **{k: v for k, v in self._store_meta.items() if k != "entropy"},
-            "cell_id": result.cell_id,
-            "params": _jsonable(result.params),
-            "seed": {
-                "entropy": self._store_meta.get("entropy"),
-                "spawn_key": list(self._spawn_keys.get(result.cell_id, ())),
-            },
-        }
-        try:
-            self._store.put(key, record, meta)
-            telemetry.inc("sweep.store.writes")
-        except OSError:
-            telemetry.inc("sweep.store.write_errors")
-
-    def append(self, result: CellResult) -> None:
-        """Checkpoint one completed (or quarantined) cell."""
-        self._store_put(result)
-        if self._handle is None:
-            return
-        record = {
-            "index": result.index,
-            "cell_id": result.cell_id,
-            "key": self._keys[result.cell_id],
-            "spawn_key": list(self._spawn_keys.get(result.cell_id, ())),
-            "params": _jsonable(result.params),
-            "rows": result.rows,
-            "pid": result.pid,
-            "metrics": result.metrics,
-            "attempts": result.attempts,
-        }
-        if result.decisions is not None:
-            record["decisions"] = result.decisions
-        if result.error is not None:
-            record["quarantined"] = True
-            record["error"] = result.error
-        self._write(record)
-
-    def close(self) -> None:
-        """Close the underlying file (no-op without a path)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        record["recovered"] = True
+    if result.decisions is not None:
+        record["decisions"] = result.decisions
+    meta = {
+        **meta,
+        "cell_id": cell.cell_id,
+        "params": _jsonable(cell.params),
+        "seed": {"entropy": cell.entropy, "spawn_key": list(cell.spawn_key)},
+    }
+    try:
+        store.put(key, record, meta)
+        telemetry.inc("sweep.store.writes")
+    except OSError:
+        telemetry.inc("sweep.store.write_errors")
 
 
 # -- telemetry merging --------------------------------------------------
@@ -697,7 +514,7 @@ def _backoff(retry_backoff_s: float, attempt: int) -> None:
         time.sleep(retry_backoff_s * (2.0 ** attempt))
 
 
-def _run_serial(spec, pending, results, writer, plan, max_retries,
+def _run_serial(spec, pending, complete, plan, max_retries,
                 retry_backoff_s, collect_decisions=False):
     """In-process execution with the same retry/quarantine ladder."""
     for cell in pending:
@@ -717,11 +534,10 @@ def _run_serial(spec, pending, results, writer, plan, max_retries,
                 failure = exc
         if result is None:
             result = _quarantined_result(cell, max_retries + 1, failure)
-        results[cell.cell_id] = result
-        writer.append(result)
+        complete(cell, result)
 
 
-def _run_pool(spec, pending, results, writer, plan_dict, collect_telemetry,
+def _run_pool(spec, pending, complete, plan_dict, collect_telemetry,
               jobs, max_retries, retry_backoff_s, cell_timeout_s,
               collect_decisions=False):
     """Pool execution: retries, per-cell deadlines, poison quarantine.
@@ -753,9 +569,7 @@ def _run_pool(spec, pending, results, writer, plan_dict, collect_telemetry,
                 _backoff(retry_backoff_s, attempt)
                 submit(cell, attempt + 1)
                 return
-            result = _quarantined_result(cell, attempt + 1, error)
-            results[cell.cell_id] = result
-            writer.append(result)
+            complete(cell, _quarantined_result(cell, attempt + 1, error))
 
         tracked: dict = {}
         for cell in pending:
@@ -776,8 +590,7 @@ def _run_pool(spec, pending, results, writer, plan_dict, collect_telemetry,
                 except Exception as exc:  # noqa: BLE001 — quarantine ladder
                     handle_failure(cell, attempt, exc)
                 else:
-                    results[result.cell_id] = result
-                    writer.append(result)
+                    complete(cell, result)
             now = time.monotonic()
             for future, (cell, attempt, deadline) in list(tracked.items()):
                 if deadline is None or now < deadline:
@@ -800,8 +613,6 @@ def run_sweep(
     *,
     seed: int = 0,
     jobs: int = 1,
-    out: "Path | str | None" = None,
-    resume: bool = True,
     sweep_overrides: dict | None = None,
     max_retries: int = 2,
     retry_backoff_s: float = 0.05,
@@ -818,12 +629,6 @@ def run_sweep(
         Root of the sweep's SeedSequence spawn tree.
     jobs:
         Worker processes; ``1`` runs serially in-process.
-    out:
-        Directory for the resume manifest (``None`` disables
-        checkpointing).
-    resume:
-        Skip cells the manifest already records under their current
-        cell key.
     sweep_overrides:
         Extra/replacement axis values (``repro run --sweep key=a,b,c``).
     max_retries:
@@ -840,8 +645,8 @@ def run_sweep(
         JSONL file for the merged decision trace
         (``--trace-decisions``): every cell runs under its own decision
         sink, records come back on the :class:`CellResult` (persisting
-        through the manifest, so resumed cells keep their traces) and
-        are written here in cell-index order.  ``None`` falls back to
+        through the store, so served cells keep their traces) and are
+        written here in cell-index order.  ``None`` falls back to
         the caller's installed :mod:`repro.obs` sink, if any; with
         neither, cells run untraced.
     store:
@@ -852,21 +657,15 @@ def run_sweep(
         without dispatching a worker and counted in
         :attr:`SweepResult.store_hits`; fresh completions are written
         through.  ``None`` disables the store (the CLI resolves
-        ``REPRO_STORE`` before calling).  See ``docs/STORE.md``.
+        ``--store`` / ``REPRO_STORE`` / ``<out>/store`` before calling).
+        See ``docs/STORE.md``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     cells = _build_cells(spec, params, seed, sweep_overrides)
-    header = _manifest_header(spec, params, seed)
-    manifest_path = _manifest_path(spec, Path(out)) if out is not None else None
     plan = fault_plan if fault_plan is not None else faults.active_plan()
-
-    keys = _cell_keys(spec, cells, plan)
-    done: dict[str, CellResult] = {}
-    if manifest_path is not None and resume:
-        done = _resume_cells(cells, keys, _load_manifest(manifest_path, header))
     collect_telemetry = telemetry.enabled() and jobs > 1
     collect_decisions = decision_path is not None or obs.enabled()
 
@@ -874,48 +673,33 @@ def run_sweep(
         store if isinstance(store, ExperimentStore) or store is None
         else ExperimentStore(store)
     )
-    store_hits: dict[str, CellResult] = {}
-    write_ids: set[str] = set()
-    store_meta: dict = {}
+    results: dict[str, CellResult] = {}
     if store_obj is not None:
-        store_hits, write_ids = _store_scan(
-            store_obj, cells, keys, done, collect_decisions
-        )
+        keys = _cell_keys(spec, cells, plan)
+        results = _store_scan(store_obj, cells, keys, collect_decisions)
         store_meta = {
             "spec": spec.name,
             "numerics_mode": active_numerics().mode,
             "code": code_fingerprint(),
-            "entropy": seed,
         }
-    pending = [
-        c for c in cells
-        if c.cell_id not in done and c.cell_id not in store_hits
-    ]
+    pending = [c for c in cells if c.cell_id not in results]
 
-    # Rewrite the manifest from the reused records: a corrupt tail (or
-    # a stale quarantine entry) must not sit beneath fresh appends.
-    writer = _ManifestWriter(manifest_path, header, keys=keys,
-                             store=store_obj, store_writes=write_ids,
-                             store_meta=store_meta)
-    writer.track(cells)
-    results: dict[str, CellResult] = {**done, **store_hits}
-    try:
-        for cached in sorted(
-            [*done.values(), *store_hits.values()], key=lambda r: r.index
-        ):
-            writer.append(cached)
-        if jobs == 1 or len(pending) <= 1:
-            _run_serial(spec, pending, results, writer, plan,
-                        max_retries, retry_backoff_s,
-                        collect_decisions=collect_decisions)
-        else:
-            _run_pool(spec, pending, results, writer,
-                      plan.to_dict() if plan is not None else None,
-                      collect_telemetry, jobs, max_retries,
-                      retry_backoff_s, cell_timeout_s,
-                      collect_decisions=collect_decisions)
-    finally:
-        writer.close()
+    def complete(cell: SweepCell, result: CellResult) -> None:
+        """Every completion path funnels here: record, then write through."""
+        results[cell.cell_id] = result
+        if store_obj is not None:
+            _store_put(store_obj, keys[cell.cell_id], cell, result,
+                       store_meta)
+
+    if jobs == 1 or len(pending) <= 1:
+        _run_serial(spec, pending, complete, plan, max_retries,
+                    retry_backoff_s, collect_decisions=collect_decisions)
+    else:
+        _run_pool(spec, pending, complete,
+                  plan.to_dict() if plan is not None else None,
+                  collect_telemetry, jobs, max_retries,
+                  retry_backoff_s, cell_timeout_s,
+                  collect_decisions=collect_decisions)
 
     if collect_telemetry:
         merged = merge_metrics(
@@ -931,6 +715,5 @@ def run_sweep(
         spec_name=spec.name,
         params=params,
         cells=ordered,
-        manifest_path=manifest_path,
         store_path=store_obj.root if store_obj is not None else None,
     )

@@ -52,10 +52,6 @@ class RegretCurves:
     def final_cumulative(self) -> float:
         return float(self.cumulative[-1]) if self.cumulative.size else 0.0
 
-    @property
-    def final_average(self) -> float:
-        return float(self.average[-1]) if self.average.size else 0.0
-
     def is_sublinear(self, split: float = 0.5) -> bool:
         """Whether the average regret of the tail beats the head.
 

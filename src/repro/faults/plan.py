@@ -134,7 +134,7 @@ class FaultSpec:
             )
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON manifest / process-boundary layout)."""
+        """Plain-dict form (plan file / process-boundary layout)."""
         spec = {
             "kind": self.kind,
             "mode": self.mode,

@@ -82,10 +82,6 @@ class A1PolicyService:
         """Attach an enforcement hook (e.g. the policy xApp)."""
         self._enforcers.append(callback)
 
-    def policy_types(self) -> list[int]:
-        """Registered policy type ids, sorted."""
-        return sorted(self._types)
-
     def instances(self, policy_type_id: int) -> list[str]:
         """Instance ids deployed under ``policy_type_id``, sorted."""
         return sorted(
@@ -191,10 +187,6 @@ class A1Client:
     def send(self, request: A1PolicyRequest):
         """Publish one request (delivery completes at the next drain)."""
         return post(self.bus, self.request_topic, request)
-
-    def response_for(self, request_id: int) -> A1PolicyResponse | None:
-        """The response received for ``request_id``, if any yet."""
-        return self._responses.get(request_id)
 
     def _on_response(self, message: object) -> None:
         if not isinstance(message, A1PolicyResponse):

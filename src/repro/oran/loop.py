@@ -303,15 +303,3 @@ class VirtualTimeLoop:
                 "future no remaining task can resolve (deadlock)"
             )
         return task.result
-
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def pending_timers(self) -> int:
-        """Number of timers not yet fired."""
-        return len(self._timers)
-
-    @property
-    def ready_count(self) -> int:
-        """Number of tasks currently runnable."""
-        return len(self._ready)

@@ -63,11 +63,6 @@ class GaussMarkovChannel:
         self._rng = ensure_rng(rng)
         self._current = self.mean_snr_db
 
-    @property
-    def current_snr_db(self) -> float:
-        """Most recently generated SNR sample."""
-        return self._current
-
     def reset(self, snr_db: float | None = None) -> float:
         """Reset the process to ``snr_db`` (default: the mean)."""
         self._current = self.mean_snr_db if snr_db is None else float(snr_db)

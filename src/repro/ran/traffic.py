@@ -78,10 +78,6 @@ class OnOffTraffic:
         self._rng = ensure_rng(rng)
         self._on = bool(start_on)
 
-    @property
-    def is_on(self) -> bool:
-        return self._on
-
     def stationary_on_probability(self) -> float:
         """Long-run fraction of time spent in the ON state."""
         return self.p_off_to_on / (self.p_off_to_on + self.p_on_to_off)

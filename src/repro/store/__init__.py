@@ -9,11 +9,12 @@ Public surface:
 * :class:`~repro.store.store.ExperimentStore` — immutable result
   blobs plus a JSONL index with atomic append, ``verify`` and ``gc``
   compaction;
-* :func:`~repro.store.store.resolve_store_dir` — ``--store DIR`` /
-  ``--no-store`` / ``REPRO_STORE`` resolution.
+* :func:`~repro.store.store.resolve_store_dir` — ``--no-store`` /
+  ``--store DIR`` / ``REPRO_STORE`` / ``<out>/store`` resolution.
 
-The sweep engine (:mod:`repro.experiments.parallel`) consults the
-store before dispatching a cell and writes completed cells through;
+The store is the sweep engine's one result cache
+(:mod:`repro.experiments.parallel`): it is consulted before a cell is
+dispatched and each completed cell is written through;
 ``repro results`` queries historical results.  See ``docs/STORE.md``.
 """
 

@@ -10,8 +10,9 @@ Thin, pycomex-style console layer over :class:`ExperimentStore`::
 ``list`` renders one table row per stored cell (filterable), ``show``
 prints one result in full, ``verify`` checks every blob against its
 indexed checksum, and ``gc`` compacts the index and deletes
-unreferenced blobs.  The store directory resolves like every other
-store consumer: ``--store DIR`` first, then ``REPRO_STORE``.
+unreferenced blobs.  The store directory is ``--store DIR``, else
+``REPRO_STORE`` (an experiment's default ``<out>/store`` must be named
+with ``--store``).
 """
 
 from __future__ import annotations

@@ -17,11 +17,13 @@ params, payload checksum — appended in one flushed write; duplicate
 keys are resolved last-wins at read time and squashed by
 :meth:`ExperimentStore.gc` compaction.
 
-Store resolution mirrors :class:`~repro.core.numerics.NumericsConfig`:
-an explicit CLI path (``--store DIR``) wins, then the ``REPRO_STORE``
-environment variable, and with neither the store is disabled
-(``--no-store`` force-disables).  See ``docs/STORE.md`` for the key
-definition, the cache-hit guarantees and the invalidation semantics.
+Store resolution: ``--no-store`` disables the store, else an explicit
+CLI path (``--store DIR``) wins, then the ``REPRO_STORE`` environment
+variable, then ``<out>/store`` under the experiment's output directory
+— so the store is the sweep engine's one result cache, and a repeated
+or interrupted sweep in the same ``--out`` is served from it.  See
+``docs/STORE.md`` for the key definition, the cache-hit guarantees and
+the invalidation semantics.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ INDEX_NAME = "index.jsonl"
 
 def resolve_store_dir(store: "Path | str | None" = None,
                       no_store: bool = False,
+                      out: "Path | str | None" = None,
                       environ=None) -> "Path | None":
-    """Resolve the store directory: flag > ``REPRO_STORE`` env > off.
+    """Resolve the store directory.
 
-    ``no_store`` force-disables the store even when the environment
-    names one (the CLI's ``--no-store``); ``None`` means "no store".
+    ``no_store`` (off) > ``store`` (``--store DIR``) > ``REPRO_STORE``
+    env > ``<out>/store``; ``None`` means "no store".
     """
     if no_store:
         return None
@@ -55,7 +58,9 @@ def resolve_store_dir(store: "Path | str | None" = None,
         return Path(store)
     environ = os.environ if environ is None else environ
     named = environ.get(ENV_STORE)
-    return Path(named) if named else None
+    if named:
+        return Path(named)
+    return Path(out) / "store" if out is not None else None
 
 
 def _sha256(text: str) -> str:
@@ -111,11 +116,12 @@ class ExperimentStore:
         """Store ``result`` under ``key``, atomically, and index it.
 
         ``result`` must be JSON-serialisable (the sweep engine passes
-        rows/metrics/decisions already coerced by its manifest layer).
+        rows/metrics/decisions already coerced to plain JSON types).
         An existing blob for ``key`` is replaced — the canonical key
         guarantees any replacement describes the same computation, so
         replacement can only refresh (e.g. add decision records), never
-        corrupt.  The index gains one summary record per call.
+        corrupt.  The index gains one summary record per call, on a
+        line of its own even after a torn last line.
         """
         path = self.blob_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -138,8 +144,14 @@ class ExperimentStore:
             "bytes": len(text),
             "created": meta["created"],
         }
-        with self.index_path.open("a") as handle:
-            handle.write(json.dumps(record) + "\n")
+        line = (json.dumps(record) + "\n").encode()
+        with self.index_path.open("a+b") as handle:
+            # A torn last line (crash mid-append) must not swallow this one.
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
             handle.flush()
         return path
 

@@ -71,7 +71,7 @@ def test_convergence_survives_the_chaos_plan_end_to_end(chaos_plan):
     telemetry.reset_metrics()
     telemetry.enable()
     try:
-        result = run_sweep(spec, params, seed=11, jobs=2, out=None,
+        result = run_sweep(spec, params, seed=11, jobs=2,
                            fault_plan=chaos_plan, retry_backoff_s=0.0)
         counters = telemetry.metrics_snapshot().get("counters", {})
     finally:
@@ -94,17 +94,17 @@ def test_convergence_survives_the_chaos_plan_end_to_end(chaos_plan):
 
 def test_chaos_runs_are_bit_identical_for_a_seed(chaos_plan):
     spec, params = _convergence()
-    first = run_sweep(spec, params, seed=11, jobs=2, out=None,
+    first = run_sweep(spec, params, seed=11, jobs=2,
                       fault_plan=chaos_plan, retry_backoff_s=0.0)
-    second = run_sweep(spec, params, seed=11, jobs=2, out=None,
+    second = run_sweep(spec, params, seed=11, jobs=2,
                        fault_plan=chaos_plan, retry_backoff_s=0.0)
     assert [c.rows for c in first.cells] == [c.rows for c in second.cells]
 
 
 def test_chaos_cost_stays_near_the_fault_free_baseline(chaos_plan):
     spec, params = _convergence()
-    baseline = run_sweep(spec, params, seed=11, jobs=1, out=None)
-    chaotic = run_sweep(spec, params, seed=11, jobs=2, out=None,
+    baseline = run_sweep(spec, params, seed=11, jobs=1)
+    chaotic = run_sweep(spec, params, seed=11, jobs=2,
                         fault_plan=chaos_plan, retry_backoff_s=0.0)
     base = float(np.mean(_tail_costs(baseline)))
     chaos = float(np.mean(_tail_costs(chaotic)))

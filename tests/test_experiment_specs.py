@@ -1,6 +1,5 @@
 """Tests for the experiment registry, the sweep engine and the CLI shell."""
 
-import json
 from contextlib import nullcontext
 from types import SimpleNamespace
 
@@ -15,7 +14,7 @@ from repro.experiments.parallel import merge_metrics, run_sweep
 from repro.experiments.runner import ConstraintSchedule, band
 from repro.experiments.spec import ExperimentSpec, ParamSpec, cell_id
 from repro.faults import FaultPlan, FaultSpec
-from repro.store.key import ENV_FINGERPRINT
+from repro.store import ENV_FINGERPRINT, ExperimentStore
 from repro.testbed.config import ServiceConstraints
 
 # -- CLI smoke: every registered spec end-to-end with tiny budgets -------
@@ -126,8 +125,8 @@ def _static_tiny_params():
 def test_jobs_parallel_matches_serial(tmp_path):
     """SeedSequence-tree seeding makes worker count irrelevant."""
     spec, params = _static_tiny_params()
-    serial = run_sweep(spec, params, seed=7, jobs=1, out=None)
-    parallel_result = run_sweep(spec, params, seed=7, jobs=2, out=None)
+    serial = run_sweep(spec, params, seed=7, jobs=1)
+    parallel_result = run_sweep(spec, params, seed=7, jobs=2)
     assert [c.cell_id for c in serial.cells] == [
         c.cell_id for c in parallel_result.cells
     ]
@@ -137,17 +136,21 @@ def test_jobs_parallel_matches_serial(tmp_path):
 
 def test_cell_seeds_depend_on_root_seed():
     spec, params = _static_tiny_params()
-    a = run_sweep(spec, params, seed=0, jobs=1, out=None)
-    b = run_sweep(spec, params, seed=1, jobs=1, out=None)
+    a = run_sweep(spec, params, seed=0, jobs=1)
+    b = run_sweep(spec, params, seed=1, jobs=1)
     assert a.rows != b.rows
 
 
-# -- manifest checkpoint / resume ----------------------------------------
+# -- resume through the experiment store --------------------------------
 
 _CALLS: list = []
+#: Value of ``x`` whose cell raises ``KeyboardInterrupt`` (None: none).
+_INTERRUPT_AT: list = [None]
 
 
 def _toy_cell(params, seed):
+    if params["x"] == _INTERRUPT_AT[0]:
+        raise KeyboardInterrupt
     _CALLS.append(params["x"])
     rng = seed if hasattr(seed, "generate_state") else None
     draw = int(rng.generate_state(1)[0]) if rng is not None else 0
@@ -158,12 +161,12 @@ def _toy_report(rows, params, out):
     return f"{len(rows)} rows"
 
 
-def _toy_spec():
+def _toy_spec(xs=(1, 2, 3)):
     return ExperimentSpec(
         name="toy",
         help="synthetic spec for engine tests",
         params=(
-            ParamSpec("x", type=int, default=(1, 2, 3), sweep=True),
+            ParamSpec("x", type=int, default=xs, sweep=True),
             ParamSpec("periods", type=int, default=1),
         ),
         run_cell=_toy_cell,
@@ -172,46 +175,41 @@ def _toy_spec():
 
 
 def test_sweep_resumes_from_manifest(tmp_path):
+    """A repeated sweep is served from the store: nothing re-executes."""
     spec = _toy_spec()
     params = spec.resolve({})
     _CALLS.clear()
-    first = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    assert first.resumed == 0
+    first = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
+    assert first.store_hits == 0
     assert _CALLS == [1, 2, 3]
-    assert first.manifest_path.exists()
 
     _CALLS.clear()
-    second = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    assert second.resumed == 3
+    second = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
+    assert second.store_hits == 3
     assert _CALLS == []  # nothing re-executed
     assert second.rows == first.rows
 
 
 def test_interrupted_sweep_runs_only_pending_cells(tmp_path):
-    spec = _toy_spec()
+    """``KeyboardInterrupt`` escapes the quarantine ladder mid-sweep; the
+    cells finished before it are already stored, so the rerun executes
+    only the interrupted cell and the ones after it."""
+    spec = _toy_spec((1, 2, 3, 4))
     params = spec.resolve({})
     _CALLS.clear()
-    first = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-
-    # Simulate an interrupt: keep the header plus the first cell only.
-    lines = first.manifest_path.read_text().splitlines()
-    first.manifest_path.write_text("\n".join(lines[:2]) + "\n")
+    _INTERRUPT_AT[0] = 3
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
+    finally:
+        _INTERRUPT_AT[0] = None
+    assert _CALLS == [1, 2]
 
     _CALLS.clear()
-    second = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    assert second.resumed == 1
-    assert _CALLS == [2, 3]
-    assert second.rows == first.rows
-
-
-def test_changed_seed_invalidates_manifest(tmp_path):
-    spec = _toy_spec()
-    params = spec.resolve({})
-    run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    _CALLS.clear()
-    rerun = run_sweep(spec, params, seed=4, jobs=1, out=tmp_path)
-    assert rerun.resumed == 0
-    assert _CALLS == [1, 2, 3]
+    second = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
+    assert second.store_hits == 2
+    assert _CALLS == [3, 4]
+    assert second.rows == run_sweep(spec, params, seed=3, jobs=1).rows
 
 
 def test_reshaped_sweep_does_not_reuse_stale_seeds(tmp_path):
@@ -219,27 +217,27 @@ def test_reshaped_sweep_does_not_reuse_stale_seeds(tmp_path):
 
     ``x=3`` is cell index 2 of the 3-value grid but index 0 of the
     1-value grid, so its SeedSequence spawn key differs and the
-    checkpoint must not be reused.
+    stored result must not be reused.
     """
     spec = _toy_spec()
-    run_sweep(spec, spec.resolve({}), seed=3, jobs=1, out=tmp_path)
+    run_sweep(spec, spec.resolve({}), seed=3, jobs=1, store=tmp_path)
     _CALLS.clear()
     rerun = run_sweep(
-        spec, spec.resolve({"x": (3,)}), seed=3, jobs=1, out=tmp_path
+        spec, spec.resolve({"x": (3,)}), seed=3, jobs=1, store=tmp_path
     )
-    assert rerun.resumed == 0
+    assert rerun.store_hits == 0
     assert _CALLS == [3]
 
 
 @pytest.mark.parametrize("change", ["faults", "numerics", "code"])
 def test_changed_configuration_forces_recompute(tmp_path, monkeypatch,
                                                 change):
-    """A record is resumed only under its cell's full content key: a
+    """A result is served only under its cell's full content key: a
     changed fault plan, numerics mode or code fingerprint re-runs every
     cell instead of serving the rows the old configuration computed."""
     spec = _toy_spec()
     params = spec.resolve({})
-    run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
+    run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     plan = None
     scope = nullcontext()
     if change == "faults":
@@ -251,20 +249,20 @@ def test_changed_configuration_forces_recompute(tmp_path, monkeypatch,
         monkeypatch.setenv(ENV_FINGERPRINT, "edited-code")
     _CALLS.clear()
     with scope:
-        rerun = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path,
+        rerun = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path,
                           fault_plan=plan)
-    assert rerun.resumed == 0
+    assert rerun.store_hits == 0
     assert _CALLS == [1, 2, 3]
 
 
 def test_manifest_records_carry_spawn_keys(tmp_path):
+    """Each stored cell's index entry names its seed-tree node."""
     spec = _toy_spec()
-    result = run_sweep(spec, spec.resolve({}), seed=3, jobs=1, out=tmp_path)
-    lines = [json.loads(line)
-             for line in result.manifest_path.read_text().splitlines()]
-    header, records = lines[0], lines[1:]
-    assert header["spec"] == "toy" and header["seed"] == 3
-    assert [tuple(r["spawn_key"]) for r in records] == [(0,), (1,), (2,)]
+    run_sweep(spec, spec.resolve({}), seed=3, jobs=1, store=tmp_path)
+    entries = ExperimentStore(tmp_path).find(spec="toy", seed=3)
+    assert sorted(tuple(e["seed"]["spawn_key"]) for e in entries) == [
+        (0,), (1,), (2,)
+    ]
 
 
 def test_run_sweep_rejects_bad_jobs():

@@ -343,7 +343,7 @@ class TestSweepDecisions:
         spec, params = regret_spec
         path = tmp_path / "decisions.jsonl"
         result = parallel.run_sweep(
-            spec, params, seed=3, jobs=1, out=tmp_path, decision_path=path
+            spec, params, seed=3, jobs=1, decision_path=path
         )
         cells = [c.cell_id for c in result.cells]
         records = [json.loads(line)
@@ -360,9 +360,9 @@ class TestSweepDecisions:
         spec, params = regret_spec
         serial = tmp_path / "serial.jsonl"
         pooled = tmp_path / "pooled.jsonl"
-        parallel.run_sweep(spec, params, seed=3, jobs=1, out=None,
+        parallel.run_sweep(spec, params, seed=3, jobs=1,
                            decision_path=serial)
-        parallel.run_sweep(spec, params, seed=3, jobs=2, out=None,
+        parallel.run_sweep(spec, params, seed=3, jobs=2,
                            decision_path=pooled)
         assert serial.read_text() == pooled.read_text()
 
@@ -370,16 +370,21 @@ class TestSweepDecisions:
         spec, params = regret_spec
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        parallel.run_sweep(spec, params, seed=3, jobs=1, out=tmp_path,
+        store = tmp_path / "store"
+        parallel.run_sweep(spec, params, seed=3, jobs=1, store=store,
                            decision_path=first)
         result = parallel.run_sweep(spec, params, seed=3, jobs=1,
-                                    out=tmp_path, decision_path=second)
-        assert result.resumed == len(result.cells)
-        assert second.read_text() == first.read_text()
+                                    store=store, decision_path=second)
+        assert result.store_hits == len(result.cells)
+        served = [json.loads(line) for line in second.read_text().splitlines()]
+        assert served == [
+            {**json.loads(line), "store_hit": True}
+            for line in first.read_text().splitlines()
+        ]
 
     def test_untraced_sweep_writes_nothing(self, regret_spec, tmp_path):
         spec, params = regret_spec
-        result = parallel.run_sweep(spec, params, seed=3, jobs=1, out=None)
+        result = parallel.run_sweep(spec, params, seed=3, jobs=1)
         assert all(c.decisions is None for c in result.cells)
 
 

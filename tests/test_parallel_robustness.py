@@ -1,8 +1,9 @@
-"""Sweep-engine robustness: manifest corruption, retries, quarantine.
+"""Sweep-engine robustness: store index corruption, retries, timeouts,
+quarantine.
 
-Drives :func:`repro.experiments.parallel.run_sweep` through crash/hang
-fault plans and corrupted checkpoint manifests, asserting the engine
-recovers without losing completed work (``docs/ROBUSTNESS.md``).
+Drives :func:`repro.experiments.parallel.run_sweep` through corrupted
+store indexes and crash/hang fault plans, asserting the engine recovers
+without losing completed work (``docs/ROBUSTNESS.md``).
 """
 
 import json
@@ -13,6 +14,7 @@ import repro.experiments  # noqa: F401  (populate the spec registry)
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import run_sweep
 from repro.faults import FaultPlan, FaultSpec, uninstall
+from repro.store import ExperimentStore
 from repro.telemetry import runtime as telemetry
 
 
@@ -47,53 +49,48 @@ def _counter(snapshot, name):
     return snapshot().get("counters", {}).get(name, 0)
 
 
-def _manifest_lines(path):
-    return [line for line in path.read_text().splitlines() if line.strip()]
+def _index_lines(store):
+    return store.index_path.read_text().splitlines()
 
 
-# -- manifest corruption -------------------------------------------------
+# -- store index corruption ----------------------------------------------
 
 
-def test_corrupt_trailing_line_keeps_completed_prefix(
-        convergence, tmp_path, metrics):
+def test_corrupt_trailing_line_keeps_completed_prefix(convergence, tmp_path):
+    """Cells are looked up by blob path, not through the index: a crash
+    mid-append that truncates the last index line loses no result."""
     spec, params = convergence
-    first = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    manifest = first.manifest_path
-    lines = _manifest_lines(manifest)
-    # Simulate a truncated final append (crash/full disk mid-write).
-    manifest.write_text("\n".join(lines[:-1]) + "\n"
-                        + lines[-1][: len(lines[-1]) // 2] + "\n")
+    store = ExperimentStore(tmp_path)
+    first = run_sweep(spec, params, seed=3, jobs=1, store=store)
+    lines = _index_lines(store)
+    store.index_path.write_text(
+        "".join(line + "\n" for line in lines[:-1])
+        + lines[-1][: len(lines[-1]) // 2]
+    )
 
-    second = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    assert second.resumed == len(first.cells) - 1  # only the tail re-ran
-    assert _counter(metrics, "sweep.manifest.corrupt_lines") == 1
+    second = run_sweep(spec, params, seed=3, jobs=1, store=store)
+    assert second.store_hits == len(first.cells)  # nothing re-ran
     assert [c.rows for c in second.cells] == [c.rows for c in first.cells]
+    assert store.verify()["corrupt_index_lines"] == 1
 
 
-def test_corrupt_middle_line_skips_the_tail(convergence, tmp_path, metrics):
+def test_corrupt_middle_index_line_loses_no_cell(convergence, tmp_path):
+    """A garbled record in the middle of the index drops only itself:
+    the intact records after it stay indexed and every cell is served."""
     spec, params = convergence
-    first = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    lines = _manifest_lines(first.manifest_path)
-    lines[2] = "{not json"  # second record of four
-    first.manifest_path.write_text("\n".join(lines) + "\n")
+    store = ExperimentStore(tmp_path)
+    first = run_sweep(spec, params, seed=3, jobs=1, store=store)
+    lines = _index_lines(store)
+    bad_key = json.loads(lines[1])["key"]
+    lines[1] = "{not json"  # second record of four
+    store.index_path.write_text("\n".join(lines) + "\n")
 
-    second = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    assert second.resumed == 1  # only the record before the bad line
-    # The bad line plus the two intact-but-unreachable tail records.
-    assert _counter(metrics, "sweep.manifest.corrupt_lines") == 3
+    assert len(store.entries()) == len(first.cells) - 1
+    assert bad_key not in {entry["key"] for entry in store.entries()}
+    second = run_sweep(spec, params, seed=3, jobs=1, store=store)
+    assert second.store_hits == len(first.cells)
     assert [c.rows for c in second.cells] == [c.rows for c in first.cells]
-
-
-def test_resume_rewrites_the_manifest_clean(convergence, tmp_path):
-    spec, params = convergence
-    first = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    manifest = first.manifest_path
-    with manifest.open("a") as handle:
-        handle.write('{"cell_id": "truncated...\n')
-
-    run_sweep(spec, params, seed=3, jobs=1, out=tmp_path)
-    records = [json.loads(line) for line in _manifest_lines(manifest)]
-    assert len(records) == 1 + len(first.cells)  # header + every cell, parseable
+    assert store.verify()["corrupt_index_lines"] == 1
 
 
 # -- retries and quarantine ----------------------------------------------
@@ -102,11 +99,11 @@ def test_resume_rewrites_the_manifest_clean(convergence, tmp_path):
 def test_serial_crash_is_retried_and_rows_match_fault_free(
         convergence, metrics):
     spec, params = convergence
-    clean = run_sweep(spec, params, seed=5, jobs=1, out=None)
+    clean = run_sweep(spec, params, seed=5, jobs=1)
     plan = FaultPlan(specs=(
         FaultSpec(kind="worker", mode="crash", at=(0, 2), max_events=2),
     ))
-    chaotic = run_sweep(spec, params, seed=5, jobs=1, out=None,
+    chaotic = run_sweep(spec, params, seed=5, jobs=1,
                         fault_plan=plan)
     assert chaotic.retries == 2
     assert chaotic.quarantined == []
@@ -117,11 +114,11 @@ def test_serial_crash_is_retried_and_rows_match_fault_free(
 
 def test_pool_crash_is_retried_and_rows_match_fault_free(convergence):
     spec, params = convergence
-    clean = run_sweep(spec, params, seed=5, jobs=1, out=None)
+    clean = run_sweep(spec, params, seed=5, jobs=1)
     plan = FaultPlan(specs=(
         FaultSpec(kind="worker", mode="crash", at=(0,), max_events=1),
     ))
-    chaotic = run_sweep(spec, params, seed=5, jobs=2, out=None,
+    chaotic = run_sweep(spec, params, seed=5, jobs=2,
                         fault_plan=plan)
     assert chaotic.retries >= 1
     assert chaotic.quarantined == []
@@ -131,24 +128,29 @@ def test_pool_crash_is_retried_and_rows_match_fault_free(convergence):
 def test_poison_cell_is_quarantined_then_recovers_on_resume(
         convergence, tmp_path, metrics):
     spec, params = convergence
+    store = ExperimentStore(tmp_path)
     plan = FaultPlan(specs=(
         FaultSpec(kind="worker", mode="crash", at=(1,)),
     ))
     # No retry budget: the injected crash poisons the cell outright.
-    poisoned = run_sweep(spec, params, seed=5, jobs=1, out=tmp_path,
+    poisoned = run_sweep(spec, params, seed=5, jobs=1, store=store,
                          fault_plan=plan, max_retries=0)
     assert len(poisoned.quarantined) == 1
     bad = poisoned.quarantined[0]
     assert bad.index == 1 and bad.rows == [] and "InjectedWorkerCrash" in bad.error
     assert _counter(metrics, "sweep.cell.quarantined") == 1
-    record = json.loads(_manifest_lines(poisoned.manifest_path)[2])
-    assert record["quarantined"] is True and record["cell_id"] == bad.cell_id
+    # A failure is not a result: only the healthy cells were stored.
+    stored = {entry["cell_id"] for entry in store.entries()}
+    assert len(stored) == len(poisoned.cells) - 1
+    assert bad.cell_id not in stored
 
-    # A fault-free re-run resumes the healthy cells and heals the poison.
-    healed = run_sweep(spec, params, seed=5, jobs=1, out=tmp_path)
-    assert healed.resumed == len(poisoned.cells) - 1
+    # The worker fault is not part of the cell key, so a fault-free
+    # re-run is served the healthy cells and heals the poison.
+    healed = run_sweep(spec, params, seed=5, jobs=1, store=store)
+    assert healed.store_hits == len(poisoned.cells) - 1
     assert healed.quarantined == []
     assert all(c.rows for c in healed.cells)
+    assert bad.cell_id in {entry["cell_id"] for entry in store.entries()}
 
 
 def test_hung_worker_times_out_and_the_retry_recovers(convergence, metrics):
@@ -157,7 +159,7 @@ def test_hung_worker_times_out_and_the_retry_recovers(convergence, metrics):
         FaultSpec(kind="worker", mode="hang", at=(0,), magnitude=3.0,
                   max_events=1),
     ))
-    result = run_sweep(spec, params, seed=5, jobs=2, out=None,
+    result = run_sweep(spec, params, seed=5, jobs=2,
                        fault_plan=plan, cell_timeout_s=0.5,
                        retry_backoff_s=0.0)
     assert _counter(metrics, "sweep.cell.timeouts") == 1

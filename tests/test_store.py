@@ -22,6 +22,7 @@ from repro.store import (
     code_fingerprint,
     resolve_store_dir,
 )
+from repro.telemetry import runtime as telemetry
 
 # -- canonical serialisation --------------------------------------------
 
@@ -227,6 +228,15 @@ def test_resolve_store_dir_precedence(tmp_path):
     assert resolve_store_dir(tmp_path / "flag", no_store=True,
                              environ=env) is None
     assert resolve_store_dir(None, no_store=True, environ=env) is None
+    # with neither flag nor env, the experiment's <out>/store
+    out = tmp_path / "out"
+    assert resolve_store_dir(None, out=out, environ={}) == out / "store"
+    assert resolve_store_dir(None, out=out, environ=env) \
+        == tmp_path / "env-store"
+    assert resolve_store_dir(tmp_path / "flag", out=out,
+                             environ=env) == tmp_path / "flag"
+    assert resolve_store_dir(None, no_store=True, out=out,
+                             environ={}) is None
 
 
 # -- sweep-engine integration (toy spec, serial) -------------------------
@@ -253,12 +263,12 @@ def test_sweep_store_roundtrip_bit_identical(tmp_path):
     spec, params = _toy_spec(), _toy_spec().resolve({})
     store = tmp_path / "store"
     _CALLS.clear()
-    cold = run_sweep(spec, params, seed=3, jobs=1, out=None, store=store)
+    cold = run_sweep(spec, params, seed=3, jobs=1, store=store)
     assert _CALLS == [1, 2, 3]
     assert cold.store_hits == 0
 
     _CALLS.clear()
-    warm = run_sweep(spec, params, seed=3, jobs=1, out=None, store=store)
+    warm = run_sweep(spec, params, seed=3, jobs=1, store=store)
     assert _CALLS == []  # nothing recomputed
     assert warm.store_hits == 3
     assert all(c.store_hit for c in warm.cells)
@@ -269,20 +279,20 @@ def test_sweep_store_roundtrip_bit_identical(tmp_path):
 
 def test_sweep_store_miss_on_changed_seed(tmp_path):
     spec, params = _toy_spec(), _toy_spec().resolve({})
-    run_sweep(spec, params, seed=3, jobs=1, out=None, store=tmp_path)
+    run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     _CALLS.clear()
-    other = run_sweep(spec, params, seed=4, jobs=1, out=None, store=tmp_path)
+    other = run_sweep(spec, params, seed=4, jobs=1, store=tmp_path)
     assert _CALLS == [1, 2, 3]
     assert other.store_hits == 0
 
 
 def test_sweep_store_miss_on_changed_param(tmp_path):
     spec = _toy_spec()
-    run_sweep(spec, spec.resolve({}), seed=3, jobs=1, out=None,
+    run_sweep(spec, spec.resolve({}), seed=3, jobs=1,
               store=tmp_path)
     _CALLS.clear()
     shifted = run_sweep(spec, spec.resolve({"x": (2, 3, 4)}), seed=3,
-                        jobs=1, out=None, store=tmp_path)
+                        jobs=1, store=tmp_path)
     # every cell's spawn key or value differs -> nothing reusable
     assert shifted.store_hits == 0
     assert _CALLS == [2, 3, 4]
@@ -291,55 +301,100 @@ def test_sweep_store_miss_on_changed_param(tmp_path):
 def test_sweep_store_invalidated_by_code_fingerprint(tmp_path, monkeypatch):
     spec, params = _toy_spec(), _toy_spec().resolve({})
     monkeypatch.setenv(ENV_FINGERPRINT, "v1")
-    run_sweep(spec, params, seed=3, jobs=1, out=None, store=tmp_path)
+    run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     monkeypatch.setenv(ENV_FINGERPRINT, "v2")
     _CALLS.clear()
-    rerun = run_sweep(spec, params, seed=3, jobs=1, out=None, store=tmp_path)
+    rerun = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     assert rerun.store_hits == 0
     assert _CALLS == [1, 2, 3]
     # and back to v1: everything hits again
     monkeypatch.setenv(ENV_FINGERPRINT, "v1")
     _CALLS.clear()
-    back = run_sweep(spec, params, seed=3, jobs=1, out=None, store=tmp_path)
+    back = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     assert back.store_hits == 3
     assert _CALLS == []
 
 
-def test_manifest_resume_takes_precedence_and_backfills(tmp_path):
-    """A pre-store manifest populates the store on its next resume."""
-    spec, params = _toy_spec(), _toy_spec().resolve({})
-    out = tmp_path / "out"
-    store = tmp_path / "store"
-    first = run_sweep(spec, params, seed=3, jobs=1, out=out)  # no store
+def test_put_after_torn_index_tail_keeps_its_own_line(tmp_path):
+    """A write after a crash mid-append is indexed, so ``gc`` keeps it."""
+    store = ExperimentStore(tmp_path)
+    store.put(KEY_A, {"rows": [1]}, {})
+    text = store.index_path.read_text()
+    store.index_path.write_text(text[: len(text) // 2])
+    store.put(KEY_B, {"rows": [2]}, {})
+    assert [e["key"] for e in store.entries()] == [KEY_B]
+    assert store.verify()["corrupt_index_lines"] == 1
+    store.gc()
+    assert store.get(KEY_B)["result"]["rows"] == [2]
+
+
+# -- crash-recovered results ---------------------------------------------
+
+#: Whether ``_recovering_cell`` stamps its rows as crash-recovered.
+_RECOVERED: list = [True]
+
+
+def _recovering_cell(params, seed):
+    _CALLS.append(params["x"])
+    return [{"x": params["x"], "recovered": _RECOVERED[0]}]
+
+
+def _recovering_spec():
+    return ExperimentSpec(
+        name="toy-recovered",
+        help="synthetic spec whose rows may carry the recovered flag",
+        params=(ParamSpec("x", type=int, default=(1, 2), sweep=True),),
+        run_cell=_recovering_cell,
+        report=lambda rows, params, out: f"{len(rows)} rows",
+    )
+
+
+@pytest.fixture
+def counter():
+    """Parent-side telemetry counters around the test body, by name."""
+    telemetry.reset_metrics()
+    telemetry.enable()
+    yield lambda name: telemetry.metrics_snapshot()["counters"].get(name, 0)
+    telemetry.disable()
+    telemetry.reset_metrics()
+
+
+def test_recovered_blob_is_stamped_and_never_served(tmp_path):
+    spec = _recovering_spec()
+    params = spec.resolve({})
+    store = ExperimentStore(tmp_path)
+    _RECOVERED[0] = True
+    run_sweep(spec, params, seed=0, jobs=1, store=store)
+    blobs = [store.get(entry["key"]) for entry in store.entries()]
+    assert len(blobs) == 2
+    assert all(blob["result"]["recovered"] is True for blob in blobs)
 
     _CALLS.clear()
-    resumed = run_sweep(spec, params, seed=3, jobs=1, out=out, store=store)
-    assert _CALLS == []
-    assert resumed.resumed == 3  # manifest, not store
-    assert resumed.store_hits == 0
-    assert len(ExperimentStore(store).entries()) == 3  # backfilled
+    rerun = run_sweep(spec, params, seed=0, jobs=1, store=store)
+    assert rerun.store_hits == 0
+    assert _CALLS == [1, 2]
 
-    # fresh out dir: now the store serves everything
+
+def test_recovered_run_never_overwrites_a_clean_blob(tmp_path, counter):
+    spec = _recovering_spec()
+    params = spec.resolve({})
+    store = ExperimentStore(tmp_path)
+    _RECOVERED[0] = False
+    run_sweep(spec, params, seed=0, jobs=1, store=store)  # clean, untraced
+    clean = {e["key"]: store.blob_path(e["key"]).read_bytes()
+             for e in store.entries()}
+    assert len(clean) == 2
+
+    # A traced run cannot use the untraced blobs, so it recomputes; its
+    # rows come back crash-recovered and must not shadow the clean ones.
+    _RECOVERED[0] = True
     _CALLS.clear()
-    warm = run_sweep(spec, params, seed=3, jobs=1, out=tmp_path / "out2",
-                     store=store)
-    assert warm.store_hits == 3
-    assert json.dumps(warm.rows) == json.dumps(first.rows)
-
-
-def test_store_hit_cells_checkpoint_to_manifest(tmp_path):
-    """Store-served cells still land in the manifest for later resumes."""
-    spec, params = _toy_spec(), _toy_spec().resolve({})
-    store = tmp_path / "store"
-    run_sweep(spec, params, seed=3, jobs=1, out=None, store=store)
-    out = tmp_path / "out"
-    warm = run_sweep(spec, params, seed=3, jobs=1, out=out, store=store)
-    assert warm.store_hits == 3
-    # third run: no store, resumes from the manifest the warm run wrote
-    _CALLS.clear()
-    resumed = run_sweep(spec, params, seed=3, jobs=1, out=out)
-    assert resumed.resumed == 3
-    assert _CALLS == []
+    rerun = run_sweep(spec, params, seed=0, jobs=1, store=store,
+                      decision_path=tmp_path / "trace.jsonl")
+    assert rerun.store_hits == 0 and _CALLS == [1, 2]
+    assert counter("sweep.store.recovered_skips") == 2
+    assert {key: store.blob_path(key).read_bytes()
+            for key in clean} == clean
 
 
 def test_traced_run_does_not_reuse_untraced_blob(tmp_path):
@@ -347,11 +402,11 @@ def test_traced_run_does_not_reuse_untraced_blob(tmp_path):
     spec = spec_registry.get("static")
     params = spec.resolve({"delta2": (1.0,), "periods": 3, "levels": 3})
     store = tmp_path / "store"
-    cold = run_sweep(spec, params, seed=0, jobs=1, out=None, store=store)
+    cold = run_sweep(spec, params, seed=0, jobs=1, store=store)
     assert cold.store_hits == 0
 
     traced = run_sweep(
-        spec, params, seed=0, jobs=1, out=None, store=store,
+        spec, params, seed=0, jobs=1, store=store,
         decision_path=tmp_path / "trace.jsonl",
     )
     assert traced.store_hits == 0  # recomputed to capture the trace
@@ -359,7 +414,7 @@ def test_traced_run_does_not_reuse_untraced_blob(tmp_path):
 
     # the write-through refreshed the blobs with decisions: now a hit
     warm = run_sweep(
-        spec, params, seed=0, jobs=1, out=None, store=store,
+        spec, params, seed=0, jobs=1, store=store,
         decision_path=tmp_path / "trace2.jsonl",
     )
     assert warm.store_hits == len(warm.cells)
@@ -380,7 +435,7 @@ def test_quarantined_cells_are_not_stored(tmp_path):
         params=(ParamSpec("x", type=int, default=(1,), sweep=True),),
         run_cell=_bomb, report=lambda rows, params, out: "",
     )
-    result = run_sweep(spec, spec.resolve({}), seed=0, jobs=1, out=None,
+    result = run_sweep(spec, spec.resolve({}), seed=0, jobs=1,
                        store=tmp_path, max_retries=0, retry_backoff_s=0.0)
     assert len(result.quarantined) == 1
     assert ExperimentStore(tmp_path).entries() == []
@@ -399,13 +454,13 @@ def test_store_warm_rerun_matches_cold_at_any_jobs(tmp_path):
     """Cache-hit sweep output is bit-identical at --jobs 1 and --jobs N."""
     spec, params = _static_tiny()
     store = tmp_path / "store"
-    cold = run_sweep(spec, params, seed=7, jobs=2, out=None, store=store)
+    cold = run_sweep(spec, params, seed=7, jobs=2, store=store)
     assert cold.store_hits == 0
     assert len(cold.pids) >= 1
 
-    warm_serial = run_sweep(spec, params, seed=7, jobs=1, out=None,
+    warm_serial = run_sweep(spec, params, seed=7, jobs=1,
                             store=store)
-    warm_pool = run_sweep(spec, params, seed=7, jobs=2, out=None,
+    warm_pool = run_sweep(spec, params, seed=7, jobs=2,
                           store=store)
     for warm in (warm_serial, warm_pool):
         assert warm.store_hits == len(warm.cells)
@@ -433,6 +488,51 @@ def test_cli_store_roundtrip(tmp_path, capsys):
     assert main(["results", "show", key[:12], "--store", str(store)]) == 0
     assert "static" in capsys.readouterr().out
     assert main(["results", "gc", "--store", str(store)]) == 0
+
+
+#: Six static cells (three policies x two prices), three periods each.
+_STATIC_ARGV = [
+    "run", "static", "--sweep", "delta2=1,8", "--set", "periods=3",
+    "--set", "levels=3",
+]
+
+
+def test_cli_traced_rerun_after_untraced_run_writes_every_record(
+        tmp_path, capsys, monkeypatch):
+    """The default ``<out>/store`` never serves an untraced blob to a
+    ``--trace-decisions`` run: every cell-period gets its record."""
+    monkeypatch.delenv(ENV_STORE, raising=False)
+    out = tmp_path / "out"
+    assert main(_STATIC_ARGV + ["--out", str(out)]) == 0
+    assert (out / "store" / "index.jsonl").exists()
+    assert main(_STATIC_ARGV + ["--out", str(out), "--trace-decisions"]) == 0
+    assert "(18 records;" in capsys.readouterr().out
+
+    fresh = tmp_path / "fresh"
+    assert main(_STATIC_ARGV + ["--out", str(fresh), "--trace-decisions",
+                                "--no-store"]) == 0
+
+    def unstamped(path):
+        return [{k: v for k, v in json.loads(line).items() if k != "store_hit"}
+                for line in path.read_text().splitlines()]
+
+    rerun = unstamped(out / "static_decisions.jsonl")
+    assert len(rerun) == 18
+    assert rerun == unstamped(fresh / "static_decisions.jsonl")
+
+
+def test_cli_warm_pool_rerun_counts_store_hits(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.delenv(ENV_STORE, raising=False)
+    argv = _STATIC_ARGV + ["--out", str(tmp_path), "--jobs", "2"]
+    assert main(argv) == 0
+    cold_csv = (tmp_path / "static.csv").read_bytes()
+    assert "ran 6 cells on" in capsys.readouterr().out
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "store hits: 6/6" in out
+    assert "ran 0 cells on 0 process(es)" in out
+    assert (tmp_path / "static.csv").read_bytes() == cold_csv
 
 
 def test_cli_no_store_overrides_env(tmp_path, capsys, monkeypatch):
