@@ -4,27 +4,30 @@ Two phases, both recording into ``BENCH_observability.json``:
 
 **Decision traces** — times the same seeded EdgeBOL loop four ways:
 
-* **untraced** — no decision sink installed: ``make_tracer`` returns
+* **untraced** — no telemetry sink attached: ``make_tracer`` returns
   ``None`` and every agent hook is a single ``is not None`` check (run
   twice, so the pair's spread doubles as the measurement-noise yardstick);
-* **traced (memory)** — a :class:`repro.obs.ListSink`: full record
-  assembly (margins, price of safety, calibration z-scores, drift)
-  without serialisation;
+* **traced (memory)** — an
+  :class:`~repro.telemetry.export.InMemorySink`: full record assembly
+  (margins, price of safety, calibration z-scores, drift) without
+  serialisation;
 * **traced (jsonl)** — a :class:`~repro.telemetry.export.JsonlSink`
   with ``flush_every=1``: the legacy flush-per-line path;
 * **traced (jsonl, buffered)** — the same sink at its default batched
   flush, the current ``--trace-decisions`` path.
 
 **Fleet metrics** — times a 32-cell stub-agent fleet with and without
-a ``--metrics`` :class:`~repro.fleetobs.store.MetricStore` riding along
-(KPI ingestion, alert/decision fan-in, sampled round tracing through
-the bus), asserts the per-cell rows stay bit-identical, and gates the
-ingestion overhead at ``FLEET_OVERHEAD_LIMIT``.  A query-latency phase
+a ``--set metrics`` :class:`~repro.fleetobs.store.MetricStore`
+attached to the record stream (KPI and alert records, sampled round
+tracing through the bus), asserts the per-cell rows stay
+bit-identical, and gates the ingestion overhead at
+``FLEET_OVERHEAD_LIMIT``.  A query-latency phase
 then times the store's range/rollup/aggregate/top-k reads.
 """
 
 import json
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +36,8 @@ from repro.core import EdgeBOL
 from repro.experiments.fleet import METRICS_TRACE_EVERY, run_fleet_cell_sim
 from repro.experiments.runner import run_agent
 from repro.fleetobs import MetricStore
-from repro.obs import runtime as obs
-from repro.telemetry.export import JsonlSink
+from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import InMemorySink, JsonlSink
 from repro.testbed.config import (
     ControlPolicy,
     CostWeights,
@@ -83,7 +86,7 @@ def _merge_results(section: str, payload: dict) -> None:
 def run_once(seed, sink=None):
     """One seeded run; returns (elapsed_s, cost_series).
 
-    ``sink`` may be None (untraced) or a decision sink; sinks are
+    ``sink`` may be None (untraced) or a telemetry sink; sinks are
     closed inside the timed region so flush cost is part of the figure.
     """
     testbed = TestbedConfig(n_levels=N_LEVELS)
@@ -98,7 +101,7 @@ def run_once(seed, sink=None):
     if sink is None:
         log = run_agent(env, agent, N_PERIODS, oracle_cost=100.0)
     else:
-        with obs.use(sink):
+        with telemetry.attach(sink):
             log = run_agent(env, agent, N_PERIODS, oracle_cost=100.0)
         sink.close()
     return time.perf_counter() - started, log.cost
@@ -110,7 +113,7 @@ def test_perf_observability_overhead(tmp_path):
     for rep in range(REPS):
         t_a, costs_a = run_once(rep)
         t_b, costs_b = run_once(rep)
-        t_mem, costs_mem = run_once(rep, obs.ListSink())
+        t_mem, costs_mem = run_once(rep, InMemorySink())
         t_jsonl, costs_jsonl = run_once(
             rep, JsonlSink(tmp_path / f"decisions_{rep}.jsonl", flush_every=1)
         )
@@ -204,15 +207,16 @@ class _StubAgent:
 def _fleet_once(metrics=None):
     """One seeded 32-cell stub fleet run -> (elapsed_s, rows_json)."""
     started = time.perf_counter()
-    result = run_fleet_cell_sim(
-        n_cells=FLEET_CELLS,
-        n_periods=FLEET_PERIODS,
-        seed=FLEET_SEED,
-        levels=4,
-        make_agent=_StubAgent,
-        metrics=metrics,
-        trace_rounds_every=METRICS_TRACE_EVERY,
-    )
+    with (telemetry.attach(metrics) if metrics is not None
+          else nullcontext()):
+        result = run_fleet_cell_sim(
+            n_cells=FLEET_CELLS,
+            n_periods=FLEET_PERIODS,
+            seed=FLEET_SEED,
+            levels=4,
+            make_agent=_StubAgent,
+            trace_rounds_every=METRICS_TRACE_EVERY,
+        )
     elapsed = time.perf_counter() - started
     rows = json.dumps([
         (cell_id, log.as_rows())

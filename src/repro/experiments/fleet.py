@@ -24,13 +24,13 @@ bit-identically; each row then reports ``recovered``/``restarts``/
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core import EdgeBOL
 from repro.experiments import spec as spec_registry
 from repro.experiments.recorder import write_csv
 from repro.experiments.spec import ExperimentSpec, ParamSpec
-from repro.obs import runtime as obs
 from repro.oran.bus import MAILBOX_POLICIES
 from repro.oran.load import LOAD_PROFILES, FleetLoadModel
 from repro.oran.runtime import FleetResult, FleetRuntime
@@ -41,46 +41,12 @@ from repro.utils.ascii import render_table
 from repro.utils.rng import seed_tree
 
 
-#: Round-span sampling cadence used by ``--metrics`` runs: every 4th
+#: Round-span sampling cadence of the fleet spec while a sink is
+#: attached (``--set metrics=DIR``, ``--trace-decisions``): every 4th
 #: period is traced, which keeps the span/envelope cost well inside the
-#: ingestion-overhead budget (``BENCH_observability.json``) while still
-#: yielding hundreds of stitched round trees per run.
+#: overhead budget (``BENCH_observability.json``) while still yielding
+#: hundreds of stitched round trees per run.
 METRICS_TRACE_EVERY = 4
-
-
-class _SpanFeed:
-    """Telemetry sink feeding a metric store everything but decisions.
-
-    Decision records reach the store through the decision-sink path
-    (where crash-replay ``suppress`` scoping applies); forwarding them
-    here too would count every record as an ingest + duplicate pair.
-    """
-
-    def __init__(self, store) -> None:
-        self.store = store
-
-    def emit(self, record: dict) -> None:
-        """Ingest one telemetry record (spans, metrics snapshots)."""
-        if record.get("type") != "decision":
-            self.store.ingest(record)
-
-    def close(self) -> None:
-        """No-op (the store owns its buffers)."""
-
-
-class _TeeSink:
-    """Fan decision records to the store and any pre-installed sink."""
-
-    def __init__(self, *sinks) -> None:
-        self.sinks = [sink for sink in sinks if sink is not None]
-
-    def emit(self, record: dict) -> None:
-        """Emit to every underlying sink."""
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        """No-op (underlying sinks are closed by their owners)."""
 
 
 def run_fleet_cell_sim(
@@ -95,7 +61,6 @@ def run_fleet_cell_sim(
     make_agent=None,
     supervise: bool = False,
     snapshot_every: int | None = None,
-    metrics=None,
     trace_rounds_every: int = 1,
 ) -> FleetResult:
     """Run one fleet of ``n_cells`` EdgeBOL agents for ``n_periods``.
@@ -108,12 +73,12 @@ def run_fleet_cell_sim(
     supervisor (snapshot checkpoints every ``snapshot_every`` periods,
     crash/stall recovery, mailbox circuit breaker — see
     :mod:`repro.oran.supervisor`); faults arrive via the process fault
-    plan (``--faults``).  ``metrics`` wires a
-    :class:`~repro.fleetobs.store.MetricStore` through the runtime —
-    per-period KPI records, alerts, decision records, supervision
-    events and (``trace_rounds_every``-sampled) stitched round spans
-    all land in the store without perturbing the run (rows stay
-    bit-identical; asserted in ``tests/test_fleetobs.py``).
+    plan (``--faults``).  While a telemetry sink is attached (e.g. a
+    :class:`~repro.fleetobs.store.MetricStore`), per-period KPI
+    records, alerts, decision records, supervision events and
+    (``trace_rounds_every``-sampled) stitched round spans all stream
+    into it without perturbing the run (rows stay bit-identical;
+    asserted in ``tests/test_fleetobs.py``).
     """
     testbed = TestbedConfig(n_levels=levels)
     grid = testbed.control_grid()
@@ -136,25 +101,9 @@ def run_fleet_cell_sim(
         batch_size=batch_size,
         supervise=supervise,
         snapshot_every=snapshot_every,
-        metrics=metrics,
         trace_rounds_every=trace_rounds_every,
     )
-    if metrics is None:
-        return runtime.run(n_periods)
-
-    # Observability wiring: the store doubles as decision sink (teed
-    # with any sink an outer scope installed) and telemetry sink (spans
-    # + metrics snapshots).  Telemetry itself is NOT enabled here: the
-    # runtime turns it on per sampled period (``trace_rounds_every``),
-    # so interior spans and counters cost nothing on unsampled periods
-    # and the exposition's counters reflect the sampled periods only.
-    feed = _SpanFeed(metrics)
-    telemetry.add_sink(feed)
-    try:
-        with obs.use(_TeeSink(metrics, obs.current_sink())):
-            return runtime.run(n_periods)
-    finally:
-        telemetry.remove_sink(feed)
+    return runtime.run(n_periods)
 
 
 def _fleet_rows(result: FleetResult, params: Mapping) -> list[dict]:
@@ -210,12 +159,16 @@ def _write_metrics_artifacts(store, metrics_dir: Path, n_cells: int) -> None:
 def run_fleet_spec_cell(params: Mapping, seed) -> list[dict]:
     """One fleet size of the sweep: run the fleet, emit per-cell rows.
 
-    With ``--metrics DIR`` a :class:`~repro.fleetobs.store.MetricStore`
-    rides along and the run dumps ``DIR/cellsNNN_metrics.jsonl``
-    (render with ``repro fleet-status``) plus a Prometheus-style
-    ``.prom`` exposition of the run's metric registry and the store's
-    own accounting.  Reported rows are byte-identical with or without
-    the store (CI gates on it).
+    With ``--set metrics=DIR`` a
+    :class:`~repro.fleetobs.store.MetricStore` is attached as a
+    telemetry sink for the run, which dumps
+    ``DIR/cellsNNN_metrics.jsonl`` (render with ``repro fleet-status``)
+    plus a Prometheus-style ``.prom`` exposition of the run's metric
+    registry and the store's own accounting.  Telemetry itself is not
+    enabled: the runtime turns spans on per sampled period
+    (``METRICS_TRACE_EVERY``), so the exposition's counters reflect the
+    sampled periods only.  Reported rows are byte-identical with or
+    without the store (CI gates on it).
     """
     metrics_dir = str(params.get("metrics", "") or "")
     store = None
@@ -224,20 +177,20 @@ def run_fleet_spec_cell(params: Mapping, seed) -> list[dict]:
 
         store = MetricStore()
         telemetry.reset_metrics()
-    result = run_fleet_cell_sim(
-        n_cells=int(params["cells"]),
-        n_periods=int(params["periods"]),
-        seed=seed,
-        levels=int(params["levels"]),
-        n_users=int(params["users"]),
-        load_profile=str(params["load"]),
-        mailbox_policy=str(params["policy"]),
-        batch_size=int(params["batch"]),
-        supervise=bool(int(params.get("supervise", 0))),
-        snapshot_every=int(params.get("snapshot_every", 10)),
-        metrics=store,
-        trace_rounds_every=METRICS_TRACE_EVERY,
-    )
+    with telemetry.attach(store) if store is not None else nullcontext():
+        result = run_fleet_cell_sim(
+            n_cells=int(params["cells"]),
+            n_periods=int(params["periods"]),
+            seed=seed,
+            levels=int(params["levels"]),
+            n_users=int(params["users"]),
+            load_profile=str(params["load"]),
+            mailbox_policy=str(params["policy"]),
+            batch_size=int(params["batch"]),
+            supervise=bool(int(params.get("supervise", 0))),
+            snapshot_every=int(params.get("snapshot_every", 10)),
+            trace_rounds_every=METRICS_TRACE_EVERY,
+        )
     if store is not None:
         directory = Path(metrics_dir)
         directory.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from repro.core import EdgeBOL, EdgeBOLConfig
 from repro.experiments import spec as spec_registry
 from repro.experiments.recorder import RunLog, write_csv
 from repro.experiments.spec import ExperimentSpec, ParamSpec
-from repro.obs import runtime as obs
+from repro.obs.decision import make_tracer
 from repro.ran.channel import GaussMarkovChannel
 from repro.testbed.config import (
     CostWeights,
@@ -93,7 +93,7 @@ def run_per_slice_edgebol(
     # One labelled tracer per slice: both emit into the shared sink,
     # records distinguished by their "agent" field.
     tracers = [
-        obs.make_tracer(agent, label=name)
+        make_tracer(agent, label=name)
         for agent, name in zip(agents, ("ar", "surveillance"))
     ]
     for agent, tracer in zip(agents, tracers):

@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +61,6 @@ from repro.experiments.spec import ExperimentSpec
 from repro.faults import runtime as faults
 from repro.faults.injector import InjectedWorkerCrash
 from repro.faults.plan import FaultPlan
-from repro.obs import runtime as obs
 from repro.store import ExperimentStore, cell_key, code_fingerprint
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.export import JsonlSink
@@ -105,8 +104,9 @@ class CellResult:
     metrics: dict | None = None
     attempts: int = 1
     error: str | None = None
-    #: Per-period decision records the cell emitted while a decision
-    #: sink was active (``--trace-decisions``); ``None`` when untraced.
+    #: Per-period decision records the cell emitted while its records
+    #: were collected (``--trace-decisions`` or an attached sink);
+    #: ``None`` when untraced.
     decisions: list | None = None
     #: Served from the content-addressed experiment store — the rows
     #: are a previous run's, replayed bit-identically (``pid == -1``).
@@ -207,6 +207,27 @@ def _maybe_inject_worker_fault(cell: SweepCell, attempt: int) -> None:
     )
 
 
+@contextmanager
+def _cell_records(cell: SweepCell, collect: bool):
+    """Run one cell under its own record stream when ``collect`` is set.
+
+    Yields the cell's :class:`~repro.telemetry.export.InMemorySink` (the
+    only sink inside the block, see :func:`repro.telemetry.runtime.capture`),
+    with every label-less record stamped ``cell: <cell id>``; yields
+    ``None`` and changes nothing otherwise.
+    """
+    if not collect:
+        yield None
+        return
+    with telemetry.capture() as sink, telemetry.scope(cell.cell_id):
+        yield sink
+
+
+def _decisions(sink) -> "list | None":
+    """The decision records a cell's sink collected (``None``: untraced)."""
+    return None if sink is None else _jsonable(sink.of_type("decision"))
+
+
 def _execute_cell(spec_name: str, cell: SweepCell, collect_telemetry: bool,
                   fault_plan: dict | None = None,
                   attempt: int = 0,
@@ -218,31 +239,27 @@ def _execute_cell(spec_name: str, cell: SweepCell, collect_telemetry: bool,
     fault plan crosses the process boundary as a plain dict and is
     installed for the cell scope with the cell's spawn key, so fault
     streams are per-cell reproducible regardless of which worker runs
-    the cell.  With ``collect_decisions`` the cell runs under its own
-    decision sink (labelled with the cell id) and the records ride back
-    on the result for the parent to merge.
+    the cell.  With ``collect_decisions`` the cell's records are
+    collected by :func:`_cell_records` and its decision records ride
+    back on the result for the parent to merge.
     """
     registry.load_all()
     spec = registry.get(spec_name)
     plan = FaultPlan.from_dict(fault_plan) if fault_plan is not None else None
     metrics = None
-    decision_sink = obs.ListSink() if collect_decisions else None
     with faults.use(plan, seed_path=cell.spawn_key):
         _maybe_inject_worker_fault(cell, attempt)
-        with obs.use(decision_sink) if decision_sink is not None \
-                else nullcontext():
-            with obs.scope(cell.cell_id) if decision_sink is not None \
-                    else nullcontext():
-                if collect_telemetry:
-                    telemetry.reset_metrics()
-                    telemetry.enable()
-                    try:
-                        rows = spec.run_cell(cell.params, cell.seed_sequence())
-                        metrics = telemetry.metrics_snapshot()
-                    finally:
-                        telemetry.disable()
-                else:
+        with _cell_records(cell, collect_decisions) as sink:
+            if collect_telemetry:
+                telemetry.reset_metrics()
+                telemetry.enable()
+                try:
                     rows = spec.run_cell(cell.params, cell.seed_sequence())
+                    metrics = telemetry.metrics_snapshot()
+                finally:
+                    telemetry.disable()
+            else:
+                rows = spec.run_cell(cell.params, cell.seed_sequence())
     return CellResult(
         index=cell.index,
         cell_id=cell.cell_id,
@@ -251,10 +268,7 @@ def _execute_cell(spec_name: str, cell: SweepCell, collect_telemetry: bool,
         pid=os.getpid(),
         metrics=metrics,
         attempts=attempt + 1,
-        decisions=(
-            _jsonable(decision_sink.records)
-            if decision_sink is not None else None
-        ),
+        decisions=_decisions(sink),
     )
 
 
@@ -263,21 +277,21 @@ def _run_cell_inprocess(spec: ExperimentSpec, cell: SweepCell,
                         collect_decisions: bool = False) -> CellResult:
     """Serial path: telemetry spans nest under the caller's trace.
 
-    Decision records are still buffered per cell (not streamed to the
-    parent's sink) so serial and pool sweeps produce identically-merged
-    traces in cell-index order.
+    A collected cell's spans and other non-decision records reach the
+    caller's sinks as soon as the cell ends; its decision records are
+    buffered like a pool cell's, so serial and pool sweeps merge
+    identical traces in cell-index order.
     """
-    decision_sink = obs.ListSink() if collect_decisions else None
     with telemetry.span("sweep.cell") as sp:
         if sp:
             sp.set("spec", spec.name)
             sp.set("cell", cell.cell_id)
         _maybe_inject_worker_fault(cell, attempt)
-        with obs.use(decision_sink) if decision_sink is not None \
-                else nullcontext():
-            with obs.scope(cell.cell_id) if decision_sink is not None \
-                    else nullcontext():
-                rows = spec.run_cell(cell.params, cell.seed_sequence())
+        with _cell_records(cell, collect_decisions) as sink:
+            rows = spec.run_cell(cell.params, cell.seed_sequence())
+        for record in sink.records() if sink is not None else ():
+            if record.get("type") != "decision":
+                telemetry.emit_record(record)
     return CellResult(
         index=cell.index,
         cell_id=cell.cell_id,
@@ -285,10 +299,7 @@ def _run_cell_inprocess(spec: ExperimentSpec, cell: SweepCell,
         rows=_jsonable(rows),
         pid=os.getpid(),
         attempts=attempt + 1,
-        decisions=(
-            _jsonable(decision_sink.records)
-            if decision_sink is not None else None
-        ),
+        decisions=_decisions(sink),
     )
 
 
@@ -461,9 +472,8 @@ def _merge_decisions(ordered: "list[CellResult]",
 
     With a ``decision_path`` the merged trace is written there as one
     JSONL file (records already carry their ``cell`` label from the
-    worker's scope); otherwise each record goes through
-    :func:`repro.obs.emit` into the caller's installed sink, keeping
-    interleaving with any recording telemetry sinks.
+    cell's scope); every record also goes into the caller's record
+    stream, so an attached sink (``--telemetry``) carries them too.
     """
     records = [
         record for result in ordered for record in (result.decisions or [])
@@ -475,9 +485,8 @@ def _merge_decisions(ordered: "list[CellResult]",
                 sink.emit(record)
         finally:
             sink.close()
-        return
     for record in records:
-        obs.emit(record)
+        telemetry.emit_record(record)
 
 
 def _fold_into_parent_registry(merged: dict) -> None:
@@ -643,12 +652,13 @@ def run_sweep(
         process's active plan (``repro run --faults plan.json``).
     decision_path:
         JSONL file for the merged decision trace
-        (``--trace-decisions``): every cell runs under its own decision
-        sink, records come back on the :class:`CellResult` (persisting
-        through the store, so served cells keep their traces) and are
-        written here in cell-index order.  ``None`` falls back to
-        the caller's installed :mod:`repro.obs` sink, if any; with
-        neither, cells run untraced.
+        (``--trace-decisions``): every cell runs under its own record
+        stream, decision records come back on the :class:`CellResult`
+        (persisting through the store, so served cells keep their
+        traces) and are written here in cell-index order.  They are
+        also re-emitted into the caller's record stream, so with a
+        sink attached (``--telemetry``) cells are traced even without a
+        path; with neither, cells run untraced.
     store:
         Content-addressed experiment store (an
         :class:`~repro.store.store.ExperimentStore` or a directory
@@ -667,7 +677,7 @@ def run_sweep(
     cells = _build_cells(spec, params, seed, sweep_overrides)
     plan = fault_plan if fault_plan is not None else faults.active_plan()
     collect_telemetry = telemetry.enabled() and jobs > 1
-    collect_decisions = decision_path is not None or obs.enabled()
+    collect_decisions = decision_path is not None or telemetry.has_sinks()
 
     store_obj = (
         store if isinstance(store, ExperimentStore) or store is None

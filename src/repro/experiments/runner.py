@@ -8,7 +8,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.experiments.recorder import RunLog
-from repro.obs import runtime as obs
+from repro.obs.decision import make_tracer
 from repro.telemetry import runtime as telemetry
 from repro.testbed.config import ServiceConstraints
 from repro.testbed.env import EdgeAIEnvironment
@@ -94,7 +94,7 @@ def run_agent(
     ``experiment.period`` child per period, and the log absorbs a
     metrics snapshot (``log.telemetry``) alongside ``engine_stats``.
 
-    With a decision sink installed (:func:`repro.obs.use`), a
+    With a telemetry sink attached (:func:`repro.telemetry.attach`), a
     :class:`~repro.obs.decision.DecisionTracer` is attached for the run
     and every period emits a ``type: "decision"`` record; the tracer's
     roll-up lands in ``log.decisions``.  ``oracle_cost`` (a clairvoyant
@@ -119,7 +119,7 @@ def run_agent(
     active = schedule.initial if schedule is not None else getattr(
         agent, "constraints", ServiceConstraints()
     )
-    tracer = obs.make_tracer(agent, oracle_cost=oracle_cost)
+    tracer = make_tracer(agent, oracle_cost=oracle_cost)
     if tracer is not None:
         agent.attach_tracer(tracer)
     try:

@@ -28,7 +28,7 @@ from repro.core import EdgeBOL, EdgeBOLConfig
 from repro.experiments import spec as spec_registry
 from repro.experiments.recorder import RunLog, write_csv
 from repro.experiments.spec import ExperimentSpec, ParamSpec
-from repro.obs import runtime as obs
+from repro.obs.decision import make_tracer
 from repro.testbed.config import ServiceConstraints, TestbedConfig
 from repro.testbed.env import EdgeAIEnvironment
 from repro.testbed.scenarios import static_scenario
@@ -77,7 +77,7 @@ def run_tariff_tracking(
     )
     log = RunLog()
     active = tariff.weights_at(0)
-    tracer = obs.make_tracer(agent)
+    tracer = make_tracer(agent)
     if tracer is not None:
         agent.attach_tracer(tracer)
     try:

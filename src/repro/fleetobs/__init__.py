@@ -5,10 +5,11 @@ answer the operational questions the paper's headline claim raises:
 *how much energy is this fleet saving right now, and which cells are
 burning their violation budget?*
 
-* :class:`~repro.fleetobs.store.MetricStore` — idempotent ingestion of
-  telemetry records (KPI samples, decision traces, alerts, supervision
-  events, spans) into per-``(cell, series)`` ring buffers keyed by
-  virtual-time period, with multi-resolution rollups and a query API.
+* :class:`~repro.fleetobs.store.MetricStore` — a sink of the telemetry
+  record stream: idempotent ingestion of KPI samples, decision traces,
+  alerts, supervision events and spans into per-``(cell, series)``
+  ring buffers keyed by virtual-time period, with multi-resolution
+  rollups and a query API.
 * :mod:`repro.fleetobs.tracing` — causal trace propagation through the
   async O-RAN bus so one BO round stitches into a single
   cross-component span tree, plus the critical-path report.
@@ -19,7 +20,7 @@ burning their violation budget?*
   dashboard over a dumped metrics JSONL.
 
 Everything is keyed on virtual time and never touches an RNG, so a
-``--metrics`` run stays bit-identical to an uninstrumented run at the
+``--set metrics=DIR`` run stays bit-identical to an uninstrumented run at the
 same seed (asserted in ``tests/test_fleetobs.py``).  See
 ``docs/OBSERVABILITY.md``, "Fleet metrics & SLOs".
 """

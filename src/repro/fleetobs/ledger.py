@@ -1,7 +1,7 @@
 """SLO error budgets and the energy-savings ledger over a metric store.
 
 Two rolling accounts per cell, fed by the ``type: "kpi"`` records the
-fleet runtime ingests each period:
+fleet runtime emits each period into the record stream:
 
 * **SLO burn** — the paper's service constraints (``delay_s <= d_max``,
   ``mAP >= rho_min``) are treated as SLOs with an allowed violation

@@ -1,29 +1,27 @@
 """The fleet metrics store: idempotent ingestion, ring buffers, queries.
 
-A :class:`MetricStore` consumes the *record* dialect every observability
-layer in this repo already speaks — plain dicts with a ``"type"`` key
-(``kpi``, ``decision``, ``alert``, ``span``, ``metrics``) plus the
-supervision events of :mod:`repro.oran.supervisor` (records with an
-``event`` field) — and organises the numeric payload into
-per-``(cell, series)`` ring buffers keyed by virtual-time period.
+A :class:`MetricStore` is an ordinary sink of the one record stream
+(:mod:`repro.telemetry.runtime`): attach it with
+:func:`repro.telemetry.runtime.attach` and it receives every record a
+run emits — plain dicts with a ``"type"`` key (``kpi``, ``decision``,
+``alert``, ``span``, ``metrics``) plus the supervision events of
+:mod:`repro.oran.supervisor` (records with an ``event`` field) — and
+organises the numeric payload into per-``(cell, series)`` ring buffers
+keyed by virtual-time period.  :meth:`MetricStore.ingest_jsonl` reads
+the same records back from a dumped or recorded JSONL file.
 
 Ingestion is **idempotent**: every record maps to a dedupe key
 (``(kpi, cell, t)``, ``(alert, rule, cell, t)``, span ids, ...), and a
 record whose key was already seen is counted as a duplicate and
-otherwise ignored.  Supervisor restarts and crash-recovery replays can
-therefore re-emit periods freely without double-counting — re-ingesting
-a whole dumped file is a no-op.
+otherwise ignored, so re-ingesting a whole dumped file is a no-op.
+Crash-recovery replays do not reach the store at all: the supervisor
+replays under :func:`repro.telemetry.runtime.suppress`.
 
 Two resolutions are kept per series: the raw ``(t, value)`` ring
 (bounded by ``raw_capacity``) and per-``rollup_every``-period rollup
 buckets (mean/min/max/p50/p95/count, bounded by ``max_buckets``).  The
 query API covers range queries, cross-cell aggregation and top-k cells
 by any series.
-
-The store is sink-compatible (``emit``/``close``), so it can be
-installed directly as a telemetry sink
-(:func:`repro.telemetry.runtime.add_sink`) and as a decision sink
-(:func:`repro.obs.runtime.use`) at the same time.
 """
 
 from __future__ import annotations
@@ -166,8 +164,15 @@ class MetricStore:
     # -- ingestion -------------------------------------------------------
 
     def _cell_of(self, record: dict) -> str:
-        """The cell a record belongs to (``agent`` label as fallback)."""
-        cell = record.get("cell") or record.get("agent")
+        """The fleet cell a record belongs to.
+
+        Decision records and supervision events name their fleet cell
+        in ``agent``; their ``cell`` field, when present, is the sweep
+        cell's label (:func:`repro.telemetry.runtime.scope`), shared by
+        every fleet cell of the run.  KPI and alert records name it in
+        ``cell``.
+        """
+        cell = record.get("agent") or record.get("cell")
         return str(cell) if cell else self.FLEET_CELL
 
     def _key_of(self, record: dict) -> tuple:

@@ -2,19 +2,21 @@
 
 The safe-BO loop makes one irreversible choice per orchestration period;
 this package records *why*.  A :class:`~repro.obs.decision.DecisionTracer`
-attached to an agent emits one ``type: "decision"`` JSONL record per
-round — safe-set size, constraint margins, price of safety, running GP
+attached to an agent emits one ``type: "decision"`` record per round —
+safe-set size, constraint margins, price of safety, running GP
 calibration, context drift, quarantine/degraded state and regret —
-through the process-local sink of :mod:`repro.obs.runtime`, reusing the
-posteriors the agent already computed (no extra ``predict`` calls, no
-RNG draws: traced runs are bit-identical to untraced ones).
+into the one record stream of :mod:`repro.telemetry.runtime`, reusing
+the posteriors the agent already computed (no extra ``predict`` calls,
+no RNG draws: traced runs are bit-identical to untraced ones).
+:func:`~repro.obs.decision.make_tracer` builds one whenever a sink is
+attached.
 
 ``repro diagnose trace.jsonl`` (:mod:`repro.obs.diagnose`) renders the
 trace as an ASCII dashboard and derives machine-readable anomaly flags.
 See ``docs/OBSERVABILITY.md`` ("Decision traces").
 """
 
-from repro.obs.decision import DecisionTracer
+from repro.obs.decision import DecisionTracer, make_tracer
 from repro.obs.diagnose import (
     detect_anomalies,
     diagnose_path,
@@ -23,33 +25,14 @@ from repro.obs.diagnose import (
     split_events,
 )
 from repro.obs.drift import DriftMonitor
-from repro.obs.runtime import (
-    ListSink,
-    emit,
-    enabled,
-    install,
-    make_tracer,
-    scope,
-    suppress,
-    uninstall,
-    use,
-)
 
 __all__ = [
     "DecisionTracer",
     "DriftMonitor",
-    "ListSink",
     "detect_anomalies",
     "diagnose_path",
-    "emit",
-    "enabled",
-    "install",
     "load_decisions",
     "make_tracer",
     "render_dashboard",
-    "scope",
     "split_events",
-    "suppress",
-    "uninstall",
-    "use",
 ]

@@ -33,8 +33,10 @@ import math
 import numpy as np
 
 from repro.core.diagnostics import RunningCalibration, standardised_errors
-from repro.obs import runtime as obs_runtime
 from repro.obs.drift import DriftMonitor
+from repro.telemetry import runtime as telemetry
+
+__all__ = ["DecisionTracer", "make_tracer"]
 
 
 def _finite(value: float) -> "float | None":
@@ -225,6 +227,7 @@ class DecisionTracer:
             }
 
         record = {
+            "type": "decision",
             "t": self._t,
             **({"agent": self.label} if self.label is not None else {}),
             # Active numerics mode (dense or sparse): lets
@@ -261,7 +264,7 @@ class DecisionTracer:
             "regret": regret,
             "robustness": agent.robustness_stats(),
         }
-        obs_runtime.emit(record)
+        telemetry.emit_record(record)
         self._emitted += 1
         self._t += 1
 
@@ -341,3 +344,18 @@ class DecisionTracer:
                 if self.oracle_cost is not None else None
             ),
         }
+
+
+def make_tracer(agent, oracle_cost: float | None = None,
+                label: str | None = None) -> "DecisionTracer | None":
+    """A :class:`DecisionTracer` for ``agent``, or ``None``.
+
+    Returns ``None`` when no telemetry sink is attached (the untraced
+    hot path: the agent keeps its ``tracer is None`` fast checks) or
+    when the agent does not support tracing (no ``attach_tracer``).
+    ``label`` stamps an ``agent`` field on every record, for callers
+    tracing several agents into one sink.
+    """
+    if not telemetry.has_sinks() or not hasattr(agent, "attach_tracer"):
+        return None
+    return DecisionTracer(agent, oracle_cost=oracle_cost, label=label)

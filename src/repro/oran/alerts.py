@@ -1,11 +1,13 @@
 """Alerting for the control plane: rules, throttling and routing.
 
 The fleet runtime evaluates a small rule set against every cell's
-per-period sample (KPIs, constraint margins and the PR-5 anomaly
-signals such as degraded-mode service) and routes the resulting
-:class:`Alert` records to sinks — in-memory logs, callables, or a bus
-topic (typically configured with a ``coalesce``/``drop-oldest``
-mailbox so a flapping cell cannot wedge the plane).
+per-period sample (KPIs, constraint margins and anomaly signals such as
+degraded-mode service) and routes the resulting :class:`Alert` records
+to its bounded history, the telemetry record stream
+(:func:`repro.telemetry.runtime.emit_record`, while a sink is attached)
+and optionally a bus topic (typically configured with a
+``coalesce``/``drop-oldest`` mailbox so a flapping cell cannot wedge
+the plane).
 
 Rules are *throttled* per ``(rule, cell)``: once raised, a rule stays
 silent for ``min_gap`` periods on that cell (suppressions are counted,
@@ -107,8 +109,8 @@ class _RuleState:
 class AlertRouter:
     """Evaluates rules against samples and routes surviving alerts.
 
-    Sinks are callables receiving the :class:`Alert`; ``bus`` +
-    ``topic`` additionally publishes each alert's record on the bus
+    Each raised alert's record goes into the telemetry stream; ``bus``
+    + ``topic`` additionally publishes it on the bus
     (EdgeWatch-style: the alert stream is itself a topic other xApps
     can subscribe to).  All raised alerts are retained in
     :attr:`history` (bounded).
@@ -127,14 +129,7 @@ class AlertRouter:
         self.topic = topic
         self.history_limit = int(history_limit)
         self.history: list[Alert] = []
-        self._sinks: list[Callable[[Alert], None]] = []
         self._state: dict[tuple[str, str], _RuleState] = {}
-
-    def add_sink(self, sink: Callable[[Alert], None]) -> None:
-        """Register a callable receiving every raised alert."""
-        if not callable(sink):
-            raise TypeError("alert sink must be callable")
-        self._sinks.append(sink)
 
     def process(self, sample: dict) -> list[Alert]:
         """Evaluate every rule against ``sample``; route what survives.
@@ -175,13 +170,13 @@ class AlertRouter:
         return raised
 
     def _route(self, alert: Alert) -> None:
-        """Deliver one alert to history, sinks and the bus topic."""
+        """Deliver one alert to history, the record stream and the bus."""
         telemetry.inc("oran.alerts.raised")
         self.history.append(alert)
         if len(self.history) > self.history_limit:
             del self.history[: len(self.history) - self.history_limit]
-        for sink in self._sinks:
-            sink(alert)
+        if telemetry.has_sinks():
+            telemetry.emit_record(alert.to_record())
         if self.bus is not None:
             post(self.bus, self.topic, alert.to_record())
 

@@ -54,7 +54,7 @@ from repro.oran.e2 import E2Node, E2Termination
 from repro.oran.loop import VirtualTimeLoop
 from repro.oran.o1 import O1Termination
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
-from repro.obs import runtime as obs
+from repro.obs.decision import make_tracer
 from repro.ran.phy import MAX_MCS
 from repro.telemetry import runtime as telemetry
 from repro.testbed.config import ControlPolicy, ServiceConstraints
@@ -227,17 +227,17 @@ class FleetRuntime:
         mutually exclusive with ``supervisor_policy``).
     supervisor_policy:
         Full :class:`~repro.oran.supervisor.SupervisorPolicy` override.
-    metrics:
-        Optional :class:`~repro.fleetobs.store.MetricStore`: every
-        cell-period ingests one ``type: "kpi"`` record and raised
-        alerts are mirrored into the store.  Ingestion is idempotent
-        (crash-recovery replays dedupe) and touches no RNG, so rows
-        stay bit-identical with or without a store.
     trace_rounds_every:
         Cadence (in periods) of per-cell ``fleet.round`` root spans
         while telemetry is recording; untraced periods skip span and
         envelope work entirely, bounding tracing overhead
         (``benchmarks/test_perf_observability.py``).
+
+    While a telemetry sink is attached, every cell-period emits one
+    ``type: "kpi"`` record and every raised alert one ``type: "alert"``
+    record into the stream (:func:`repro.telemetry.runtime.emit_record`);
+    neither touches an RNG, so rows stay bit-identical with or without
+    a sink, and with none attached no record is built.
     """
 
     def __init__(self, cells, load_model=None,
@@ -246,7 +246,7 @@ class FleetRuntime:
                  alert_rules=None, loop_seed=None, supervise: bool = False,
                  snapshot_every: int | None = None,
                  supervisor_policy: SupervisorPolicy | None = None,
-                 metrics=None, trace_rounds_every: int = 1) -> None:
+                 trace_rounds_every: int = 1) -> None:
         """Wire the fleet: shared bus, shared A1, per-cell planes.
 
         Every argument is checked before anything is wired: a rejected
@@ -315,12 +315,7 @@ class FleetRuntime:
         ]
         self.decisions = 0
         self.replayed = 0
-        self.metrics = metrics
         self.trace_rounds_every = int(trace_rounds_every)
-        if metrics is not None:
-            self.alert_router.add_sink(
-                lambda alert: metrics.ingest(alert.to_record())
-            )
         self.supervisor = FleetSupervisor(
             self, policy=supervisor_policy, enabled=bool(supervise)
         )
@@ -380,11 +375,11 @@ class FleetRuntime:
             "degraded": bool(getattr(cell.agent, "degraded", False)),
         }
 
-    def _ingest_kpis(self, cell: FleetCell, t: int, merged,
-                     cost: float) -> None:
-        """Ingest the period's KPI record when a metric store is wired."""
-        if self.metrics is not None:
-            self.metrics.ingest(self._kpi_record(cell, t, merged, cost))
+    def _emit_kpis(self, cell: FleetCell, t: int, merged,
+                   cost: float) -> None:
+        """Stream the period's KPI record while a sink is attached."""
+        if telemetry.has_sinks():
+            telemetry.emit_record(self._kpi_record(cell, t, merged, cost))
 
     def _set_cell_load(self, cell: FleetCell, t: int) -> None:
         """Re-apply the load multiplier period ``t`` ran under (replay)."""
@@ -436,9 +431,9 @@ class FleetRuntime:
             d_max_s=cell.constraints.d_max_s,
             rho_min=cell.constraints.rho_min,
         )
-        # Replays re-ingest the same (cell, t) record; the store's
-        # dedupe key makes that a no-op rather than a double count.
-        self._ingest_kpis(cell, t, merged, cost)
+        # A replay's record is dropped: the supervisor replays under
+        # telemetry.suppress().
+        self._emit_kpis(cell, t, merged, cost)
         if fresh:
             self.decisions += 1
             telemetry.inc("fleet.decisions")
@@ -471,7 +466,7 @@ class FleetRuntime:
             d_max_s=cell.constraints.d_max_s,
             rho_min=cell.constraints.rho_min,
         )
-        self._ingest_kpis(cell, t, observation, cost)
+        self._emit_kpis(cell, t, observation, cost)
         self.decisions += 1
         telemetry.inc("fleet.decisions")
         sample = self._alert_sample(cell, t, observation, cost)
@@ -494,15 +489,15 @@ class FleetRuntime:
         # Causal tracing: on this period's sampling cadence every cell
         # gets a `fleet.round` root span whose context each stage slice
         # runs under, so the round's bus hops stitch into one tree (see
-        # repro.fleetobs.tracing).  A metrics store turns telemetry on
-        # for sampled periods only — interior spans (env.step, solver)
-        # and counters then cost nothing on the other periods, which is
-        # what keeps the --metrics ingestion overhead inside its budget
+        # repro.fleetobs.tracing).  An attached sink turns spans on for
+        # sampled periods only — interior spans (env.step, solver) and
+        # counters then cost nothing on the other periods, which is
+        # what keeps the metrics-store overhead inside its budget
         # (benchmarks/test_perf_observability.py).  An outer whole-run
         # --telemetry scope is respected and never toggled.
         sampled = t % self.trace_rounds_every == 0
         toggled = False
-        if sampled and self.metrics is not None and not telemetry.enabled():
+        if sampled and telemetry.has_sinks() and not telemetry.enabled():
             telemetry.enable()
             toggled = True
         rounds = None
@@ -569,7 +564,7 @@ class FleetRuntime:
                     d_max_s=cell.constraints.d_max_s,
                     rho_min=cell.constraints.rho_min,
                 )
-                self._ingest_kpis(cell, t, merged, cost)
+                self._emit_kpis(cell, t, merged, cost)
                 self.decisions += 1
                 telemetry.inc("fleet.decisions")
                 self.alert_router.process(
@@ -601,10 +596,10 @@ class FleetRuntime:
     def run(self, n_periods: int) -> FleetResult:
         """Run the fleet for ``n_periods``; returns the fleet result.
 
-        With a decision sink installed (:func:`repro.obs.use`), every
-        cell's agent is traced for the run with the cell id as the
-        record's ``agent`` label, so one sink collects the whole
-        fleet's decision stream.  The run closes the fleet's bus
+        With a telemetry sink attached, every cell's agent is traced
+        for the run with the cell id as the record's ``agent`` label,
+        so one sink collects the whole fleet's decision stream.  The
+        run closes the fleet's bus
         (:meth:`~repro.oran.bus.AsyncMessageBus.close`): a runtime runs
         once.
         """
@@ -612,7 +607,7 @@ class FleetRuntime:
             raise ValueError(f"n_periods must be non-negative, got {n_periods}")
         tracers: list[tuple[FleetCell, object]] = []
         for cell in self.cells:
-            tracer = obs.make_tracer(cell.agent, label=cell.cell_id)
+            tracer = make_tracer(cell.agent, label=cell.cell_id)
             if tracer is not None:
                 cell.agent.attach_tracer(tracer)
                 tracers.append((cell, tracer))

@@ -22,8 +22,8 @@ and gives the fleet crash-recovery semantics on the shared event loop:
   snapshot (corrupt ones are detected by checksum and skipped, falling
   back to older checkpoints) and replays the missed periods through the
   normal per-cell control path.  Periods the uninterrupted run already
-  emitted are replayed under :func:`repro.obs.runtime.suppress` so the
-  decision trace gains no duplicates; the replay itself is
+  emitted are replayed under :func:`repro.telemetry.runtime.suppress` so
+  the record stream gains no duplicates; the replay itself is
   **bit-identical** to the uninterrupted run at the same seed because
   every RNG stream position was snapshotted (``tests/test_supervisor.py``
   asserts RunLog-row and decision-trace equality per recovered cell).
@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 
 from repro.core import state as snapshots
 from repro.faults import runtime as faults
-from repro.obs import runtime as obs
 from repro.telemetry import runtime as telemetry
 
 __all__ = ["FleetSupervisor", "SupervisorPolicy"]
@@ -421,7 +420,7 @@ class FleetSupervisor:
         for p in range(snap_t, t):
             runtime._set_cell_load(cell, p)
             if p < down_since:
-                with obs.suppress():
+                with telemetry.suppress():
                     runtime.cell_period(cell, p, fresh=False)
                 replayed += 1
             else:
@@ -480,7 +479,9 @@ class FleetSupervisor:
         )
 
     def _emit(self, event: str, t: int, cell, **extra) -> None:
-        """Emit one supervision event record through the decision sink."""
-        record = {"event": event, "t": int(t), "agent": cell.cell_id}
-        record.update(extra)
-        obs.emit(record)
+        """Stream one supervision event: a ``decision`` record + ``event``."""
+        if telemetry.has_sinks():
+            telemetry.emit_record({
+                "type": "decision", "event": event, "t": int(t),
+                "agent": cell.cell_id, **extra,
+            })

@@ -10,7 +10,7 @@ Thin, pycomex-style console layer over :class:`ExperimentStore`::
 ``list`` renders one table row per stored cell (filterable), ``show``
 prints one result in full, ``verify`` checks every blob against its
 indexed checksum, and ``gc`` compacts the index and deletes
-unreferenced blobs.  The store directory is ``--store DIR``, else
+unreferenced blobs and results of other code.  The store directory is ``--store DIR``, else
 ``REPRO_STORE`` (an experiment's default ``<out>/store`` must be named
 with ``--store``).
 """
@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gc(args) -> int:
-    """``repro results gc``: compact the index, delete orphan blobs."""
+    """``repro results gc``: compact the index, delete unusable blobs."""
     store = _open_store(args)
     stats = store.gc()
     print(
@@ -255,7 +255,8 @@ def add_results_command(sub) -> None:
 
     p = nested.add_parser(
         "gc",
-        help="compact the index and delete unreferenced blobs",
+        help="compact the index and delete unreferenced blobs and "
+             "results computed by other code",
     )
     _common(p)
     p.set_defaults(fn=_cmd_gc)

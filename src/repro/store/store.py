@@ -34,6 +34,8 @@ import os
 import time
 from pathlib import Path
 
+from repro.store.key import code_fingerprint
+
 __all__ = ["ExperimentStore", "resolve_store_dir", "ENV_STORE", "INDEX_NAME"]
 
 #: Environment variable naming the default store directory.
@@ -276,19 +278,24 @@ class ExperimentStore:
         }
 
     def gc(self) -> dict:
-        """Compact the index and delete unreferenced blobs.
+        """Compact the index and delete unreferenced and stale blobs.
 
-        Keeps the newest index record per key whose blob still exists,
-        rewrites the index atomically, and removes orphan blobs (and
-        stray ``.tmp*`` files from interrupted writes).  Returns
-        ``kept`` / ``dropped_entries`` / ``deleted_blobs`` /
-        ``reclaimed_bytes``.
+        Keeps the newest index record per key whose blob still exists
+        and whose ``code`` fingerprint is the running code's
+        (:func:`~repro.store.key.code_fingerprint`; a record without
+        one is kept) — a cell computed by other code can never be
+        served again.  Rewrites the index atomically, and removes every
+        blob no kept record references (and stray ``.tmp*`` files from
+        interrupted writes).  Returns ``kept`` / ``dropped_entries`` /
+        ``deleted_blobs`` / ``reclaimed_bytes``.
         """
         records, corrupt_lines = self._read_index()
         by_key = {record["key"]: record for record in records}
+        code = code_fingerprint()
         kept = [
             record for record in by_key.values()
-            if self.blob_path(record["key"]).exists()
+            if record.get("code") in (None, code)
+            and self.blob_path(record["key"]).exists()
         ]
         kept.sort(key=lambda r: (r.get("created") or 0.0, r["key"]))
         dropped = len(records) + corrupt_lines - len(kept)

@@ -13,6 +13,11 @@ Three layers (see ``docs/OBSERVABILITY.md`` for the full guide):
   :mod:`repro.telemetry.report` and the ``repro telemetry-report``
   CLI subcommand.
 
+The sinks hang off the process's one record stream
+(:mod:`repro.telemetry.runtime`), which also carries the decision,
+KPI, alert and supervision-event records of :mod:`repro.obs` and the
+fleet runtime whenever a sink is attached.
+
 The whole layer is off by default and costs one flag check per
 instrumentation site while disabled::
 

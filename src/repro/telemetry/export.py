@@ -1,11 +1,13 @@
 """Telemetry sinks: structured JSONL export and an in-memory buffer.
 
-Sinks receive *records* — plain dicts with a ``"type"`` key — at span
-completion (``type: "span"``) and at snapshot time (``type:
-"metrics"``).  The JSONL file therefore interleaves span lines in
-completion order (children before parents) with zero or more metrics
-lines; :mod:`repro.telemetry.report` reconstructs the span tree from
-the ``parent`` ids.
+Sinks receive *records* — plain dicts with a ``"type"`` key — from the
+one stream of :mod:`repro.telemetry.runtime`: spans at completion
+(``type: "span"``), metrics snapshots (``type: "metrics"``) and the
+non-span record types (``decision``, ``kpi``, ``alert``).  A JSONL file
+therefore interleaves span lines in completion order (children before
+parents) with the other records in emission order;
+:mod:`repro.telemetry.report` reconstructs the span tree from the
+``parent`` ids and skips types it does not render.
 """
 
 from __future__ import annotations
@@ -40,26 +42,36 @@ def _jsonable(value):
 
 
 class InMemorySink:
-    """Buffer records in lists — the test/notebook sink."""
+    """Buffer records in arrival order — the test/notebook/sweep sink."""
 
     def __init__(self) -> None:
         """Create an empty sink."""
-        self.spans: list[dict] = []
-        self.metrics: list[dict] = []
+        self._records: list[dict] = []
 
     def emit(self, record: dict) -> None:
-        """File the record under ``spans`` or ``metrics`` by type."""
-        if record.get("type") == "metrics":
-            self.metrics.append(record)
-        else:
-            self.spans.append(record)
+        """Append one record."""
+        self._records.append(record)
 
     def close(self) -> None:
         """No-op (memory needs no flushing)."""
 
     def records(self) -> list[dict]:
-        """Every record in arrival order (spans then metrics lists)."""
-        return list(self.spans) + list(self.metrics)
+        """Every record, in arrival order."""
+        return list(self._records)
+
+    def of_type(self, kind: str) -> list[dict]:
+        """The records of one ``type``, in arrival order."""
+        return [r for r in self._records if r.get("type") == kind]
+
+    @property
+    def spans(self) -> list[dict]:
+        """The ``span`` records, in arrival order."""
+        return self.of_type("span")
+
+    @property
+    def metrics(self) -> list[dict]:
+        """The ``metrics`` snapshot records, in arrival order."""
+        return self.of_type("metrics")
 
 
 class JsonlSink:

@@ -1,4 +1,4 @@
-"""Telemetry runtime: the enabled flag, global registry and sink fan-out.
+"""Telemetry runtime: the one record stream of the process.
 
 This module is the single import instrumented code needs::
 
@@ -9,23 +9,36 @@ This module is the single import instrumented code needs::
         if sp:
             sp.set("points", n_points)
     telemetry.inc("core.gp.add")
+    if telemetry.has_sinks():
+        telemetry.emit_record({"type": "kpi", "cell": "cell000", ...})
 
-Zero overhead when disabled: every entry point checks the module-level
-enabled flag *before any allocation* — :func:`span` returns the shared
-:data:`~repro.telemetry.spans.NULL_SPAN` singleton and the metric
-helpers return immediately, so instrumentation costs one function call
-and one attribute check per site (< 2% on the posterior benchmark,
-asserted by ``benchmarks/test_perf_posterior.py``'s budget).
+One process-wide sink list receives everything.  Two gates decide what
+reaches it:
+
+* **timing** — spans and counters/gauges/histograms record only while
+  :func:`enabled`; while disabled :func:`span` returns the shared
+  :data:`~repro.telemetry.spans.NULL_SPAN` singleton and the metric
+  helpers return after one flag check;
+* **records** — every other record type (``decision``, ``kpi``,
+  ``alert``, supervision events, ``metrics`` snapshots) goes through
+  :func:`emit_record`, which fans out whenever at least one sink is
+  attached.  Producers guard record *construction* with
+  :func:`has_sinks`, so with no sink attached no record is built
+  (pinned by ``tests/test_telemetry.py``).
+
+:func:`scope` stamps a ``cell`` label on records that carry none (sweep
+cells), and :func:`suppress` drops records — never spans — emitted
+inside it (crash-recovery replay of periods already emitted).
 
 Recording a run is one context manager::
 
     with telemetry.record("results/trace.jsonl"):
         run_agent(env, agent, 200)
 
-which enables telemetry, routes completed spans to a JSONL sink,
-appends a final metrics snapshot and restores the previous state on
-exit.  ``python -m repro telemetry-report results/trace.jsonl`` renders
-the result.
+which attaches a JSONL sink, enables timing, appends a final metrics
+snapshot and restores the previous state on exit.  ``python -m repro
+telemetry-report results/trace.jsonl`` renders the result; ``repro
+diagnose`` reads the same file's decision lines.
 """
 
 from __future__ import annotations
@@ -38,24 +51,32 @@ from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS_S, MetricsRegistry
 from repro.telemetry.spans import NULL_SPAN, Span, current_span
 
 __all__ = [
-    "enabled", "enable", "disable", "add_sink", "remove_sink",
-    "get_registry", "reset_metrics", "metrics_snapshot",
-    "span", "trace", "current_span", "inc", "observe", "set_gauge",
-    "record", "emit_record",
+    "enabled", "enable", "disable", "add_sink", "remove_sink", "attach",
+    "capture", "has_sinks", "get_registry", "reset_metrics",
+    "metrics_snapshot", "span", "trace", "current_span", "inc", "observe",
+    "set_gauge", "record", "emit_record", "emit_metrics", "scope",
+    "suppress",
 ]
 
 
 class _Runtime:
-    """Mutable process-local telemetry state (one instance per process)."""
+    """Mutable process-local telemetry state (one instance per process).
 
-    __slots__ = ("enabled", "registry", "sinks", "lock")
+    ``sinks`` is replaced, never mutated, so emitters iterate a
+    snapshot without taking the lock.
+    """
+
+    __slots__ = ("enabled", "registry", "sinks", "lock", "label",
+                 "suppressed")
 
     def __init__(self) -> None:
         """Start disabled, with an empty registry and no sinks."""
         self.enabled = False
         self.registry = MetricsRegistry()
-        self.sinks: list = []
+        self.sinks: tuple = ()
         self.lock = threading.Lock()
+        self.label: str | None = None
+        self.suppressed = False
 
 
 _STATE = _Runtime()
@@ -65,36 +86,74 @@ _STATE = _Runtime()
 
 
 def enabled() -> bool:
-    """Whether telemetry is currently recording."""
+    """Whether spans and metrics are currently recording."""
     return _STATE.enabled
 
 
 def enable(*sinks) -> None:
-    """Turn telemetry on, optionally registering ``sinks`` first."""
+    """Turn timing on, optionally attaching ``sinks`` first."""
     for sink in sinks:
         add_sink(sink)
     _STATE.enabled = True
 
 
 def disable() -> None:
-    """Turn telemetry off (sinks and metrics are left in place)."""
+    """Turn timing off (sinks and metrics are left in place)."""
     _STATE.enabled = False
 
 
+def has_sinks() -> bool:
+    """Whether at least one sink is attached (records are streamed)."""
+    return bool(_STATE.sinks)
+
+
 def add_sink(sink) -> None:
-    """Register a sink (an object with ``emit(record)``)."""
+    """Attach a sink (an object with ``emit(record)``)."""
     if not hasattr(sink, "emit"):
         raise TypeError(f"sink must expose emit(record), got {sink!r}")
     with _STATE.lock:
         if sink not in _STATE.sinks:
-            _STATE.sinks.append(sink)
+            _STATE.sinks = _STATE.sinks + (sink,)
 
 
 def remove_sink(sink) -> None:
-    """Unregister a sink (no-op if absent)."""
+    """Detach a sink (no-op if absent)."""
     with _STATE.lock:
-        if sink in _STATE.sinks:
-            _STATE.sinks.remove(sink)
+        _STATE.sinks = tuple(s for s in _STATE.sinks if s is not sink)
+
+
+@contextmanager
+def attach(sink):
+    """Attach ``sink`` for the duration of the block; yields it.
+
+    Sinks attached by an outer scope stay attached and keep receiving
+    every record; the caller owns (and closes) ``sink``.
+    """
+    add_sink(sink)
+    try:
+        yield sink
+    finally:
+        remove_sink(sink)
+
+
+@contextmanager
+def capture():
+    """Route the block's spans and records to one fresh in-memory sink.
+
+    The yielded :class:`~repro.telemetry.export.InMemorySink` is the
+    *only* sink inside the block; the previous sinks are reattached on
+    exit.  Sweep cells run under it so each cell's records are
+    collected once, whether the cell runs in this process or in a
+    forked worker that inherited the parent's sinks.
+    """
+    sink = InMemorySink()
+    with _STATE.lock:
+        previous, _STATE.sinks = _STATE.sinks, (sink,)
+    try:
+        yield sink
+    finally:
+        with _STATE.lock:
+            _STATE.sinks = previous
 
 
 # -- metrics ------------------------------------------------------------
@@ -137,32 +196,65 @@ def set_gauge(name: str, value: float) -> None:
     _STATE.registry.gauge(name).set(value)
 
 
-# -- spans --------------------------------------------------------------
+# -- spans and records ---------------------------------------------------
 
 
 def _emit_span(completed: Span) -> None:
     """Fan one finished span's record out to every sink."""
     record = completed.to_record()
-    with _STATE.lock:
-        sinks = list(_STATE.sinks)
-    for sink in sinks:
+    for sink in _STATE.sinks:
         sink.emit(record)
 
 
 def emit_record(record: dict) -> None:
-    """Fan an arbitrary typed record to every sink — no-op while disabled.
+    """Fan one non-span record out to every attached sink.
 
-    Other subsystems use this to interleave their own record types with
-    span/metrics lines in a recorded trace — e.g. the ``"decision"``
-    lines of :mod:`repro.obs` (``docs/OBSERVABILITY.md``); readers skip
-    types they do not know.
+    The one entry for ``decision``, ``kpi``, ``alert``, supervision
+    event and ``metrics`` records: a no-op with no sink attached or
+    inside :func:`suppress`; inside :func:`scope` a record without a
+    ``cell`` field gains the scope's label (right after ``type``).
+    Readers skip record types they do not know.
     """
-    if not _STATE.enabled:
+    sinks = _STATE.sinks
+    if not sinks or _STATE.suppressed:
         return
-    with _STATE.lock:
-        sinks = list(_STATE.sinks)
+    label = _STATE.label
+    if label is not None and "cell" not in record:
+        record = {"type": record.get("type"), "cell": label, **record}
     for sink in sinks:
         sink.emit(record)
+
+
+@contextmanager
+def scope(label: str):
+    """Stamp ``label`` as ``cell`` on label-less records in the block.
+
+    Sweep cells run under their cell id, so merged traces keep each
+    record's provenance; a record's own ``cell`` is never overwritten.
+    """
+    previous = _STATE.label
+    _STATE.label = str(label)
+    try:
+        yield
+    finally:
+        _STATE.label = previous
+
+
+@contextmanager
+def suppress():
+    """Drop the records emitted inside the block; spans still flow.
+
+    The fleet supervisor wraps crash-recovery replay of periods the
+    run already emitted: the replay does real work (timed as usual)
+    and its tracer state must advance, but its records would be
+    duplicates.
+    """
+    previous = _STATE.suppressed
+    _STATE.suppressed = True
+    try:
+        yield
+    finally:
+        _STATE.suppressed = previous
 
 
 def span(name: str, **attrs) -> "Span":
@@ -183,14 +275,11 @@ trace = span
 
 
 def emit_metrics(extra: dict | None = None) -> dict:
-    """Push one metrics-snapshot record to every sink; returns it."""
+    """Stream one metrics-snapshot record (:func:`emit_record`); returns it."""
     record = {"type": "metrics", **metrics_snapshot()}
     if extra:
         record.update(extra)
-    with _STATE.lock:
-        sinks = list(_STATE.sinks)
-    for sink in sinks:
-        sink.emit(record)
+    emit_record(record)
     return record
 
 
@@ -212,7 +301,7 @@ def record(path: "str | None" = None, reset: bool = True):
         covers exactly this block (default true).
 
     The previous enabled state is restored on exit, a final metrics
-    snapshot is appended, and the sink is closed.
+    snapshot is appended, and the sink is detached and closed.
     """
     sink = InMemorySink() if path is None else JsonlSink(path)
     was_enabled = _STATE.enabled

@@ -24,7 +24,6 @@ from repro.core import EdgeBOL
 from repro.experiments.fleet import run_fleet_cell_sim, run_fleet_spec_cell
 from repro.experiments.runner import run_agent
 from repro.faults import FaultPlan, FaultSpec, use
-from repro.obs import runtime as obs
 from repro.oran import (
     AlertRouter,
     AlertRule,
@@ -32,6 +31,8 @@ from repro.oran import (
     FleetRuntime,
     default_rules,
 )
+from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import InMemorySink
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 from repro.utils.rng import seed_tree
@@ -88,9 +89,9 @@ class TestBitIdentity:
 
     def test_decision_traces_identical(self):
         env, agent = _make_cell(11)
-        with obs.use(obs.ListSink()) as sink:
+        with telemetry.attach(InMemorySink()) as sink:
             run_agent(env, agent, 8, plane="async")
-        assert _digest(sink.records) == (
+        assert _digest(sink.of_type("decision")) == (
             "f16f5cf972be97a8d3dab2f2945b6b58ef258ae8ef607f046e90a00d095b827f"
         )
 
@@ -259,9 +260,8 @@ class TestAlerts:
     def test_delay_violation_fires_and_throttles(self):
         router = AlertRouter(default_rules(min_gap=5))
         raised = []
-        router.add_sink(raised.append)
         for t in range(8):
-            router.process(self._sample(t=t, delay_s=0.9))
+            raised += router.process(self._sample(t=t, delay_s=0.9))
         # Raised at t=0, throttled until t=5, raised again.
         delays = [a.t for a in raised if a.rule == "delay_violation"]
         assert delays == [0, 5]
@@ -275,10 +275,9 @@ class TestAlerts:
         )
         router = AlertRouter((rule,))
         fired = []
-        router.add_sink(fired.append)
         pattern = [0.9, 0.9, 0.1, 0.9, 0.9, 0.9]   # broken then full streak
         for t, delay in enumerate(pattern):
-            router.process(self._sample(t=t, delay_s=delay))
+            fired += router.process(self._sample(t=t, delay_s=delay))
         assert [a.t for a in fired] == [5]
 
     def test_per_cell_throttle_state_is_independent(self):
@@ -293,9 +292,10 @@ class TestAlerts:
         router = AlertRouter(default_rules(degraded_sustain=3,
                                            margin_sustain=2))
         fired = []
-        router.add_sink(fired.append)
         for t in range(4):
-            router.process(self._sample(t=t, delay_s=0.9, degraded=True))
+            fired += router.process(
+                self._sample(t=t, delay_s=0.9, degraded=True)
+            )
         names = [a.rule for a in fired]
         assert "negative_margin" in names       # margin < 0 for 2 periods
         assert "degraded_stretch" in names      # degraded for 3 periods

@@ -1,6 +1,7 @@
 """Fleet observability: metric store, SLO/energy ledger, causal tracing."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -89,6 +90,18 @@ class TestMetricStoreIngest:
         assert store.series("cell000", "regret") == [(3, 2.5)]
         # outcome cost comes only from KPI records — never double-counted
         assert store.series("cell000", "cost") == []
+
+    def test_sweep_label_does_not_merge_fleet_cells(self):
+        """A sweep cell's ``cell`` label on decision records must not
+        collapse the fleet's cells (their ids are in ``agent``)."""
+        store = MetricStore()
+        for agent in ("cell000", "cell001"):
+            assert store.ingest({
+                "type": "decision", "cell": "cells=2", "agent": agent,
+                "t": 0, "safe_set": {"fraction": 0.5},
+            })
+        assert store.duplicates == 0
+        assert store.cells() == ["cell000", "cell001"]
 
     def test_supervision_events_and_spans_filed(self):
         store = MetricStore()
@@ -269,10 +282,12 @@ class TestFleetRunIntegration:
     CELLS = 3
 
     def _run(self, metrics=None, **kw):
-        return run_fleet_cell_sim(
-            n_cells=self.CELLS, n_periods=self.PERIODS, seed=7, levels=3,
-            metrics=metrics, **kw,
-        )
+        with (telemetry.attach(metrics) if metrics is not None
+              else nullcontext()):
+            return run_fleet_cell_sim(
+                n_cells=self.CELLS, n_periods=self.PERIODS, seed=7,
+                levels=3, **kw,
+            )
 
     def _rows(self, result):
         return json.dumps([

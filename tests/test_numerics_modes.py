@@ -21,8 +21,10 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import EdgeBOL, EdgeBOLConfig
 from repro.core.numerics import ENV_BUDGET, ENV_SPARSE, NumericsConfig
-from repro.obs import runtime as obs
+from repro.obs.decision import make_tracer
 from repro.obs.diagnose import detect_anomalies, render_dashboard
+from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import InMemorySink
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
@@ -138,12 +140,6 @@ class TestEvictionReplayStability:
 
 
 class TestModeObservability:
-    @pytest.fixture(autouse=True)
-    def _no_sink(self):
-        obs.uninstall()
-        yield
-        obs.uninstall()
-
     def test_decision_records_carry_numerics_mode(self):
         testbed = TestbedConfig(n_levels=4)
         env = static_scenario(mean_snr_db=35.0, rng=0, config=testbed)
@@ -154,15 +150,15 @@ class TestModeObservability:
                 numerics=NumericsConfig(sparse=True, sparse_budget=64),
             ),
         )
-        with obs.use(obs.ListSink()) as sink:
-            tracer = obs.make_tracer(agent)
+        with telemetry.attach(InMemorySink()) as sink:
+            tracer = make_tracer(agent)
             agent.attach_tracer(tracer)
             for _ in range(4):
                 context = env.observe_context()
                 policy = agent.select(context)
                 agent.observe(context, policy, env.step(policy))
-        assert len(sink.records) == 4
-        assert all(r["numerics_mode"] == "sparse" for r in sink.records)
+        assert len(sink.records()) == 4
+        assert all(r["numerics_mode"] == "sparse" for r in sink.records())
 
     def test_anomaly_flags_stamped_with_mode(self):
         records = [

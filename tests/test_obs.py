@@ -1,8 +1,9 @@
 """Decision-trace subsystem: runtime state, tracer, diagnose, CLI.
 
-Covers the contract chain end to end: sink install/scope semantics in
-:mod:`repro.obs.runtime`, the :class:`DriftMonitor`, the per-round
-record schema assembled by :class:`DecisionTracer` (including the
+Covers the contract chain end to end: sink/scope semantics of the one
+record stream (:mod:`repro.telemetry.runtime`) as decision traces use
+it, the :class:`DriftMonitor`, the per-round record schema assembled
+by :class:`DecisionTracer` (including the
 bit-identical-KPIs guarantee the whole design hangs on), per-cell
 collection and merging in the sweep engine, the ``repro diagnose``
 anomaly detector/dashboard, and the CLI wiring.
@@ -19,10 +20,10 @@ from repro.experiments import parallel
 from repro.experiments import spec as spec_registry
 from repro.experiments.runner import run_agent
 from repro.obs import diagnose
-from repro.obs import runtime as obs
-from repro.obs.decision import DecisionTracer
+from repro.obs.decision import DecisionTracer, make_tracer
 from repro.obs.drift import DriftMonitor
 from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import InMemorySink, JsonlSink
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
@@ -31,10 +32,10 @@ N_PERIODS = 10
 
 @pytest.fixture(autouse=True)
 def _no_sink():
-    """Every test starts and ends with no decision sink installed."""
-    obs.uninstall()
+    """Every test starts and ends with no telemetry sink attached."""
+    assert not telemetry.has_sinks()
     yield
-    obs.uninstall()
+    assert not telemetry.has_sinks()
 
 
 def make_env_agent(seed=0, n_levels=4, oracle=None):
@@ -52,10 +53,9 @@ def make_env_agent(seed=0, n_levels=4, oracle=None):
 def traced_run(seed=0, periods=N_PERIODS, oracle_cost=120.0):
     """One short traced run; returns (records, run_log)."""
     env, agent = make_env_agent(seed)
-    sink = obs.ListSink()
-    with obs.use(sink):
+    with telemetry.attach(InMemorySink()) as sink:
         log = run_agent(env, agent, periods, oracle_cost=oracle_cost)
-    return sink.records, log
+    return sink.records(), log
 
 
 # -- runtime state -------------------------------------------------------
@@ -63,29 +63,31 @@ def traced_run(seed=0, periods=N_PERIODS, oracle_cost=120.0):
 
 class TestRuntime:
     def test_emit_is_noop_without_sink(self):
-        assert not obs.enabled()
-        obs.emit({"t": 0})  # must not raise, must not require a sink
+        assert not telemetry.has_sinks()
+        telemetry.emit_record({"type": "decision", "t": 0})  # no sink: no-op
 
     def test_install_rejects_non_sink(self):
         with pytest.raises(TypeError, match="emit"):
-            obs.install(object())
-        assert not obs.enabled()
+            telemetry.add_sink(object())
+        assert not telemetry.has_sinks()
 
-    def test_use_restores_previous_sink(self):
-        outer, inner = obs.ListSink(), obs.ListSink()
-        with obs.use(outer):
-            obs.emit({"k": 1})
-            with obs.use(inner):
-                obs.emit({"k": 2})
-            obs.emit({"k": 3})
-        assert not obs.enabled()
-        assert [r["k"] for r in outer.records] == [1, 3]
-        assert [r["k"] for r in inner.records] == [2]
+    def test_attach_detaches_on_exit(self):
+        outer, inner = InMemorySink(), InMemorySink()
+        with telemetry.attach(outer):
+            telemetry.emit_record({"type": "decision", "k": 1})
+            with telemetry.attach(inner):
+                telemetry.emit_record({"type": "decision", "k": 2})
+            telemetry.emit_record({"type": "decision", "k": 3})
+        assert not telemetry.has_sinks()
+        assert [r["k"] for r in outer.records()] == [1, 2, 3]
+        assert [r["k"] for r in inner.records()] == [2]
 
-    def test_use_with_path_writes_jsonl(self, tmp_path):
+    def test_jsonl_sink_writes_decision_lines(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        with obs.use(path):
-            obs.emit({"t": 0})
+        sink = JsonlSink(path)
+        with telemetry.attach(sink):
+            telemetry.emit_record({"type": "decision", "t": 0})
+        sink.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
@@ -93,34 +95,33 @@ class TestRuntime:
         assert record["t"] == 0
 
     def test_scope_labels_records(self):
-        sink = obs.ListSink()
-        with obs.use(sink):
-            obs.emit({"t": 0})
-            with obs.scope("cell-7"):
-                obs.emit({"t": 1})
-            obs.emit({"t": 2})
-        assert "cell" not in sink.records[0]
-        assert sink.records[1]["cell"] == "cell-7"
-        assert "cell" not in sink.records[2]
+        with telemetry.attach(InMemorySink()) as sink:
+            telemetry.emit_record({"type": "decision", "t": 0})
+            with telemetry.scope("cell-7"):
+                telemetry.emit_record({"type": "decision", "t": 1})
+            telemetry.emit_record({"type": "decision", "t": 2})
+        records = sink.records()
+        assert "cell" not in records[0]
+        assert records[1]["cell"] == "cell-7"
+        assert list(records[1]) == ["type", "cell", "t"]
+        assert "cell" not in records[2]
 
     def test_emit_mirrors_into_telemetry_trace(self, tmp_path):
         """Decision lines interleave with spans in one telemetry file."""
         trace = tmp_path / "trace.jsonl"
         with telemetry.record(trace):
-            with obs.use(obs.ListSink()):
-                with telemetry.span("experiment.period"):
-                    obs.emit({"t": 0})
+            with telemetry.span("experiment.period"):
+                telemetry.emit_record({"type": "decision", "t": 0})
         types = [json.loads(line)["type"]
                  for line in trace.read_text().splitlines()]
-        assert "decision" in types
-        assert "span" in types
+        assert types == ["decision", "span", "metrics"]
 
     def test_make_tracer_requires_sink_and_capable_agent(self):
         _, agent = make_env_agent()
-        assert obs.make_tracer(agent) is None  # no sink installed
-        with obs.use(obs.ListSink()):
-            assert obs.make_tracer(object()) is None  # no attach_tracer
-            tracer = obs.make_tracer(agent, oracle_cost=50.0)
+        assert make_tracer(agent) is None  # no sink attached
+        with telemetry.attach(InMemorySink()):
+            assert make_tracer(object()) is None  # no attach_tracer
+            tracer = make_tracer(agent, oracle_cost=50.0)
             assert isinstance(tracer, DecisionTracer)
             assert tracer.oracle_cost == 50.0
 
@@ -244,10 +245,9 @@ class TestDecisionTracer:
 
     def test_no_oracle_means_no_regret_block(self):
         env, agent = make_env_agent()
-        sink = obs.ListSink()
-        with obs.use(sink):
+        with telemetry.attach(InMemorySink()) as sink:
             run_agent(env, agent, 3)
-        assert all(r["regret"] is None for r in sink.records)
+        assert all(r["regret"] is None for r in sink.records())
 
     def test_traced_run_is_bit_identical_to_untraced(self):
         """The acceptance criterion: tracing never perturbs the run."""
@@ -265,17 +265,16 @@ class TestDecisionTracer:
 
     def test_detach_stops_emission(self):
         env, agent = make_env_agent()
-        sink = obs.ListSink()
-        with obs.use(sink):
+        with telemetry.attach(InMemorySink()) as sink:
             run_agent(env, agent, 2)
-        assert len(sink.records) == 2
-        with obs.use(sink):
+        assert len(sink.records()) == 2
+        with telemetry.attach(sink):
             # run_agent detached the tracer on exit: a bare loop with no
             # tracer attached emits nothing.
             context = env.observe_context()
             policy = agent.select(context)
             agent.observe(context, policy, env.step(policy))
-        assert len(sink.records) == 2
+        assert len(sink.records()) == 2
 
     def test_runlog_carries_summary(self):
         records, log = traced_run()
@@ -291,16 +290,15 @@ class TestDecisionTracer:
 
     def test_degraded_hook_emits_minimal_record(self):
         env, agent = make_env_agent()
-        sink = obs.ListSink()
-        with obs.use(sink):
-            tracer = obs.make_tracer(agent)
+        with telemetry.attach(InMemorySink()) as sink:
+            tracer = make_tracer(agent)
             tracer.on_degraded(env.observe_context())
             from repro.testbed.config import ControlPolicy
             policy = ControlPolicy.max_resources()
             observation = env.step(policy)
             tracer.on_observe(env.observe_context(), policy, observation,
                               cost=123.0, quarantine_reason=None)
-        (record,) = sink.records
+        (record,) = sink.records()
         assert record["degraded"] is True
         assert record["safe_set"]["size"] == 1
         assert record["margins"] == {"delay_slack_s": None, "map_slack": None}
@@ -314,15 +312,14 @@ class TestDecisionTracer:
         from repro.testbed.config import ControlPolicy
 
         env, agent = make_env_agent()
-        sink = obs.ListSink()
-        with obs.use(sink):
-            tracer = obs.make_tracer(agent)
+        with telemetry.attach(InMemorySink()) as sink:
+            tracer = make_tracer(agent)
             agent.attach_tracer(tracer)
             policy = ControlPolicy.max_resources()
             context = env.observe_context()
             agent.observe(context, policy, env.step(policy))
             agent.attach_tracer(None)
-        (record,) = sink.records
+        (record,) = sink.records()
         assert record["chosen_index"] is None
         assert record["safe_set"] is None
         assert record["outcome"]["cost"] is not None
@@ -382,6 +379,21 @@ class TestSweepDecisions:
             for line in first.read_text().splitlines()
         ]
 
+    def test_attached_sink_gets_each_decision_once(self, regret_spec):
+        """Without a path, an attached sink (``--telemetry``) receives
+        the merged decisions exactly once, serial or pooled."""
+        spec, params = regret_spec
+        streams = []
+        for jobs in (1, 2):
+            with telemetry.attach(InMemorySink()) as sink:
+                result = parallel.run_sweep(spec, params, seed=3, jobs=jobs)
+            streams.append(sink.of_type("decision"))
+        cells = [c.cell_id for c in result.cells]
+        assert streams[0] == streams[1]
+        assert [(r["cell"], r["t"]) for r in streams[0]] == [
+            (cell, t) for cell in cells for t in range(3)
+        ]
+
     def test_untraced_sweep_writes_nothing(self, regret_spec, tmp_path):
         spec, params = regret_spec
         result = parallel.run_sweep(spec, params, seed=3, jobs=1)
@@ -396,11 +408,10 @@ class TestCustomLoopExperiments:
         from repro.experiments.tariff import TariffSetting, run_tariff_tracking
 
         setting = TariffSetting(n_periods=6, n_levels=3)
-        sink = obs.ListSink()
-        with obs.use(sink):
+        with telemetry.attach(InMemorySink()) as sink:
             log = run_tariff_tracking(decoupled=True, setting=setting, seed=0)
-        assert len(sink.records) == 6
-        record = sink.records[-1]
+        assert len(sink.records()) == 6
+        record = sink.records()[-1]
         # Decoupled agents carry the per-power heads end to end.
         assert {"server_power", "bs_power"} <= set(record["calibration"])
         assert record["acquisition"]["price_of_safety"] >= 0.0
@@ -411,7 +422,7 @@ class TestCustomLoopExperiments:
 
         setting = TariffSetting(n_periods=6, n_levels=3)
         untraced = run_tariff_tracking(decoupled=True, setting=setting, seed=1)
-        with obs.use(obs.ListSink()):
+        with telemetry.attach(InMemorySink()):
             traced = run_tariff_tracking(
                 decoupled=True, setting=setting, seed=1
             )
@@ -425,16 +436,15 @@ class TestCustomLoopExperiments:
         )
 
         setting = MultiServiceSetting(n_periods=4, n_levels=3)
-        sink = obs.ListSink()
-        with obs.use(sink):
+        with telemetry.attach(InMemorySink()) as sink:
             ar_log, sv_log = run_per_slice_edgebol(setting=setting, seed=0)
-        assert len(sink.records) == 2 * 4
-        labels = {r["agent"] for r in sink.records}
+        assert len(sink.records()) == 2 * 4
+        labels = {r["agent"] for r in sink.records()}
         assert labels == {"ar", "surveillance"}
         assert ar_log.decisions["periods"] == 4
         assert sv_log.decisions["periods"] == 4
         for label in labels:
-            ts = [r["t"] for r in sink.records if r["agent"] == label]
+            ts = [r["t"] for r in sink.records() if r["agent"] == label]
             assert ts == [0, 1, 2, 3]
 
 
@@ -552,9 +562,11 @@ class TestDiagnose:
 
     def test_diagnose_path_roundtrip(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        with obs.use(path):
+        sink = JsonlSink(path)
+        with telemetry.attach(sink):
             for record in synthetic_records():
-                obs.emit(record)
+                telemetry.emit_record(record)
+        sink.close()
         text, anomalies = diagnose.diagnose_path(path)
         assert "Anomaly flags:" in text
         assert anomalies == diagnose.detect_anomalies(

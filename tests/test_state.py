@@ -12,7 +12,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core import posterior, state
 from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 from repro.core.gp import GaussianProcess
@@ -20,6 +19,8 @@ from repro.core.kernels import Matern
 from repro.core.posterior import SurrogateEngine
 from repro.experiments.recorder import RunLog
 from repro.obs.decision import DecisionTracer
+from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import InMemorySink
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
@@ -585,8 +586,7 @@ class TestEnvState:
 class TestTracerState:
     def test_round_trip_and_boundary_guard(self):
         env, agent = make_world(seed=9)
-        sink = obs.ListSink()
-        with obs.use(sink):
+        with telemetry.attach(InMemorySink()):
             tracer = DecisionTracer(agent, label="cell000")
             agent.attach_tracer(tracer)
             run_periods(env, agent, 4)

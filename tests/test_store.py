@@ -196,6 +196,7 @@ def test_store_verify_detects_tamper_missing_and_orphans(tmp_path):
 
 
 def test_store_gc_compacts_and_deletes_orphans(tmp_path):
+    # Records put without a code fingerprint (meta {}) survive gc.
     store = ExperimentStore(tmp_path)
     store.put(KEY_A, {"rows": [1]}, {})
     store.put(KEY_A, {"rows": [1, 2]}, {})  # duplicate index line
@@ -313,6 +314,25 @@ def test_sweep_store_invalidated_by_code_fingerprint(tmp_path, monkeypatch):
     back = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     assert back.store_hits == 3
     assert _CALLS == []
+
+
+def test_gc_drops_results_of_other_code(tmp_path, monkeypatch):
+    """Cells stored under an older code fingerprint can never be served
+    again: gc deletes them and keeps the current code's."""
+    spec, params = _toy_spec(), _toy_spec().resolve({})
+    for version in ("v1", "v2", "v3"):
+        monkeypatch.setenv(ENV_FINGERPRINT, version)
+        run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
+    store = ExperimentStore(tmp_path)
+    stats = store.gc()
+    assert stats["kept"] == 3
+    assert stats["dropped_entries"] == 6
+    assert stats["deleted_blobs"] == 6
+    assert [r["code"] for r in store.entries()] == ["v3"] * 3
+    assert store.verify()["orphans"] == []
+    _CALLS.clear()
+    warm = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
+    assert warm.store_hits == 3 and _CALLS == []
 
 
 def test_put_after_torn_index_tail_keeps_its_own_line(tmp_path):

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from repro import faults, obs
+from repro import faults
 from repro.core import EdgeBOL, state
 from repro.experiments.fleet import run_fleet_cell_sim, run_fleet_spec_cell
 from repro.faults import FaultPlan, FaultSpec
@@ -22,6 +22,8 @@ from repro.oran.alerts import AlertRouter, AlertRule, default_rules
 from repro.oran.load import FleetLoadModel
 from repro.oran.runtime import FleetRuntime
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
+from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import InMemorySink, JsonlSink
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 from repro.utils.rng import seed_tree
@@ -72,13 +74,28 @@ def clean_run():
 
 
 class TestCrashRecovery:
-    def test_warm_restore_replays_bit_identically(self, clean_run):
+    def test_warm_restore_replays_bit_identically(self, clean_run, tmp_path):
         plan = FaultPlan(specs=(
             FaultSpec(kind="cell", mode="crash", target="cell001",
                       at=(6,), max_events=1),
         ))
-        chaos = run_chaos(plan)
+        sink = JsonlSink(tmp_path / "trace.jsonl")
+        with telemetry.attach(sink):
+            chaos = run_chaos(plan)
+        sink.close()
         assert series(chaos) == series(clean_run)
+        # The replay runs under telemetry.suppress(): every decision
+        # (and KPI record) reaches the sink exactly once.
+        records = [json.loads(line)
+                   for line in sink.path.read_text().splitlines()]
+        for kind in ("decision", "kpi"):
+            keys = [(r.get("agent") or r["cell"], r["t"]) for r in records
+                    if r["type"] == kind and "event" not in r]
+            assert sorted(keys) == sorted(
+                (cell, t) for cell in chaos.logs
+                for t in range(chaos.n_periods)
+            ), kind
+        assert any(r.get("event") == "recovery" for r in records)
         assert chaos.alerts == clean_run.alerts
         stats = chaos.recovery["cell001"]
         assert stats["crashes"] == 1 and stats["restarts"] == 1
@@ -121,13 +138,12 @@ class TestStallDetection:
             FaultSpec(kind="loop", mode="stall", target="cell002",
                       at=(3,), max_events=1),
         ))
-        sink = obs.ListSink()
-        with obs.use(sink):
+        with telemetry.attach(InMemorySink()) as sink:
             chaos = run_chaos(plan)
         assert series(chaos) == series(clean_run)
         stats = chaos.recovery["cell002"]
         assert stats["stalls"] == 1 and stats["recovered"]
-        events = [(r["event"], r["t"]) for r in sink.records
+        events = [(r["event"], r["t"]) for r in sink.records()
                   if r.get("agent") == "cell002" and "event" in r]
         # Last heartbeat lands at t=2; 5 - 2 > stall_timeout 2.
         assert ("cell_stall", 5) in events
@@ -461,8 +477,8 @@ class TestDiagnoseSupervisionEvents:
                                 "map_violation": False},
                 }) + "\n")
             for event in self._events():
-                # obs.emit stamps every sink record ``type: "decision"``,
-                # events included — mirror the on-disk shape exactly.
+                # Supervision events are ``type: "decision"`` records
+                # with an ``event`` field — mirror the on-disk shape.
                 handle.write(json.dumps({"type": "decision", **event}) + "\n")
         text, anomalies = diagnose.diagnose_path(path)
         assert "Supervision events" in text

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro.oran.alerts import AlertRule
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -20,6 +21,25 @@ from repro.telemetry import (
 )
 from repro.telemetry import runtime as telemetry
 from repro.telemetry import report
+
+
+def _cell(seed, levels=3):
+    """One small static-scenario ``(env, EdgeBOL)`` pair."""
+    from repro import (
+        CostWeights, EdgeBOL, ServiceConstraints, TestbedConfig,
+        static_scenario,
+    )
+
+    config = TestbedConfig(n_levels=levels)
+    env = static_scenario(mean_snr_db=35.0, rng=seed, config=config)
+    agent = EdgeBOL(config.control_grid(), ServiceConstraints(0.4, 0.5),
+                    CostWeights(1.0, 1.0))
+    return env, agent
+
+
+#: Fires once per cell (then throttled): every fleet run raises alerts.
+_ALWAYS = AlertRule(name="always", predicate=lambda sample: True,
+                    message=lambda sample: "always", min_gap=1000)
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +70,38 @@ class TestDisabledMode:
 
     def test_disabled_by_default(self):
         assert not telemetry.enabled()
+        assert not telemetry.has_sinks()
+
+    def test_no_record_is_built_without_a_sink(self, monkeypatch):
+        """The untraced hot path: no tracer, no KPI/alert/event record
+        and not one stream call, on either plane or a supervised fleet
+        replaying a crash."""
+        from repro import faults
+        from repro.experiments.runner import run_agent
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.obs.decision import DecisionTracer
+        from repro.oran.runtime import FleetRuntime
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("record work with no sink attached")
+
+        monkeypatch.setattr(DecisionTracer, "__init__", forbidden)
+        monkeypatch.setattr(FleetRuntime, "_kpi_record", forbidden)
+        monkeypatch.setattr(telemetry, "emit_record", forbidden)
+        assert telemetry.span("x") is NULL_SPAN
+        for plane in ("direct", "async"):
+            env, agent = _cell(0)
+            run_agent(env, agent, 3, plane=plane)
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="cell", mode="crash", target="cell001",
+                      at=(3,), max_events=1),
+        ))
+        with faults.use(plan):
+            result = FleetRuntime(
+                [_cell(1), _cell(2)], supervise=True, snapshot_every=2,
+                alert_rules=(_ALWAYS,),
+            ).run(5)
+        assert result.replayed > 0 and result.alert_counts["raised"] == 2
 
 
 class TestSpans:
@@ -212,6 +264,98 @@ class TestExport:
         path.write_text('{"type": "span", "id": 1, "name": "a"}\n\n')
         spans, metrics = read_jsonl(path)
         assert len(spans) == 1 and metrics == []
+
+
+class TestRecordStream:
+    def test_in_memory_sink_keeps_arrival_order(self):
+        with telemetry.record() as sink:
+            with telemetry.span("a"):
+                pass
+            telemetry.emit_metrics()
+            with telemetry.span("b"):
+                pass
+            telemetry.emit_record({"type": "decision", "t": 0})
+        assert [r.get("name", r["type"]) for r in sink.records()] == [
+            "a", "metrics", "b", "decision", "metrics",
+        ]
+        assert [r["name"] for r in sink.spans] == ["a", "b"]
+        assert len(sink.metrics) == 2
+
+    def test_records_flow_without_spans(self):
+        """Records need a sink, not enabled(); spans need both."""
+        with telemetry.attach(InMemorySink()) as sink:
+            with telemetry.span("untimed"):
+                telemetry.emit_record({"type": "kpi", "t": 0})
+        assert [r["type"] for r in sink.records()] == ["kpi"]
+
+    def test_all_six_record_types_arrive_in_emission_order(self, tmp_path):
+        """One supervised fleet under a crash plan feeds spans, KPI,
+        decision, alert, supervision-event and metrics records to every
+        attached sink in one order."""
+        from repro import faults
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.oran.runtime import FleetRuntime
+
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="cell", mode="crash", target="cell001",
+                      at=(3,), max_events=1),
+        ))
+        jsonl = JsonlSink(tmp_path / "stream.jsonl")
+        with faults.use(plan), telemetry.record() as sink:
+            with telemetry.attach(jsonl):
+                FleetRuntime(
+                    [_cell(1), _cell(2)], supervise=True, snapshot_every=2,
+                    alert_rules=(_ALWAYS,),
+                ).run(6)
+        jsonl.close()
+        records = sink.records()
+        kinds = ["event" if "event" in r else r["type"] for r in records]
+        assert set(kinds) == {
+            "span", "metrics", "decision", "kpi", "alert", "event",
+        }
+        assert kinds[-1] == "metrics"  # the final snapshot
+        lines = [json.loads(line)
+                 for line in jsonl.path.read_text().splitlines()]
+        assert [r.get("id", r["type"]) for r in lines] == [
+            r.get("id", r["type"]) for r in records[:-1]
+        ]
+        for cell in ("cell000", "cell001"):
+            # Per period: the decision (agent.observe), then its KPI.
+            flow = [(r["type"], r["t"]) for r in records
+                    if r["type"] in ("decision", "kpi") and "event" not in r
+                    and cell in (r.get("agent"), r.get("cell"))]
+            assert flow == [(kind, t) for t in range(6)
+                            for kind in ("decision", "kpi")]
+
+    def test_scope_stamps_only_label_less_records(self):
+        with telemetry.attach(InMemorySink()) as sink:
+            with telemetry.scope("sweep-cell-3"):
+                telemetry.emit_record({"type": "kpi", "cell": "cell007"})
+                telemetry.emit_record({"type": "decision", "t": 0})
+        own, stamped = sink.records()
+        assert own["cell"] == "cell007"
+        assert stamped == {"type": "decision", "cell": "sweep-cell-3",
+                           "t": 0}
+
+    def test_suppress_drops_records_and_keeps_spans(self):
+        with telemetry.record() as sink:
+            with telemetry.suppress():
+                with telemetry.span("replay"):
+                    telemetry.emit_record({"type": "decision", "t": 0})
+                telemetry.emit_record({"type": "kpi", "t": 0})
+            telemetry.emit_record({"type": "kpi", "t": 1})
+        kinds = [(r["type"], r.get("t")) for r in sink.records()]
+        assert kinds[:2] == [("span", None), ("kpi", 1)]
+        assert sink.spans[0]["name"] == "replay"
+
+    def test_capture_isolates_and_restores_sinks(self):
+        with telemetry.attach(InMemorySink()) as outer:
+            with telemetry.capture() as inner:
+                telemetry.emit_record({"type": "kpi", "t": 0})
+            telemetry.emit_record({"type": "kpi", "t": 1})
+        assert [r["t"] for r in inner.records()] == [0]
+        assert [r["t"] for r in outer.records()] == [1]
+        assert not telemetry.has_sinks()
 
 
 class TestReport:
