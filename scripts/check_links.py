@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Check that the repo's markdown cross-references resolve, both ways.
 
-Three checks over every tracked ``*.md`` file, no dependencies beyond
-the standard library:
+Three checks over every tracked ``*.md`` file except the root
+``ISSUE.md``, no dependencies beyond the standard library:
 
 1. **Relative links** — inline links and images (``[text](target)``)
    must point at existing files.  External schemes (http/https/mailto)
@@ -20,6 +20,9 @@ the standard library:
 Run from anywhere inside the repo::
 
     python scripts/check_links.py [root]
+
+The root ``ISSUE.md`` is skipped: it describes the tree a change starts
+from, so it may name paths the change deletes.
 """
 
 from __future__ import annotations
@@ -48,11 +51,18 @@ _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 #: Directories never scanned (generated or vendored content).
 _SKIP_DIRS = {".git", "results", "__pycache__", ".pytest_cache", "node_modules"}
 
+#: Root-relative markdown files never scanned.
+_SKIP_FILES = {"ISSUE.md"}
+
 
 def iter_markdown_files(root: Path):
-    """Yield every markdown file under ``root``, skipping junk dirs."""
+    """Yield every markdown file under ``root``, skipping junk dirs and
+    the root-relative paths in ``_SKIP_FILES``."""
     for path in sorted(root.rglob("*.md")):
-        if any(part in _SKIP_DIRS for part in path.relative_to(root).parts):
+        rel = path.relative_to(root)
+        if any(part in _SKIP_DIRS for part in rel.parts):
+            continue
+        if rel.as_posix() in _SKIP_FILES:
             continue
         yield path
 

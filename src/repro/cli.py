@@ -11,9 +11,9 @@ shared sweep engine (:mod:`repro.experiments.parallel`).  Usage::
     python -m repro static --delta2 1 4 16 64 --jobs 4
     python -m repro run static --sweep delta2=1,8,64 --jobs 4
     python -m repro static --telemetry results/static_trace.jsonl
-    python -m repro telemetry-report results/static_trace.jsonl
+    python -m repro report results/static_trace.jsonl
     python -m repro regret --trace-decisions
-    python -m repro diagnose results/regret_decisions.jsonl
+    python -m repro report results/regret_decisions.jsonl
     python -m repro run static --sweep delta2=1,8 --store ~/.repro-store
     python -m repro results list --store ~/.repro-store
 
@@ -33,12 +33,11 @@ workers inherit it — see ``docs/NUMERICS.md``) / ``--store DIR`` +
 ``<out>/store``: each completed cell is stored as it finishes, and
 cells whose exact configuration was already computed are served from
 the store instead of re-run, so an interrupted sweep resumes; see
-``docs/STORE.md``); ``telemetry-report`` renders a
-recorded trace, ``diagnose`` renders a decision trace (one file or a
-directory of per-cell traces) as a dashboard with anomaly flags,
-``fleet-status`` renders a fleet metrics dump (``repro run fleet --set
-metrics=DIR``) as an SLO burn-rate and energy-savings dashboard, and
-``results`` queries the experiment store (list/show/gc/verify).
+``docs/STORE.md``); ``report`` renders any record file (or a directory
+of them) with one view per record type it holds: the span tree and
+metrics, the decision dashboard with anomaly flags, and the fleet SLO
+burn-rate and energy-savings view; ``results`` queries the experiment
+store (list/show/gc/verify).
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None, const=_DEFAULT_DECISIONS,
         help="record one decision record per BO round to this JSONL file "
              "(default <out>/<spec>_decisions.jsonl; render with "
-             "'repro diagnose')",
+             "'repro report')",
     )
     parser.add_argument(
         "--faults", type=Path, default=None, metavar="PLAN.JSON",
@@ -146,7 +145,7 @@ def run_spec(spec, params, *, out: Path, seed: int = 0, jobs: int = 1,
     if decision_path is not None:
         n_records = sum(len(c.decisions or ()) for c in result.cells)
         print(f"wrote decision trace {decision_path} ({n_records} records; "
-              f"render with 'repro diagnose {decision_path}')")
+              f"render with 'repro report {decision_path}')")
     if result.store_hits:
         print(f"store hits: {result.store_hits}/{len(result.cells)} cells "
               f"served from {result.store_path} "
@@ -243,74 +242,97 @@ def _cmd_run(args) -> int:
     )
 
 
-def _cmd_diagnose(args) -> int:
-    """``repro diagnose``: dashboard + anomaly flags for a decision trace.
+def _report_file(file: Path, records: list):
+    """The views one file's records hold: ``(views, anomalies, fleet)``.
 
-    Accepts either one trace file or a directory of per-cell traces
-    (every ``*.jsonl`` inside is flagged and the flags aggregated with
-    a ``source`` field naming the originating file).
+    Span and metrics records get the span tree and metrics tables,
+    decision records (supervision events included) the dashboard and
+    anomaly flags, KPI records the fleet SLO/energy view over a
+    :class:`~repro.fleetobs.MetricStore` fed every record of the file.
+    """
+    from repro.fleetobs import MetricStore, render_status, status_payload
+    from repro.obs.diagnose import detect_anomalies, render_dashboard
+    from repro.telemetry.report import render_report
+
+    by_type: dict = {}
+    for record in records:
+        by_type.setdefault(record.get("type"), []).append(record)
+    views, anomalies, fleet = [], [], None
+    spans, metrics = by_type.get("span", []), by_type.get("metrics", [])
+    if spans or metrics:
+        views.append(render_report(spans, metrics, title=str(file)))
+    decisions = by_type.get("decision")
+    if decisions:
+        anomalies = detect_anomalies(decisions)
+        views.append(render_dashboard(decisions, anomalies=anomalies))
+    if "kpi" in by_type:
+        store = MetricStore()
+        for record in records:
+            store.ingest(record)
+        views.append(render_status(store))
+        fleet = status_payload(store)
+    return views, anomalies, fleet
+
+
+def _cmd_report(args) -> int:
+    """``repro report PATH``: every view the records of PATH hold.
+
+    PATH is one record file, or a directory whose ``*.jsonl`` files are
+    reported in sorted order, each anomaly flag naming its ``source``
+    file.  Every file is read once, by
+    :func:`repro.telemetry.export.read_records`.
     """
     import json
+    from collections import Counter
 
-    from repro.obs import diagnose
+    from repro.telemetry.export import read_records
 
+    path = args.path
+    is_dir = path.is_dir()
     try:
-        if Path(args.path).is_dir():
-            dashboard, anomalies = diagnose.diagnose_directory(args.path)
-            n_records = None
-        else:
-            records = diagnose.load_decisions(args.path)
-            anomalies = diagnose.detect_anomalies(records)
-            dashboard = diagnose.render_dashboard(records, anomalies=anomalies)
-            n_records = len(records)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro diagnose: {exc}") from None
+        files = sorted(path.glob("*.jsonl")) if is_dir else [path]
+        if not files:
+            raise ValueError(f"{path}: no *.jsonl record files found")
+        loaded = [(file, read_records(file)) for file in files]
+    except OSError as exc:
+        raise SystemExit(
+            f"repro report: {exc.filename or path}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise SystemExit(f"repro report: {exc}") from None
+    counts: Counter = Counter()
+    anomalies, fleets, sections = [], {}, []
+    for file, records in loaded:
+        kinds = Counter(str(record.get("type")) for record in records)
+        counts.update(kinds)
+        try:
+            views, flags, fleet = _report_file(file, records)
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            # A JSON object whose fields do not fit its record type
+            # (e.g. a string span duration, or spans that are each
+            # other's parents).
+            raise SystemExit(f"repro report: {file}: record the views "
+                             f"cannot render: {exc!r}") from None
+        if is_dir:
+            for flag in flags:
+                flag["source"] = file.name
+        anomalies.extend(flags)
+        if fleet is not None:
+            fleets[file.name] = fleet
+        header = ", ".join(f"{kind}={n}" for kind, n in sorted(kinds.items()))
+        sections += [f"{file}: {header or 'no records'}", *views]
     if args.json:
-        payload = {"anomalies": anomalies}
-        if n_records is not None:
-            payload["records"] = n_records
+        payload = {"records": dict(sorted(counts.items())),
+                   "anomalies": anomalies}
+        if fleets:
+            payload["fleet"] = fleets if is_dir else fleets[path.name]
         print(json.dumps(payload, indent=2))
     else:
-        print(dashboard)
+        print("\n\n".join(sections))
     if args.fail_on_anomaly and anomalies:
-        print(f"repro diagnose: {len(anomalies)} anomaly flag(s) raised",
+        print(f"repro report: {len(anomalies)} anomaly flag(s) raised",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_fleet_status(args) -> int:
-    """``repro fleet-status``: SLO/energy dashboard over a metrics dump."""
-    import json
-
-    from repro.fleetobs import MetricStore, render_status, status_payload
-
-    store = MetricStore()
-    try:
-        store.ingest_jsonl(args.path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro fleet-status: {exc}") from None
-    kwargs = dict(delay_budget=args.delay_budget, map_budget=args.map_budget,
-                  window=args.window, top=args.top)
-    if args.json:
-        print(json.dumps(status_payload(store, **kwargs), indent=2))
-    else:
-        print(render_status(store, **kwargs))
-    return 0
-
-
-def _cmd_telemetry_report(args) -> int:
-    from repro.telemetry import report
-
-    if args.selftest:
-        print(report.selftest_report())
-        print("\ntelemetry selftest ok")
-        return 0
-    if args.path is None:
-        print("telemetry-report: provide a JSONL path or --selftest",
-              file=sys.stderr)
-        return 2
-    print(report.render_file(args.path))
     return 0
 
 
@@ -346,49 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
-        "telemetry-report",
-        help="render a recorded telemetry JSONL trace (span tree + metrics)",
-    )
-    p.add_argument("path", nargs="?", type=Path, default=None,
-                   help="trace file written via --telemetry")
-    p.add_argument("--selftest", action="store_true",
-                   help="generate and render a synthetic trace (CI smoke test)")
-    p.set_defaults(fn=_cmd_telemetry_report)
-
-    p = sub.add_parser(
-        "diagnose",
-        help="render a decision trace (--trace-decisions JSONL) as an ASCII "
-             "dashboard with anomaly flags",
+        "report",
+        help="render a record file (--telemetry, --trace-decisions or "
+             "--set metrics=DIR output) or a directory of them: span tree, "
+             "decision dashboard with anomaly flags, fleet SLO/energy view",
     )
     p.add_argument("path", type=Path,
-                   help="decision trace written via --trace-decisions")
+                   help="JSONL record file, or a directory of *.jsonl files")
     p.add_argument("--json", action="store_true",
-                   help="print machine-readable anomaly flags instead of "
-                        "the dashboard")
+                   help="print record counts, anomaly flags and the fleet "
+                        "payload as one JSON object")
     p.add_argument("--fail-on-anomaly", action="store_true",
                    help="exit non-zero when any anomaly flag is raised")
-    p.set_defaults(fn=_cmd_diagnose)
-
-    p = sub.add_parser(
-        "fleet-status",
-        help="render a fleet metrics dump (--set metrics=DIR) as an SLO "
-             "burn-rate and energy-savings dashboard",
-    )
-    p.add_argument("path", type=Path,
-                   help="metrics JSONL written by 'repro run fleet "
-                        "--set metrics=DIR'")
-    p.add_argument("--json", action="store_true",
-                   help="print the machine-readable payload instead of "
-                        "the dashboard")
-    p.add_argument("--delay-budget", type=float, default=0.10, metavar="F",
-                   help="allowed delay-violation rate (SLO error budget)")
-    p.add_argument("--map-budget", type=float, default=0.10, metavar="F",
-                   help="allowed mAP-violation rate (SLO error budget)")
-    p.add_argument("--window", type=int, default=20, metavar="N",
-                   help="rolling window (periods) for recent burn rates")
-    p.add_argument("--top", type=int, default=5, metavar="K",
-                   help="cells to list in the top-cost ranking")
-    p.set_defaults(fn=_cmd_fleet_status)
+    p.set_defaults(fn=_cmd_report)
 
     add_results_command(sub)
 

@@ -17,10 +17,7 @@ from repro.core.numerics import (
     NumericalInstabilityError,
     NumericsConfig,
     active_numerics,
-    install_numerics,
     robust_cholesky,
-    uninstall_numerics,
-    use_numerics,
 )
 from repro.core.posterior import EngineStats, PosteriorBatch, SurrogateEngine
 from repro.core.safeset import SafeSetEstimator
@@ -30,9 +27,6 @@ from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 __all__ = [
     "NumericsConfig",
     "active_numerics",
-    "install_numerics",
-    "uninstall_numerics",
-    "use_numerics",
     "greedy_inducing_indices",
     "make_eviction_policy",
     "EngineStats",

@@ -128,7 +128,7 @@ class EdgeBOLConfig:
         NumericsConfig`): dense, or sparse with an observation budget.
         ``None`` (default) follows the process-wide
         :func:`~repro.core.numerics.active_numerics` resolution
-        (installed config, else environment variables, else dense) —
+        (environment variables, else dense) —
         which is how the experiment CLIs' ``--numerics`` flags reach
         agents constructed deep inside sweep workers.
     quarantine_spike_factor:
@@ -372,7 +372,7 @@ class EdgeBOL:
     def numerics_mode(self) -> str:
         """Active numerics mode label (``dense`` or ``sparse``).
 
-        Stamped on decision-trace records so ``repro diagnose`` can
+        Stamped on decision-trace records so ``repro report`` can
         attribute anomalies to sparse approximation error.
         """
         return self.numerics.mode

@@ -13,12 +13,12 @@ All GP linear algebra is dense numpy/scipy.  The one numerics choice a
 run makes is whether each GP head keeps every observation (``dense``,
 the default) or a bounded inducing subset (``sparse``, see
 :mod:`repro.core.sparse`).  :class:`NumericsConfig` describes that
-choice; it is resolved in priority order from an explicitly installed
-config (:func:`install_numerics` / :func:`use_numerics`), then from
-environment variables, then from the dense defaults.  The environment
-is what carries a CLI ``--numerics`` choice into sweep worker processes
-(the environment is inherited; an installed config is not).  The config
-is read once per agent, store key or sweep, never per kernel call.
+choice; it is resolved from the environment variables below, then from
+the dense defaults.  The environment is the only way to select a mode:
+it is what carries a CLI ``--numerics`` choice into sweep worker
+processes, so the mode a store key names is the mode every worker ran.
+The config is read once per agent, store key or sweep, never per kernel
+call.
 
 Environment variables
 ---------------------
@@ -35,7 +35,6 @@ See ``docs/NUMERICS.md`` for the full selection and trade-off guide.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,9 +49,6 @@ __all__ = [
     "BASE_JITTER_REL",
     "NumericsConfig",
     "active_numerics",
-    "install_numerics",
-    "uninstall_numerics",
-    "use_numerics",
     "numerics_env",
     "ENV_SPARSE",
     "ENV_BUDGET",
@@ -239,48 +235,9 @@ class NumericsConfig:
         }
 
 
-#: Explicitly installed process-local config (overrides the environment).
-_ACTIVE: NumericsConfig | None = None
-
-
 def active_numerics() -> NumericsConfig:
-    """The resolved numerics config: installed > environment > defaults."""
-    if _ACTIVE is not None:
-        return _ACTIVE
+    """The resolved numerics config: environment > defaults."""
     return NumericsConfig.from_env()
-
-
-def install_numerics(config: NumericsConfig) -> None:
-    """Install ``config`` as the process-local numerics default.
-
-    Note that an installed config does **not** propagate to sweep
-    worker processes — use :func:`numerics_env` (or the CLI flags,
-    which set the environment) for multi-process runs.
-    """
-    global _ACTIVE
-    if not isinstance(config, NumericsConfig):
-        raise TypeError(
-            f"expected a NumericsConfig, got {type(config).__name__}"
-        )
-    _ACTIVE = config
-
-
-def uninstall_numerics() -> None:
-    """Remove an installed config (environment/defaults apply again)."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def use_numerics(config: NumericsConfig):
-    """Context manager: install ``config`` for the block, then restore."""
-    global _ACTIVE
-    previous = _ACTIVE
-    install_numerics(config)
-    try:
-        yield config
-    finally:
-        _ACTIVE = previous
 
 
 def numerics_env(mode: str | None = None, *,

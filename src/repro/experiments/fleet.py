@@ -162,7 +162,7 @@ def run_fleet_spec_cell(params: Mapping, seed) -> list[dict]:
     With ``--set metrics=DIR`` a
     :class:`~repro.fleetobs.store.MetricStore` is attached as a
     telemetry sink for the run, which dumps
-    ``DIR/cellsNNN_metrics.jsonl`` (render with ``repro fleet-status``)
+    ``DIR/cellsNNN_metrics.jsonl`` (render with ``repro report``)
     plus a Prometheus-style ``.prom`` exposition of the run's metric
     registry and the store's own accounting.  Telemetry itself is not
     enabled: the runtime turns spans on per sampled period
@@ -244,7 +244,7 @@ SPEC = spec_registry.register(ExperimentSpec(
                   help="supervisor checkpoint cadence in periods"),
         ParamSpec("metrics", type=str, default="",
                   help="directory for fleet metrics artifacts: per-run "
-                       "metrics JSONL (render with 'repro fleet-status') "
+                       "metrics JSONL (render with 'repro report') "
                        "and Prometheus-style exposition (empty = off)"),
     ),
     run_cell=run_fleet_spec_cell,

@@ -350,7 +350,7 @@ def _store_hit(store: ExperimentStore, key: str, cell: SweepCell,
     them (``--trace-decisions``) — the cell recomputes and the write-
     through refreshes the blob with its trace.  Replayed decision
     records are stamped ``store_hit`` so downstream consumers
-    (``repro diagnose``) can attribute them.
+    (``repro report``) can attribute them.
     """
     blob = store.get(key)
     if blob is None:

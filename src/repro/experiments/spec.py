@@ -219,7 +219,7 @@ class ExperimentSpec:
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 #: Subcommand names the CLI reserves for itself.
-RESERVED_NAMES = ("list", "run", "telemetry-report", "diagnose", "results")
+RESERVED_NAMES = ("list", "run", "report", "results")
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:

@@ -16,8 +16,8 @@ burning their violation budget?*
 * :mod:`repro.fleetobs.ledger` — per-cell and fleet-wide error-budget
   burn rates and cumulative energy saved vs the fixed-max-power
   baseline the paper compares against.
-* :mod:`repro.fleetobs.status` — the ``repro fleet-status`` ASCII
-  dashboard over a dumped metrics JSONL.
+* :mod:`repro.fleetobs.status` — the fleet SLO/energy view of
+  ``repro report`` over a recorded or dumped JSONL file.
 
 Everything is keyed on virtual time and never touches an RNG, so a
 ``--set metrics=DIR`` run stays bit-identical to an uninstrumented run at the

@@ -1,23 +1,23 @@
-"""The ``repro fleet-status`` dashboard over a dumped metric store.
+"""The fleet view of ``repro report``: SLO burn and energy per cell.
 
-Renders one fleet run's ``metrics.jsonl`` (written by ``repro run fleet
---set metrics=DIR``) as a plain-text operator view: per-cell SLO burn
-rates and energy ledger, fleet totals, the worst cells by cost, and the
-critical-path breakdown of traced rounds.  :func:`status_payload`
-returns the same content as a JSON-friendly dict (``--json``).
+Renders the records of one fleet run (a ``--set metrics=DIR`` dump or a
+``--telemetry`` trace), fed to a :class:`MetricStore`, as a plain-text
+operator view: per-cell SLO burn rates and energy ledger, fleet totals,
+the worst cells by cost, and the critical-path breakdown of traced
+rounds.  :func:`status_payload` returns the same content as a
+JSON-friendly dict (``--json``).
 """
 
 from __future__ import annotations
 
-from repro.fleetobs.ledger import (
-    DEFAULT_DELAY_BUDGET,
-    DEFAULT_MAP_BUDGET,
-    FleetLedger,
-)
+from repro.fleetobs.ledger import FleetLedger
 from repro.fleetobs.tracing import critical_path_report
 from repro.utils.ascii import render_table
 
 __all__ = ["status_payload", "render_status"]
+
+#: Cells listed in the top-cost ranking.
+TOP_CELLS = 5
 
 
 def _alert_counts(store) -> "tuple[dict, dict]":
@@ -32,18 +32,16 @@ def _alert_counts(store) -> "tuple[dict, dict]":
     return by_cell, by_rule
 
 
-def status_payload(store, delay_budget: float = DEFAULT_DELAY_BUDGET,
-                   map_budget: float = DEFAULT_MAP_BUDGET, window: int = 20,
-                   top: int = 5) -> dict:
+def status_payload(store) -> dict:
     """The dashboard's content as one JSON-friendly dict.
 
     Combines the store's ingestion accounting, the
     :class:`~repro.fleetobs.ledger.FleetLedger` report (SLO burn +
-    energy savings), alert/event tallies, the top-``top`` cells by mean
-    cost, and the :func:`critical_path_report` over retained spans.
+    energy savings, at the ledger's default budgets and window),
+    alert/event tallies, the top :data:`TOP_CELLS` cells by mean cost,
+    and the :func:`critical_path_report` over retained spans.
     """
-    ledger = FleetLedger(store, delay_budget=delay_budget,
-                         map_budget=map_budget, window=window)
+    ledger = FleetLedger(store)
     alerts_by_cell, alerts_by_rule = _alert_counts(store)
     return {
         "summary": store.summary(),
@@ -54,7 +52,7 @@ def status_payload(store, delay_budget: float = DEFAULT_DELAY_BUDGET,
             "by_cell": dict(sorted(alerts_by_cell.items())),
         },
         "events": len(store.events()),
-        "top_cost": store.top_k("cost", k=top, agg="mean"),
+        "top_cost": store.top_k("cost", k=TOP_CELLS, agg="mean"),
         "critical_path": critical_path_report(store.spans()),
     }
 
@@ -73,17 +71,14 @@ def _burn_flag(burn) -> str:
     return f"{burn:.3g}{'!' if burn > 1.0 else ''}"
 
 
-def render_status(store, delay_budget: float = DEFAULT_DELAY_BUDGET,
-                  map_budget: float = DEFAULT_MAP_BUDGET, window: int = 20,
-                  top: int = 5) -> str:
+def render_status(store) -> str:
     """Render the fleet dashboard as plain text.
 
     Sections: ingestion header, per-cell SLO/energy table, fleet
     roll-up, worst cells by mean cost, alert rules, and the traced
     critical path (omitted when the run recorded no spans).
     """
-    payload = status_payload(store, delay_budget=delay_budget,
-                             map_budget=map_budget, window=window, top=top)
+    payload = status_payload(store)
     summary = payload["summary"]
     ledger = payload["ledger"]
     fleet = ledger["fleet"]

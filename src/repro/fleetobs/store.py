@@ -7,8 +7,8 @@ run emits — plain dicts with a ``"type"`` key (``kpi``, ``decision``,
 ``alert``, ``span``, ``metrics``) plus the supervision events of
 :mod:`repro.oran.supervisor` (records with an ``event`` field) — and
 organises the numeric payload into per-``(cell, series)`` ring buffers
-keyed by virtual-time period.  :meth:`MetricStore.ingest_jsonl` reads
-the same records back from a dumped or recorded JSONL file.
+keyed by virtual-time period.  ``repro report`` feeds a fresh store the
+records of a dumped or recorded JSONL file.
 
 Ingestion is **idempotent**: every record maps to a dedupe key
 (``(kpi, cell, t)``, ``(alert, rule, cell, t)``, span ids, ...), and a
@@ -244,30 +244,6 @@ class MetricStore:
         elif kind == "metrics":
             self.last_metrics = record
         return True
-
-    def ingest_jsonl(self, path: "str | Path") -> int:
-        """Ingest every record of a JSONL file; returns records accepted.
-
-        Blank lines are skipped; a malformed line raises ``ValueError``
-        naming the line number.  Re-ingesting a file the store already
-        holds is a no-op (every record dedupes).
-        """
-        accepted = 0
-        with Path(path).open() as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: invalid JSON in metrics file "
-                        f"({exc})"
-                    ) from exc
-                if self.ingest(record):
-                    accepted += 1
-        return accepted
 
     def dump_jsonl(self, path: "str | Path") -> Path:
         """Write every retained record to ``path`` (one JSON per line)."""

@@ -11,16 +11,14 @@ no RNG draws: traced runs are bit-identical to untraced ones).
 :func:`~repro.obs.decision.make_tracer` builds one whenever a sink is
 attached.
 
-``repro diagnose trace.jsonl`` (:mod:`repro.obs.diagnose`) renders the
-trace as an ASCII dashboard and derives machine-readable anomaly flags.
+``repro report trace.jsonl`` renders the trace as an ASCII dashboard
+and derives machine-readable anomaly flags (:mod:`repro.obs.diagnose`).
 See ``docs/OBSERVABILITY.md`` ("Decision traces").
 """
 
 from repro.obs.decision import DecisionTracer, make_tracer
 from repro.obs.diagnose import (
     detect_anomalies,
-    diagnose_path,
-    load_decisions,
     render_dashboard,
     split_events,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "DecisionTracer",
     "DriftMonitor",
     "detect_anomalies",
-    "diagnose_path",
-    "load_decisions",
     "make_tracer",
     "render_dashboard",
     "split_events",

@@ -231,7 +231,7 @@ class DecisionTracer:
             "t": self._t,
             **({"agent": self.label} if self.label is not None else {}),
             # Active numerics mode (dense or sparse): lets
-            # `repro diagnose` attribute anomalies to sparse
+            # `repro report` attribute anomalies to sparse
             # approximation error rather than the learner itself.
             "numerics_mode": getattr(agent, "numerics_mode", None),
             **pending,

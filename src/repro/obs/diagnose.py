@@ -1,10 +1,11 @@
 """Offline analysis of decision traces: anomaly flags and a dashboard.
 
-``repro diagnose trace.jsonl`` loads the ``type: "decision"`` lines a
-traced run emitted (:mod:`repro.obs.decision`) and renders an ASCII
-dashboard — safe-set growth, running calibration coverage against its
-nominal level, constraint-margin histograms, a per-period event
-timeline and the regret curve — plus machine-readable anomaly flags:
+``repro report trace.jsonl`` passes the ``type: "decision"`` lines a
+traced run emitted (:mod:`repro.obs.decision`) to
+:func:`render_dashboard`, an ASCII dashboard — safe-set growth, running
+calibration coverage against its nominal level, constraint-margin
+histograms, a per-period event timeline and the regret curve — plus
+machine-readable anomaly flags:
 
 * ``coverage_below_nominal`` — a head's running z-score coverage ended
   materially below the calibrated level (the "GP certifies unsafe
@@ -34,7 +35,6 @@ on them; the dashboard embeds the same list in human form.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -61,30 +61,6 @@ def split_events(records: list[dict]) -> tuple[list[dict], list[dict]]:
     periods = [r for r in records if "event" not in r]
     events = [r for r in records if "event" in r]
     return periods, events
-
-
-def load_decisions(path: "str | Path") -> list[dict]:
-    """The ``type: "decision"`` records of a JSONL trace, in order.
-
-    Blank lines and other record types (spans, metrics) are skipped, so
-    a combined telemetry+decision trace loads the same as a pure one;
-    a malformed JSON line raises ``ValueError`` naming the line number.
-    """
-    records: list[dict] = []
-    with Path(path).open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: invalid JSON in trace ({exc})"
-                ) from exc
-            if isinstance(record, dict) and record.get("type") == "decision":
-                records.append(record)
-    return records
 
 
 def _runs(flags: "list[bool]") -> list[tuple[int, int]]:
@@ -322,7 +298,8 @@ def render_dashboard(records: list[dict],
             robustness.get("quarantined", 0),
             robustness.get("degraded_periods", 0),
             sum(1 for a in anomalies if a["kind"] == "drift_episode"),
-            float(np.nanmean(outcome_costs)),
+            (float(np.nanmean(outcome_costs))
+             if np.isfinite(outcome_costs).any() else float("nan")),
         ]],
     ))
 
@@ -407,57 +384,3 @@ def render_dashboard(records: list[dict],
         sections.append("Anomaly flags: none")
 
     return "\n\n".join(sections)
-
-
-def diagnose_path(path: "str | Path") -> tuple[str, list[dict]]:
-    """Load, flag and render one trace: ``(dashboard_text, anomalies)``."""
-    records = load_decisions(path)
-    anomalies = detect_anomalies(records)
-    return render_dashboard(records, anomalies=anomalies), anomalies
-
-
-def diagnose_directory(path: "str | Path") -> tuple[str, list[dict]]:
-    """Aggregate a directory of per-cell traces: ``(summary, flags)``.
-
-    Fleet runs and sweep workers leave one trace per cell; pointing
-    ``repro diagnose`` at the directory loads every ``*.jsonl`` inside
-    (sorted, non-recursive), flags each independently, and stamps every
-    flag with its ``source`` file so a reader can jump to the cell's
-    own dashboard.  Raises ``ValueError`` when the directory holds no
-    ``*.jsonl`` files.
-    """
-    directory = Path(path)
-    files = sorted(directory.glob("*.jsonl"))
-    if not files:
-        raise ValueError(f"{directory}: no *.jsonl traces found")
-    rows = []
-    all_flags: list[dict] = []
-    for file in files:
-        records = load_decisions(file)
-        periods, events = split_events(records)
-        flags = detect_anomalies(records)
-        for flag in flags:
-            flag["source"] = file.name
-        all_flags.extend(flags)
-        kinds: dict[str, int] = {}
-        for flag in flags:
-            kinds[flag["kind"]] = kinds.get(flag["kind"], 0) + 1
-        rows.append([
-            file.name, len(periods), len(events), len(flags),
-            ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())) or "-",
-        ])
-    sections = [
-        f"diagnosed {len(files)} trace(s) in {directory}",
-        render_table(["trace", "periods", "events", "flags", "kinds"], rows),
-    ]
-    if all_flags:
-        lines = [f"Anomaly flags ({len(all_flags)}):"]
-        lines += [f"  - {json.dumps(flag, sort_keys=True)}"
-                  for flag in all_flags]
-        sections.append("\n".join(lines))
-    else:
-        sections.append("Anomaly flags: none")
-    sections.append(
-        "run 'repro diagnose <trace>' on one file for its full dashboard"
-    )
-    return "\n\n".join(sections), all_flags

@@ -9,9 +9,9 @@ Three layers (see ``docs/OBSERVABILITY.md`` for the full guide):
 * **Metrics** — process-local counters, gauges and fixed-bucket
   histograms (:mod:`repro.telemetry.metrics`).
 * **Export** — a structured JSONL sink plus an in-memory sink for
-  tests (:mod:`repro.telemetry.export`), rendered by
-  :mod:`repro.telemetry.report` and the ``repro telemetry-report``
-  CLI subcommand.
+  tests (:mod:`repro.telemetry.export`), read back by its
+  ``read_records`` and rendered by ``repro report``
+  (:mod:`repro.telemetry.report` draws the span tree).
 
 The sinks hang off the process's one record stream
 (:mod:`repro.telemetry.runtime`), which also carries the decision,
@@ -30,7 +30,7 @@ Users may equivalently ``from repro import telemetry`` and use the
 same functions re-exported here.
 """
 
-from repro.telemetry.export import InMemorySink, JsonlSink, read_jsonl
+from repro.telemetry.export import InMemorySink, JsonlSink, read_records
 from repro.telemetry.metrics import (
     DEFAULT_TIME_BUCKETS_S,
     Counter,
@@ -66,7 +66,7 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
     "InMemorySink",
     "JsonlSink",
-    "read_jsonl",
+    "read_records",
     "NULL_SPAN",
     "NullSpan",
     "Span",

@@ -5,9 +5,10 @@ one stream of :mod:`repro.telemetry.runtime`: spans at completion
 (``type: "span"``), metrics snapshots (``type: "metrics"``) and the
 non-span record types (``decision``, ``kpi``, ``alert``).  A JSONL file
 therefore interleaves span lines in completion order (children before
-parents) with the other records in emission order;
-:mod:`repro.telemetry.report` reconstructs the span tree from the
-``parent`` ids and skips types it does not render.
+parents) with the other records in emission order.  :func:`read_records`
+reads any such file back, and ``repro report`` passes each record type
+to its renderer (:mod:`repro.telemetry.report` reconstructs the span
+tree from the ``parent`` ids).
 """
 
 from __future__ import annotations
@@ -212,24 +213,27 @@ def prometheus_exposition(snapshot: dict, prefix: str = "repro",
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def read_jsonl(path: "str | Path") -> tuple[list[dict], list[dict]]:
-    """Load a telemetry JSONL file into ``(span_records, metrics_records)``.
+def read_records(path: "str | Path") -> list[dict]:
+    """Every record of a JSONL record file, in file order.
 
-    Blank lines are skipped; records with other/missing types are
-    ignored rather than fatal, so partially written traces from crashed
-    runs still load.
+    The one rule: every non-blank line is a JSON object.  Anything else
+    (a torn last line left by a crashed run, a JSON array, a bare
+    number) raises ``ValueError`` naming ``path:line``, so a damaged
+    file is reported where it is damaged instead of half-rendered.
     """
-    spans: list[dict] = []
-    metrics: list[dict] = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+    records: list[dict] = []
+    with Path(path).open("rb") as handle:  # bytes: bad UTF-8 is a bad line
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "span":
-                spans.append(record)
-            elif kind == "metrics":
-                metrics.append(record)
-    return spans, metrics
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(record).__name__}"
+                )
+            records.append(record)
+    return records

@@ -1,8 +1,8 @@
 """Render a recorded trace as an ASCII span-tree and metrics summary.
 
-Consumed by the ``repro telemetry-report`` CLI subcommand.  Spans with
-the same position in the call tree (the same root-to-leaf name path)
-are aggregated into one row — a 200-period run emits hundreds of
+``repro report`` renders a file's span and metrics records with
+:func:`render_report`.  Spans with the same position in the call tree
+(the same root-to-leaf name path) are aggregated into one row — a 200-period run emits hundreds of
 ``edgebol.select`` spans but reports them as one line with count and
 duration statistics, keeping the report size independent of run
 length.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from repro.telemetry.export import read_jsonl
 from repro.utils.ascii import render_table
 
 
@@ -21,20 +20,25 @@ def _span_paths(span_records: list[dict]) -> dict[tuple[str, ...], dict]:
 
     Returns a mapping of name-path tuples to ``{count, total_s, min_s,
     max_s}``.  Records whose parent id is missing from the trace (e.g.
-    a truncated file) are treated as roots.
+    a truncated file) are treated as roots, as are records without an
+    ``id``; a record without a ``name`` is shown as ``?``.  A parent
+    cycle raises :class:`RecursionError`.
     """
-    by_id = {r["id"]: r for r in span_records}
+    by_id = {r["id"]: r for r in span_records if "id" in r}
     path_cache: dict[int, tuple[str, ...]] = {}
 
     def path_of(record: dict) -> tuple[str, ...]:
         """Root-to-span name path of one record (memoised)."""
-        cached = path_cache.get(record["id"])
+        span_id = record.get("id")
+        cached = path_cache.get(span_id)
         if cached is not None:
             return cached
         parent_id = record.get("parent")
         parent = by_id.get(parent_id) if parent_id is not None else None
-        path = (path_of(parent) if parent is not None else ()) + (record["name"],)
-        path_cache[record["id"]] = path
+        path = ((path_of(parent) if parent is not None else ())
+                + (str(record.get("name", "?")),))
+        if span_id is not None:
+            path_cache[span_id] = path
         return path
 
     aggregated: dict[tuple[str, ...], dict] = {}
@@ -137,34 +141,3 @@ def render_report(span_records: list[dict],
         render_span_tree(span_records),
         render_metrics(latest),
     ])
-
-
-def render_file(path) -> str:
-    """Load a JSONL trace from ``path`` and render the full report."""
-    span_records, metrics_records = read_jsonl(path)
-    return render_report(span_records, metrics_records, title=str(path))
-
-
-def selftest_report() -> str:
-    """Generate a tiny synthetic trace in memory and render it.
-
-    Exercises span nesting, attributes, metrics and the renderer in one
-    pass — run by CI as ``python -m repro telemetry-report --selftest``.
-    """
-    from repro.telemetry import runtime as telemetry
-
-    with telemetry.record(None) as sink:
-        for period in range(3):
-            with telemetry.span("selftest.period", t=period):
-                with telemetry.span("selftest.select") as sp:
-                    sp.set("safe", 4 + period)
-                    with telemetry.span("selftest.posterior"):
-                        telemetry.observe("selftest.sweep_s", 1e-4 * (period + 1))
-                with telemetry.span("selftest.step"):
-                    telemetry.inc("selftest.solves")
-                telemetry.set_gauge("selftest.last_period", period)
-    report = render_report(sink.spans, sink.metrics, title="telemetry selftest")
-    # The selftest must prove parent-child reconstruction works.
-    if "selftest.posterior" not in report or "selftest.solves" not in report:
-        raise AssertionError("selftest trace did not render expected rows")
-    return report

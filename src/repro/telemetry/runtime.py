@@ -37,8 +37,7 @@ Recording a run is one context manager::
 
 which attaches a JSONL sink, enables timing, appends a final metrics
 snapshot and restores the previous state on exit.  ``python -m repro
-telemetry-report results/trace.jsonl`` renders the result; ``repro
-diagnose`` reads the same file's decision lines.
+report results/trace.jsonl`` renders every record type the file holds.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Tests for the experiment registry, the sweep engine and the CLI shell."""
 
-from contextlib import nullcontext
 from types import SimpleNamespace
 
 import pytest
 
 import repro.experiments  # noqa: F401  (populate the spec registry)
 from repro.cli import main
-from repro.core.numerics import NumericsConfig, use_numerics
+from repro.core.numerics import ENV_SPARSE
 from repro.experiments import parallel
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import merge_metrics, run_sweep
@@ -239,18 +238,16 @@ def test_changed_configuration_forces_recompute(tmp_path, monkeypatch,
     params = spec.resolve({})
     run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     plan = None
-    scope = nullcontext()
     if change == "faults":
         plan = FaultPlan(specs=(FaultSpec(kind="sensor", mode="nan",
                                           at=(1,)),))
     elif change == "numerics":
-        scope = use_numerics(NumericsConfig(sparse=True))
+        monkeypatch.setenv(ENV_SPARSE, "1")
     else:
         monkeypatch.setenv(ENV_FINGERPRINT, "edited-code")
     _CALLS.clear()
-    with scope:
-        rerun = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path,
-                          fault_plan=plan)
+    rerun = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path,
+                      fault_plan=plan)
     assert rerun.store_hits == 0
     assert _CALLS == [1, 2, 3]
 
@@ -315,6 +312,19 @@ def test_register_rejects_reserved_names():
             name="list", help="", params=(),
             run_cell=_toy_cell, report=_toy_report,
         ))
+
+
+def test_reserved_names_are_the_cli_commands():
+    """Every subcommand the parser adds besides the specs is reserved,
+    so a spec can never collide with one when the parser is built."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    specs = {spec.name for spec in spec_registry.all_specs()}
+    assert set(sub.choices) - specs == set(spec_registry.RESERVED_NAMES)
 
 
 def test_get_unknown_spec_names_known_ones():

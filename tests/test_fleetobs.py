@@ -14,8 +14,9 @@ from repro.fleetobs import (
     render_status,
     status_payload,
 )
-from repro.obs import diagnose
+from repro import cli
 from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import read_records
 from repro.testbed.config import TestbedConfig
 
 
@@ -52,7 +53,7 @@ class TestMetricStoreIngest:
             store.ingest(kpi("cell000", t))
         path = store.dump_jsonl(tmp_path / "metrics.jsonl")
         before = store.summary()
-        assert store.ingest_jsonl(path) == 0
+        assert not any(store.ingest(r) for r in read_records(path))
         after = store.summary()
         assert after["ingested"] == before["ingested"]
         assert after["duplicates"] == before["duplicates"] + 5
@@ -65,7 +66,7 @@ class TestMetricStoreIngest:
                       "cell": "cell000", "t": 2, "message": "m", "value": 1.0})
         path = store.dump_jsonl(tmp_path / "metrics.jsonl")
         fresh = MetricStore()
-        assert fresh.ingest_jsonl(path) == 5
+        assert sum(fresh.ingest(r) for r in read_records(path)) == 5
         assert fresh.series("cell000", "cost") == store.series(
             "cell000", "cost"
         )
@@ -74,8 +75,8 @@ class TestMetricStoreIngest:
     def test_malformed_jsonl_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type":"kpi","cell":"a","t":0}\nnot json\n')
-        with pytest.raises(ValueError, match="2"):
-            MetricStore().ingest_jsonl(path)
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
+            read_records(path)
 
     def test_decision_records_feed_learner_series_only(self):
         store = MetricStore()
@@ -388,6 +389,18 @@ class TestStatusDashboard:
         text = render_status(MetricStore())
         assert "no per-cell KPI series" in text
 
+    def test_report_renders_fleet_view_of_dump(self, tmp_path, capsys):
+        store = self._store()
+        path = store.dump_jsonl(tmp_path / "metrics.jsonl")
+        assert cli.main(["report", str(path)]) == 0
+        assert render_status(store) in capsys.readouterr().out
+        assert cli.main(["report", "--json", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fleet"] == json.loads(
+            json.dumps(status_payload(store))
+        )
+        assert payload["records"]["kpi"] == 30
+
 
 class TestDiagnoseDirectory:
     def _write_trace(self, path, degraded_from=None):
@@ -403,16 +416,23 @@ class TestDiagnoseDirectory:
             "\n".join(json.dumps(r) for r in records) + "\n"
         )
 
-    def test_flags_annotated_with_source(self, tmp_path):
+    def test_flags_annotated_with_source(self, tmp_path, capsys):
         self._write_trace(tmp_path / "cell000.jsonl", degraded_from=6)
         self._write_trace(tmp_path / "cell001.jsonl")
-        text, flags = diagnose.diagnose_directory(tmp_path)
-        assert "diagnosed 2 trace(s)" in text
-        assert "cell000.jsonl" in text and "cell001.jsonl" in text
+        assert cli.main(["report", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert "cell000.jsonl: decision=12" in text
+        assert "cell001.jsonl: decision=12" in text
+        assert text.index("cell000.jsonl") < text.index("cell001.jsonl")
+        assert cli.main(["report", "--json", "--fail-on-anomaly",
+                         str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["records"] == {"decision": 24}
+        flags = payload["anomalies"]
         assert len(flags) == 1
         assert flags[0]["kind"] == "degraded_stretch"
         assert flags[0]["source"] == "cell000.jsonl"
 
     def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no .*jsonl"):
-            diagnose.diagnose_directory(tmp_path)
+        with pytest.raises(SystemExit, match="no .*jsonl"):
+            cli.main(["report", str(tmp_path)])

@@ -1,8 +1,8 @@
 """Tests for the numerics-mode configuration and the sparse policy.
 
 Covers :class:`~repro.core.numerics.NumericsConfig`
-construction/validation/environment resolution and the install/use
-precedence — plus the deterministic inducing-subset selection of
+construction/validation and its resolution from the environment (the
+only way to select a mode) — plus the deterministic inducing-subset selection of
 :mod:`repro.core.sparse` and its conservative-variance property (the
 argument that makes sparse mode safe for eq.-8 certification).
 """
@@ -15,10 +15,7 @@ from repro.core.numerics import (
     ENV_SPARSE,
     NumericsConfig,
     active_numerics,
-    install_numerics,
     numerics_env,
-    uninstall_numerics,
-    use_numerics,
 )
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
@@ -26,11 +23,10 @@ from repro.core.sparse import greedy_inducing_indices, make_eviction_policy
 
 
 @pytest.fixture(autouse=True)
-def _no_installed_config():
-    """Every test starts and ends with no installed numerics config."""
-    uninstall_numerics()
-    yield
-    uninstall_numerics()
+def _no_numerics_env(monkeypatch):
+    """Every test starts with no numerics selection in the environment."""
+    monkeypatch.delenv(ENV_SPARSE, raising=False)
+    monkeypatch.delenv(ENV_BUDGET, raising=False)
 
 
 class TestNumericsConfig:
@@ -83,24 +79,14 @@ class TestNumericsConfig:
         config = NumericsConfig(sparse=True, sparse_budget=128)
         assert NumericsConfig.from_env(config.env_vars()) == config
 
-    def test_install_overrides_environment(self, monkeypatch):
+    def test_environment_selects_mode(self, monkeypatch):
+        assert active_numerics() == NumericsConfig()
         monkeypatch.setenv(ENV_SPARSE, "1")
-        assert active_numerics().sparse
-        install_numerics(NumericsConfig())
+        monkeypatch.setenv(ENV_BUDGET, "8")
+        assert active_numerics() == NumericsConfig(sparse=True,
+                                                   sparse_budget=8)
+        monkeypatch.setenv(ENV_SPARSE, "0")
         assert not active_numerics().sparse
-        uninstall_numerics()
-        assert active_numerics().sparse
-
-    def test_install_rejects_non_config(self):
-        with pytest.raises(TypeError):
-            install_numerics({"sparse": True})
-
-    def test_use_numerics_restores_previous(self):
-        outer = NumericsConfig(sparse=True)
-        install_numerics(outer)
-        with use_numerics(NumericsConfig(sparse_budget=8)) as inner:
-            assert active_numerics() is inner
-        assert active_numerics() is outer
 
     def test_numerics_env_resolves_and_exports(self):
         environ = {ENV_BUDGET: "99"}

@@ -9,7 +9,7 @@ claims the sparse observation budget makes:
   time, and a sparse budget large enough never to trigger produces
   exactly the dense trajectory;
 * **the mode is observable** — agents expose ``numerics_mode``,
-  decision records carry it, ``repro diagnose`` stamps it on anomaly
+  decision records carry it, ``repro report`` stamps it on anomaly
   flags, and the CLI flags export the selection to the environment.
 """
 

@@ -5,7 +5,7 @@ record stream (:mod:`repro.telemetry.runtime`) as decision traces use
 it, the :class:`DriftMonitor`, the per-round record schema assembled
 by :class:`DecisionTracer` (including the
 bit-identical-KPIs guarantee the whole design hangs on), per-cell
-collection and merging in the sweep engine, the ``repro diagnose``
+collection and merging in the sweep engine, the ``repro report``
 anomaly detector/dashboard, and the CLI wiring.
 """
 
@@ -23,7 +23,7 @@ from repro.obs import diagnose
 from repro.obs.decision import DecisionTracer, make_tracer
 from repro.obs.drift import DriftMonitor
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.export import InMemorySink, JsonlSink
+from repro.telemetry.export import InMemorySink, JsonlSink, read_records
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 
@@ -488,7 +488,7 @@ def synthetic_records(n=30):
 
 
 class TestDiagnose:
-    def test_load_skips_blank_and_foreign_lines(self, tmp_path):
+    def test_load_skips_blank_and_foreign_lines(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"type": "span", "name": "x"}\n'
@@ -497,14 +497,49 @@ class TestDiagnose:
             '{"type": "metric", "name": "y"}\n'
             '{"type": "decision", "t": 1}\n'
         )
-        records = diagnose.load_decisions(path)
-        assert [r["t"] for r in records] == [0, 1]
+        assert cli.main(["report", str(path)]) == 0
+        # The dashboard's summary row counts the two decision records.
+        assert any(line.startswith("2 ") and "|" in line
+                   for line in capsys.readouterr().out.splitlines())
+        assert cli.main(["report", "--json", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["records"] == {"decision": 2, "metric": 1, "span": 1}
+
+    def test_report_renders_records_with_missing_fields(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"type": "span"}\n'
+            '{"type": "span", "id": 1, "parent": 9, "name": "a"}\n'
+            '{"type": "span", "id": 2, "parent": 1}\n'
+            '{"type": "metrics"}\n'
+            '{"type": "decision"}\n'
+            '{"type": "kpi"}\n'
+        )
+        assert cli.main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "3 spans in 1 traces" in out
+        assert "Anomaly flags: none" in out
+        assert "fleet: 0 cells" in out
+
+    @pytest.mark.parametrize("lines", [
+        ['{"type": "span", "id": 1, "name": "a", "duration_s": "slow"}'],
+        ['{"type": "span", "id": 1, "parent": 2, "name": "a"}',
+         '{"type": "span", "id": 2, "parent": 1, "name": "b"}'],
+    ], ids=["string-duration", "parent-cycle"])
+    def test_report_names_file_of_unrenderable_record(self, tmp_path,
+                                                      lines):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(SystemExit,
+                           match=r"repro report: .*trace\.jsonl: record"):
+            cli.main(["report", str(path)])
 
     def test_load_names_bad_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"type": "decision", "t": 0}\nnot json\n')
         with pytest.raises(ValueError, match=r"trace\.jsonl:2"):
-            diagnose.load_decisions(path)
+            read_records(path)
 
     def test_detects_every_anomaly_kind(self):
         flags = diagnose.detect_anomalies(synthetic_records())
@@ -560,17 +595,19 @@ class TestDiagnose:
         assert "Safe-set fraction" in text
         assert "Cumulative regret" in text
 
-    def test_diagnose_path_roundtrip(self, tmp_path):
+    def test_diagnose_path_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"
         sink = JsonlSink(path)
         with telemetry.attach(sink):
             for record in synthetic_records():
                 telemetry.emit_record(record)
         sink.close()
-        text, anomalies = diagnose.diagnose_path(path)
-        assert "Anomaly flags:" in text
-        assert anomalies == diagnose.detect_anomalies(
-            diagnose.load_decisions(path)
+        assert cli.main(["report", str(path)]) == 0
+        assert "Anomaly flags:" in capsys.readouterr().out
+        assert cli.main(["report", "--json", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["anomalies"] == diagnose.detect_anomalies(
+            read_records(path)
         )
 
 
@@ -587,35 +624,45 @@ class TestCli:
 
     def test_diagnose_renders_dashboard(self, tmp_path, capsys):
         path = self.write_trace(tmp_path, synthetic_records())
-        assert cli.main(["diagnose", str(path)]) == 0
+        assert cli.main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Event timeline" in out
 
     def test_diagnose_json_output(self, tmp_path, capsys):
         path = self.write_trace(tmp_path, synthetic_records())
-        assert cli.main(["diagnose", str(path), "--json"]) == 0
+        assert cli.main(["report", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["records"] == 30
+        assert payload["records"] == {"decision": 30}
+        assert "fleet" not in payload  # no KPI records
         kinds = {f["kind"] for f in payload["anomalies"]}
         assert "coverage_below_nominal" in kinds
 
     def test_diagnose_fail_on_anomaly(self, tmp_path, capsys):
         bad = self.write_trace(tmp_path, synthetic_records())
-        assert cli.main(["diagnose", str(bad), "--fail-on-anomaly"]) == 1
+        assert cli.main(["report", str(bad), "--fail-on-anomaly"]) == 1
         assert "anomaly flag(s)" in capsys.readouterr().err
         clean = tmp_path / "clean.jsonl"
         records, _ = traced_run(periods=3)
         clean.write_text(
             "".join(json.dumps(r) + "\n" for r in records)
         )
-        assert cli.main(["diagnose", str(clean), "--fail-on-anomaly"]) == 0
+        assert cli.main(["report", str(clean), "--fail-on-anomaly"]) == 0
 
     def test_diagnose_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="diagnose"):
-            cli.main(["diagnose", str(tmp_path / "absent.jsonl")])
+        with pytest.raises(SystemExit, match="repro report: .*absent"):
+            cli.main(["report", str(tmp_path / "absent.jsonl")])
+
+    def test_report_without_decisions_has_no_anomalies(self, tmp_path,
+                                                       capsys):
+        path = self.write_trace(tmp_path, [{"type": "span", "id": 1,
+                                            "name": "a", "duration_s": 0.1}])
+        assert cli.main(["report", "--json", "--fail-on-anomaly",
+                         str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"records": {"span": 1}, "anomalies": []}
 
     def test_trace_decisions_end_to_end(self, tmp_path, capsys):
-        """`repro run regret --trace-decisions` then `repro diagnose`."""
+        """`repro run regret --trace-decisions` then `repro report`."""
         status = cli.main([
             "run", "regret", "--sweep", "delta2=1.0",
             "--set", "periods=3", "--set", "levels=3",
@@ -626,14 +673,14 @@ class TestCli:
         default = tmp_path / "regret_decisions.jsonl"
         assert default.exists()
         assert "wrote decision trace" in out
-        records = diagnose.load_decisions(default)
-        assert len(records) == 3
+        records = read_records(default)
+        assert [r["type"] for r in records] == ["decision"] * 3
         for record in records:
             assert record["safe_set"]["fraction"] > 0.0
             assert record["calibration"]
             assert record["margins"]
             assert record["regret"] is not None
-        assert cli.main(["diagnose", str(default)]) == 0
+        assert cli.main(["report", str(default)]) == 0
 
     def test_trace_decisions_explicit_path(self, tmp_path, capsys):
         explicit = tmp_path / "custom.jsonl"
@@ -645,7 +692,7 @@ class TestCli:
         assert status == 0
         capsys.readouterr()
         assert explicit.exists()
-        assert len(diagnose.load_decisions(explicit)) == 2
+        assert len(read_records(explicit)) == 2
 
     def test_resolve_decision_path(self, tmp_path):
         spec = spec_registry.get("regret")

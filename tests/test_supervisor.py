@@ -23,7 +23,7 @@ from repro.oran.load import FleetLoadModel
 from repro.oran.runtime import FleetRuntime
 from repro.oran.supervisor import FleetSupervisor, SupervisorPolicy
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.export import InMemorySink, JsonlSink
+from repro.telemetry.export import InMemorySink, JsonlSink, read_records
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
 from repro.utils.rng import seed_tree
@@ -480,7 +480,9 @@ class TestDiagnoseSupervisionEvents:
                 # Supervision events are ``type: "decision"`` records
                 # with an ``event`` field — mirror the on-disk shape.
                 handle.write(json.dumps({"type": "decision", **event}) + "\n")
-        text, anomalies = diagnose.diagnose_path(path)
+        records = read_records(path)
+        anomalies = diagnose.detect_anomalies(records)
+        text = diagnose.render_dashboard(records, anomalies=anomalies)
         assert "Supervision events" in text
         assert "recovery=" in text and "breaker_open=" in text
         assert any(f["kind"] == "recovery_storm" for f in anomalies)

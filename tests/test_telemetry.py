@@ -17,7 +17,7 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_SPAN,
     Span,
-    read_jsonl,
+    read_records,
 )
 from repro.telemetry import runtime as telemetry
 from repro.telemetry import report
@@ -219,7 +219,9 @@ class TestExport:
                 with telemetry.span("inner") as sp:
                     sp.set("k", 1)
             telemetry.inc("events")
-        spans, metrics = read_jsonl(path)
+        records = read_records(path)
+        spans = [r for r in records if r["type"] == "span"]
+        metrics = [r for r in records if r["type"] == "metrics"]
         assert [s["name"] for s in spans] == ["inner", "outer"]
         assert spans[0]["attrs"] == {"k": 1}
         assert metrics[-1]["counters"] == {"events": 1}
@@ -256,14 +258,12 @@ class TestExport:
                    "depth": 0, "name": "x", "start_s": 0.0,
                    "duration_s": 0.1, "attrs": {"bad": float("nan")}})
         sink.close()
-        spans, _ = read_jsonl(path)
-        assert spans[0]["attrs"]["bad"] == "nan"
+        assert read_records(path)[0]["attrs"]["bad"] == "nan"
 
     def test_read_jsonl_tolerates_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        path.write_text('{"type": "span", "id": 1, "name": "a"}\n\n')
-        spans, metrics = read_jsonl(path)
-        assert len(spans) == 1 and metrics == []
+        path.write_text('\n{"type": "span", "id": 1, "name": "a"}\n\n  \n')
+        assert read_records(path) == [{"type": "span", "id": 1, "name": "a"}]
 
 
 class TestRecordStream:
@@ -389,31 +389,73 @@ class TestReport:
         with telemetry.record(path):
             with telemetry.span("op"):
                 pass
-        assert "op" in report.render_file(path)
+        records = read_records(path)
+        text = report.render_report(
+            [r for r in records if r["type"] == "span"],
+            [r for r in records if r["type"] == "metrics"],
+        )
+        assert "op" in text
 
     def test_selftest(self):
-        text = report.selftest_report()
-        assert "selftest.posterior" in text
+        """A synthetic in-memory trace renders nested rows and metrics:
+        the span -> sink -> report pipeline end to end."""
+        with telemetry.record(None) as sink:
+            for period in range(3):
+                with telemetry.span("selftest.period", t=period):
+                    with telemetry.span("selftest.select"):
+                        with telemetry.span("selftest.posterior"):
+                            pass
+                    telemetry.inc("selftest.solves")
+        text = report.render_report(sink.spans, sink.metrics)
+        assert "    selftest.posterior" in text  # depth 2
         assert "selftest.solves" in text
 
 
 class TestCli:
-    def test_selftest_subcommand(self, capsys):
-        assert cli.main(["telemetry-report", "--selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry selftest ok" in out
+    def test_report_shows_nested_engine_posterior(self, tmp_path, capsys):
+        """A tiny traced run renders its span tree: the selection's
+        posterior sweep is a nested row, not a root."""
+        trace = tmp_path / "t.jsonl"
+        assert cli.main([
+            "run", "static", "--sweep", "delta2=1", "--set", "periods=2",
+            "--set", "levels=3", "--out", str(tmp_path), "--no-store",
+            "--telemetry", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", str(trace)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.startswith("  ") and row.strip().startswith(
+            "engine.posterior ") for row in rows)
 
-    def test_report_requires_path_or_selftest(self, capsys):
-        assert cli.main(["telemetry-report"]) == 2
-        assert "selftest" in capsys.readouterr().err
+    def test_report_requires_path(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report"])
+        assert exc.value.code == 2
+        assert "path" in capsys.readouterr().err
 
     def test_report_renders_file(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         with telemetry.record(path):
             with telemetry.span("cli.op"):
                 pass
-        assert cli.main(["telemetry-report", str(path)]) == 0
+        assert cli.main(["report", str(path)]) == 0
         assert "cli.op" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"type": "span", "id": 1, "name": "a"}\n{"type": "sp', ":2: "),
+        ('\n[1, 2]\n', ":2: "),
+        (b'{"type": "span"}\n\xff\n', ":2: "),
+        (None, ": "),
+    ], ids=["torn-last-line", "non-object", "not-utf8", "missing-file"])
+    def test_report_rejects_unreadable_file(self, tmp_path, text, where):
+        """A damaged or missing file ends in one line naming it (and the
+        bad line), not a traceback."""
+        path = tmp_path / "trace.jsonl"
+        if text is not None:
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", str(path)])
+        assert str(exc.value).startswith(f"repro report: {path}{where}")
 
 
 class TestRunnerIntegration:
@@ -435,7 +477,9 @@ class TestRunnerIntegration:
         with telemetry.record(path):
             log = run_agent(env, agent, n_periods=4)
 
-        spans, metrics = read_jsonl(path)
+        records = read_records(path)
+        spans = [r for r in records if r["type"] == "span"]
+        metrics = [r for r in records if r["type"] == "metrics"]
         by_id = {s["id"]: s for s in spans}
 
         def edges():
@@ -455,7 +499,7 @@ class TestRunnerIntegration:
         assert metrics[-1]["counters"]["ran.mac.allocations"] == 4
 
         # And the report renders it without error.
-        assert "engine.posterior" in report.render_file(path)
+        assert "engine.posterior" in report.render_report(spans, metrics)
 
     def test_run_without_telemetry_stores_nothing(self):
         from repro import (

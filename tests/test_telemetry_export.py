@@ -5,7 +5,7 @@ import pytest
 from repro.telemetry.export import (
     JsonlSink,
     prometheus_exposition,
-    read_jsonl,
+    read_records,
 )
 
 
@@ -114,7 +114,7 @@ class TestJsonlSinkBuffering:
         for i in range(5):
             sink.emit(self._record(i))
         sink.close()
-        spans, _ = read_jsonl(path)
+        spans = read_records(path)
         assert len(spans) == 5
 
     def test_batch_boundary_flushes_to_disk(self, tmp_path):
@@ -151,5 +151,5 @@ class TestJsonlSinkBuffering:
         sink.emit(self._record(0))
         sink.close()
         sink.close()
-        spans, _ = read_jsonl(sink.path)
+        spans = read_records(sink.path)
         assert len(spans) == 1
