@@ -24,18 +24,33 @@ for the first time, and the **context return**, the sweep on a cached
 context after 50 adds made under another one, which extends every
 head's solves by 50 rows at once.
 
-Both tests update their own keys of ``BENCH_posterior.json`` at the
-repo root.  The first asserts the >= 5x engine-vs-direct speedup at
-N = 500, non-zero cache hits and the sparse flat-cost bound; the second
-asserts that a context return matches ``predict``.
+A third test times one-row extensions, inline and on two lanes, on
+grids of 5^4 to 11^4 points at N in {25, 100}: the table behind the
+engine's lane admission (``_LANE_POINTS``, docs/NUMERICS.md, "When the
+lanes engage").
+
+Each test updates its own keys of ``BENCH_posterior.json`` at the repo
+root.  The first asserts the >= 5x engine-vs-direct speedup at N = 500,
+non-zero cache hits and the sparse flat-cost bound; the second asserts
+that a context return matches ``predict``; the third, on a host with
+two CPUs and one BLAS thread, that two lanes beat inline on the paper
+grid at N = 100.  Run it as perfbench runs, with one BLAS thread::
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
+        python -m pytest -s benchmarks/test_perf_posterior.py::test_perf_lane_admission
+
+With more BLAS threads each lane's product is already threaded, and
+two lanes on two CPUs oversubscribe them.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import posterior
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.posterior import SurrogateEngine
@@ -68,6 +83,13 @@ FLAT_COST_FACTOR = 1.5
 RETURN_N_VALUES = (100, 250, 500)
 RETURN_ADDS = 50
 RETURN_REPS = 3
+
+#: Grid levels per control axis (5^4 = 625 to 11^4 = 14641 points), N
+#: values and timed one-row extensions per cell of the lane-admission
+#: table.
+LANE_LEVELS = (5, 7, 9, 11)
+LANE_N_VALUES = (25, 100)
+LANE_REPS = 15
 
 HEAD_SPECS = (
     ("cost", 60.0**2, 4.0, 0.0),
@@ -362,3 +384,108 @@ def test_perf_context_return():
     for row in rows:
         print(f"{row['n_observations']:>6} {row['cold_rebuild_s']:>10.4f} "
               f"{row['context_return_s']:>10.4f}")
+
+
+def edgebol_heads(x, y):
+    """The benchmark heads in EdgeBOL's layout: cost and delay share one
+    lengthscale vector (one correlation group), mAP has its own."""
+    heads = {}
+    for column, (name, output_scale, noise, prior) in enumerate(HEAD_SPECS):
+        lengthscales = np.full(CONTEXT_DIM + 4, 0.9 if name == "map" else 0.8)
+        gp = GaussianProcess(Matern(lengthscales, output_scale=output_scale),
+                             noise_variance=noise, prior_mean=prior)
+        gp.fit(x, y[:, column])
+        heads[name] = gp
+    return heads
+
+
+def time_lane_admission(n_obs, grid, monkeypatch):
+    """Seconds of one-row extensions at one N, inline and on two lanes.
+
+    Two engines over identical heads take the same observations; each
+    repetition adds one to both and times one sweep on each, inline
+    first, so host drift hits both modes alike.  Returns min and median
+    per mode.
+    """
+    rng = np.random.default_rng(n_obs)
+    x = rng.random((n_obs, CONTEXT_DIM + 4))
+    y = rng.normal(size=(n_obs, len(HEAD_SPECS)))
+    context = rng.random(CONTEXT_DIM)
+    modes = {
+        # (_LANE_POINTS, _LANE_ELEMENTS) that force each mode.
+        "inline": (1 << 62, 1 << 62),
+        "lanes": (0, 0),
+    }
+    engines = {}
+    for mode in modes:
+        heads = edgebol_heads(x, y)
+        engines[mode] = (heads,
+                         SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM))
+    times = {mode: [] for mode in modes}
+    for rep in range(LANE_REPS + 1):
+        z = np.concatenate([context, rng.random(4)])
+        targets = rng.normal(size=len(HEAD_SPECS))
+        for mode, (points, elements) in modes.items():
+            monkeypatch.setattr(posterior, "_LANE_POINTS", points)
+            monkeypatch.setattr(posterior, "_LANE_ELEMENTS", elements)
+            heads, engine = engines[mode]
+            if rep:  # the first sweep is the untimed rebuild
+                for column, gp in enumerate(heads.values()):
+                    gp.add(z, float(targets[column]))
+            started = time.perf_counter()
+            engine.posterior(context)
+            if rep:
+                times[mode].append(time.perf_counter() - started)
+    row = {"grid_points": int(grid.shape[0]), "n_observations": n_obs}
+    for mode, values in times.items():
+        row[f"{mode}_min_s"] = float(np.min(values))
+        row[f"{mode}_median_s"] = float(np.median(values))
+    return row
+
+
+def test_perf_lane_admission(monkeypatch):
+    thresholds = (posterior._LANE_POINTS, posterior._LANE_ELEMENTS)
+    rows = []
+    for levels in LANE_LEVELS:
+        grid = cartesian_grid(*[linear_levels(levels)] * 4)
+        for n_obs in LANE_N_VALUES:
+            row = time_lane_admission(n_obs, grid, monkeypatch)
+            row["admitted"] = grid.shape[0] >= thresholds[0] or (
+                3 * grid.shape[0] >= thresholds[1])
+            rows.append(row)
+    monkeypatch.undo()
+    cpus = posterior._cpus()
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    write_keys(lanes={
+        "unit": "seconds per three-head one-row extension "
+                f"(min and median of {LANE_REPS})",
+        "heads": "EdgeBOL layout: cost and delay share one correlation "
+                 "group, mAP has its own",
+        "cpus": cpus,
+        "blas_threads": blas_threads,
+        "lane_points": thresholds[0],
+        "lane_elements": thresholds[1],
+        "columns": {
+            "inline_*": "every sweep on the caller's thread",
+            "lanes_*": "every sweep on the caller's thread and the "
+                       "worker lane",
+            "admitted": "whether the engine's thresholds send a one-row "
+                        "extension of this grid to two lanes",
+        },
+        "rows": rows,
+    })
+
+    print()
+    print(f"{'points':>7} {'N':>4} {'inline min':>11} {'lanes min':>10} "
+          f"{'inline med':>11} {'lanes med':>10} admitted")
+    for row in rows:
+        print(f"{row['grid_points']:>7} {row['n_observations']:>4} "
+              f"{row['inline_min_s'] * 1e3:>9.2f}ms "
+              f"{row['lanes_min_s'] * 1e3:>8.2f}ms "
+              f"{row['inline_median_s'] * 1e3:>9.2f}ms "
+              f"{row['lanes_median_s'] * 1e3:>8.2f}ms {row['admitted']}")
+
+    if cpus >= 2 and blas_threads == "1":
+        paper = next(r for r in rows if r["grid_points"] == 11**4
+                     and r["n_observations"] == 100)
+        assert paper["lanes_min_s"] < paper["inline_min_s"], paper

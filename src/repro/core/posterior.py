@@ -54,10 +54,11 @@ whose kernels differ only in ``output_scale`` — EdgeBOL's cost and
 delay heads — share one correlation block and one scaled grid per
 sweep; each head's rows are that block times its own scale, which is
 how a lone kernel call ends, so sharing changes no bit.  A sweep with
-many new rows runs its group fills, then its head solves, on two lanes:
-the caller's thread and one process-wide worker thread, each head
-written by one lane, every BLAS call unchanged (:func:`_sweep`,
-docs/NUMERICS.md, "Two lanes").
+new rows on a grid of :data:`_LANE_POINTS` points or more (the paper's
+11^4 grid), or with many new rows on a smaller one, runs its group
+fills, then its head solves, on two lanes: the caller's thread and one
+process-wide worker thread, each head written by one lane, every BLAS
+call unchanged (:func:`_sweep`, docs/NUMERICS.md, "Two lanes").
 
 All heads are evaluated in one pass over one shared joint grid and
 returned as a :class:`PosteriorBatch`, which
@@ -105,9 +106,19 @@ from repro.telemetry import runtime as telemetry
 RESERVE_BYTES = 64 << 20
 
 #: New ``v`` rows times grid points, summed over a sweep's heads, from
-#: which the sweep runs on two lanes (docs/NUMERICS.md, "Two lanes").
-#: Below it, handing tasks to the worker costs more than it saves.
+#: which a sweep on a grid of any size runs on two lanes
+#: (docs/NUMERICS.md, "When the lanes engage").  Below it, on a grid
+#: smaller than :data:`_LANE_POINTS`, handing tasks to the worker costs
+#: more than it saves: every sweep on the fleet's 625-point grid stays
+#: inline up to 139 new rows per head.
 _LANE_ELEMENTS = 1 << 18
+
+#: Grid points from which every sweep with new rows runs on two lanes,
+#: one-row extensions included: each head's ``N x M`` pass is then long
+#: enough to pay for the hand-off.  Measured break-even of a three-head
+#: one-row extension at N = 25 is near 6,561 points; on the paper's
+#: 14,641 points two lanes cut it by a quarter (docs/NUMERICS.md).
+_LANE_POINTS = 1 << 13
 
 
 class _Lane:
@@ -182,8 +193,8 @@ class _Worker:
         self._thread.join()
 
 
-#: The worker lane, started by the first sweep that crosses
-#: :data:`_LANE_ELEMENTS`; ``None`` until then, and in a forked child.
+#: The worker lane, started by the first sweep that takes two lanes
+#: (:func:`_two_lanes`); ``None`` until then, and in a forked child.
 _worker: _Worker | None = None
 _worker_start = threading.Lock()
 #: Each calling thread's own lane (its scratch).
@@ -228,9 +239,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _two_lanes(elements: int) -> bool:
-    """Whether a sweep of ``elements`` new ``v`` entries uses the worker."""
-    return elements >= _LANE_ELEMENTS and _lanes_allowed and _cpus() >= 2
+def _two_lanes(rows: int, n_points: int) -> bool:
+    """Whether a sweep adding ``rows`` ``v`` rows (over all its heads)
+    to an ``n_points`` grid uses the worker."""
+    return (rows > 0
+            and (n_points >= _LANE_POINTS
+                 or rows * n_points >= _LANE_ELEMENTS)
+            and _lanes_allowed and _cpus() >= 2)
 
 
 def _worker_lane() -> _Worker:
@@ -298,6 +313,8 @@ class EngineStats:
     rebuilds: int = 0
     #: Context entries dropped by the LRU bound.
     lru_evictions: int = 0
+    #: Sweeps whose head solves ran on two lanes (:func:`_sweep`).
+    lane_sweeps: int = 0
     #: Wall-clock seconds spent inside the engine.
     wall_time_s: float = 0.0
 
@@ -311,6 +328,7 @@ class EngineStats:
             "extensions": self.extensions,
             "rebuilds": self.rebuilds,
             "lru_evictions": self.lru_evictions,
+            "lane_sweeps": self.lane_sweeps,
             "wall_time_s": self.wall_time_s,
         }
 
@@ -542,17 +560,20 @@ def _fill_group(members: list[_Step], x: np.ndarray, lane: _Lane) -> None:
 
 
 def _sweep(steps: list[_Step], finish: Callable[[_Step, _Lane], object],
-           n_points: int) -> tuple[int, list]:
+           n_points: int) -> tuple[int, list, bool]:
     """Fill the steps' new rows, then run ``finish(step, lane)`` on each.
 
-    Two phases, each on two lanes when the sweep's new rows times
-    ``n_points`` cross :data:`_LANE_ELEMENTS` (:func:`_run`): first one
-    fill task per correlation group (:func:`_fill_group`), then one
-    ``finish`` per step.  A task writes only its own heads' rows and
-    state, and every BLAS call keeps the operands and shape it has
-    inline, so the lanes change no bit (docs/NUMERICS.md, "Two lanes").
-    Returns the kernel entries computed, for ``kernel_evals`` (a shared
-    block counts once), and ``finish``'s results in step order.
+    Two phases, each on two lanes when :func:`_two_lanes` admits the
+    sweep's new rows on ``n_points`` (:func:`_run`): first one fill task
+    per correlation group (:func:`_fill_group`), then one ``finish`` per
+    step.  A task writes only its own heads' rows and state, and every
+    BLAS call keeps the operands and shape it has inline, so the lanes
+    change no bit (docs/NUMERICS.md, "Two lanes").  Returns the kernel
+    entries computed, for ``kernel_evals`` (a shared block counts once),
+    ``finish``'s results in step order, and whether the worker ran a
+    ``finish``, as it does in every admitted sweep of two or more steps
+    (:func:`_run` gives the largest task, which has new rows, to the
+    caller and the next to the worker).
     """
     groups: dict[tuple, tuple[np.ndarray, list[_Step]]] = {}
     rows = 0
@@ -563,7 +584,8 @@ def _sweep(steps: list[_Step], finish: Callable[[_Step, _Lane], object],
             key = (step.gp.kernel.correlation_key(), x.tobytes())
             groups.setdefault(key, (x, []))[1].append(step)
     lane = _caller_lane()
-    if _two_lanes(rows * n_points):
+    lanes = _two_lanes(rows, n_points)
+    if lanes:
         _run([(x.shape[0] * len(members), partial(_fill_group, members, x))
               for x, members in groups.values()], lane)
         results = _run([((step.n - step.k0) * (step.n + 1),
@@ -573,7 +595,7 @@ def _sweep(steps: list[_Step], finish: Callable[[_Step, _Lane], object],
             _fill_group(members, x, lane)
         results = [finish(step, lane) for step in steps]
     evals = sum(x.shape[0] for x, _ in groups.values()) * n_points
-    return evals, results
+    return evals, results, lanes and len(steps) > 1
 
 
 class SurrogateEngine:
@@ -843,13 +865,14 @@ class SurrogateEngine:
             scaled: dict[tuple, ScaledPoints] = {}
             steps = {name: self._begin(name, joint, states, scaled)
                      for name in dict.fromkeys(names)}
-            evals, moments = _sweep(list(steps.values()), self._finish,
-                                    joint.shape[0])
+            evals, moments, lanes = _sweep(list(steps.values()),
+                                           self._finish, joint.shape[0])
             means = {}
             variances = {}
             for name, (mean, variance) in zip(steps, moments):
                 means[name], variances[name] = mean, variance
             self.stats.kernel_evals += evals
+            self.stats.lane_sweeps += lanes
             self.stats.queries += 1
             self.stats.head_queries += len(names)
             self.stats.wall_time_s += time.perf_counter() - started

@@ -20,6 +20,12 @@ machine-readable anomaly flags:
   ``storm_window`` periods (a crash-looping cell that the quarantine
   escalation has not yet caught).
 
+Sweep and fleet traces interleave the records of several cells: a
+sweep stamps each record with its sweep ``cell``, a fleet with the
+fleet cell's ``agent``.  Every detector but the storm one runs on each
+(``cell``, ``agent``) series alone, each of its flags names that
+``cell``/``agent``, and the timeline draws one line per series.
+
 Supervised fleet runs interleave *supervision events* (records with an
 ``event`` field: ``cell_crash``, ``cell_stall``, ``recovery``,
 ``quarantine``, ``breaker_open``/``breaker_close``,
@@ -61,6 +67,24 @@ def split_events(records: list[dict]) -> tuple[list[dict], list[dict]]:
     periods = [r for r in records if "event" not in r]
     events = [r for r in records if "event" in r]
     return periods, events
+
+
+def _by_series(records: list[dict]) -> list[tuple[dict, list[dict]]]:
+    """Decision records grouped by (``cell``, ``agent``), in first-seen order.
+
+    Returns ``(location, series)`` pairs; ``location`` holds the
+    ``cell``/``agent`` fields the series' records carry (none for a
+    single-run trace).
+    """
+    series: dict[tuple, list[dict]] = {}
+    for record in records:
+        key = (record.get("cell"), record.get("agent"))
+        series.setdefault(key, []).append(record)
+    return [
+        ({name: value for name, value in zip(("cell", "agent"), key)
+          if value is not None}, group)
+        for key, group in series.items()
+    ]
 
 
 def _runs(flags: "list[bool]") -> list[tuple[int, int]]:
@@ -131,17 +155,24 @@ def detect_anomalies(
     for the same seed points at the observation budget, not the
     learner.
     """
-    flags: list[dict] = []
-    if not records:
-        return flags
     records, events = split_events(records)
-    flags.extend(_recovery_storms(events, storm_window, storm_threshold))
-    if not records:
-        return flags
+    flags = _recovery_storms(events, storm_window, storm_threshold)
+    for location, series in _by_series(records):
+        flags.extend(_series_anomalies(location, series, coverage_slack,
+                                       min_calibration_n, margin_run))
+    return flags
+
+
+def _series_anomalies(location: dict, records: list[dict],
+                      coverage_slack: float, min_calibration_n: int,
+                      margin_run: int) -> list[dict]:
+    """The calibration and run-length flags of one cell's series."""
+    flags: list[dict] = []
     final = records[-1]
     numerics_mode = final.get("numerics_mode")
 
     def _flag(payload: dict) -> dict:
+        payload.update(location)
         if numerics_mode is not None:
             payload["numerics_mode"] = numerics_mode
         return payload
@@ -211,9 +242,11 @@ def _timeline(records: list[dict], width: int = 72,
 
     ``R`` supervisor restart/recovery, ``C`` circuit breaker
     opened/closed, ``D`` degraded, ``Q`` quarantined, ``V`` constraint
-    violation, ``!`` drift flag, ``.`` clean — wrapped at ``width``
-    columns with period offsets on the left.  Supervision markers are
-    matched to period records by ``(agent, t)``.
+    violation, ``!`` drift flag, ``.`` clean — one line per (``cell``,
+    ``agent``) series, under a header naming it when the records carry
+    either field, wrapped at ``width`` columns with period offsets on
+    the left.  Supervision markers are matched to period records by
+    ``(agent, t)``.
     """
     recovered = set()
     breaker = set()
@@ -223,34 +256,41 @@ def _timeline(records: list[dict], width: int = 72,
             recovered.add(key)
         elif event.get("event") in ("breaker_open", "breaker_close"):
             breaker.add(key)
-    chars = []
-    for record in records:
-        outcome = record.get("outcome") or {}
-        key = (record.get("agent"), record.get("t"))
-        if key in recovered:
-            chars.append("R")
-        elif key in breaker:
-            chars.append("C")
-        elif record.get("degraded"):
-            chars.append("D")
-        elif record.get("quarantined"):
-            chars.append("Q")
-        elif outcome.get("delay_violation") or outcome.get("map_violation"):
-            chars.append("V")
-        elif (record.get("drift") or {}).get("flag"):
-            chars.append("!")
-        else:
-            chars.append(".")
-    label_w = len(str(len(chars)))
     lines = []
-    for start in range(0, len(chars), width):
-        lines.append(
-            f"t={str(start).rjust(label_w)}  "
-            + "".join(chars[start:start + width])
-        )
+    for location, series in _by_series(records):
+        if location:
+            lines.append(" ".join(f"{name}={value}"
+                                  for name, value in location.items()))
+        chars = [_period_char(record, recovered, breaker)
+                 for record in series]
+        label_w = len(str(len(chars)))
+        for start in range(0, len(chars), width):
+            lines.append(
+                f"t={str(start).rjust(label_w)}  "
+                + "".join(chars[start:start + width])
+            )
     lines.append("legend: R restart  C breaker  D degraded  "
                  "Q quarantined  V violation  ! drift  . clean")
     return "\n".join(lines)
+
+
+def _period_char(record: dict, recovered: set, breaker: set) -> str:
+    """The :func:`_timeline` character of one period record."""
+    outcome = record.get("outcome") or {}
+    key = (record.get("agent"), record.get("t"))
+    if key in recovered:
+        return "R"
+    if key in breaker:
+        return "C"
+    if record.get("degraded"):
+        return "D"
+    if record.get("quarantined"):
+        return "Q"
+    if outcome.get("delay_violation") or outcome.get("map_violation"):
+        return "V"
+    if (record.get("drift") or {}).get("flag"):
+        return "!"
+    return "."
 
 
 def _series(records: list[dict], getter) -> list[float]:

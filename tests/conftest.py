@@ -68,13 +68,13 @@ def new_bus():
 
 
 @pytest.fixture
-def two_lanes(monkeypatch):
-    """Every posterior sweep runs on two lanes, whatever its size.
+def lane_jobs(monkeypatch):
+    """Posterior sweeps may take two lanes, at the module's thresholds.
 
-    Yields the list of jobs handed to the worker lane (each a list of
-    ``(index, task)`` pairs); the worker thread is stopped at teardown.
+    The process counts as having two CPUs.  Yields the list of jobs
+    handed to the worker lane (each a list of ``(index, task)`` pairs);
+    the worker thread is stopped at teardown.
     """
-    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 0)
     monkeypatch.setattr(posterior, "_cpus", lambda: 2)
     jobs = []
     submit = posterior._Worker.submit
@@ -88,3 +88,11 @@ def two_lanes(monkeypatch):
     if posterior._worker is not None:
         posterior._worker.stop()
         posterior._worker = None
+
+
+@pytest.fixture
+def two_lanes(monkeypatch, lane_jobs):
+    """Every posterior sweep with new rows runs on two lanes, whatever
+    its size; yields :func:`lane_jobs`' list of worker jobs."""
+    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 0)
+    return lane_jobs

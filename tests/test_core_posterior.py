@@ -407,7 +407,8 @@ class TestValidationAndStats:
         engine.posterior(rng.random(CONTEXT_DIM))
         snap = engine.stats.snapshot()
         for key in ("queries", "head_queries", "kernel_evals", "cache_hits",
-                    "extensions", "rebuilds", "lru_evictions", "wall_time_s"):
+                    "extensions", "rebuilds", "lru_evictions", "lane_sweeps",
+                    "wall_time_s"):
             assert key in snap
         assert snap["queries"] == 1
         assert snap["head_queries"] == 3
@@ -792,15 +793,21 @@ def play_sweeps(kind, n_points=60, scale=1):
     feed(fed, home, rng, 2)
     sweep(home, names=("map", "delay"))
     stats = engine.stats.snapshot()
-    del stats["wall_time_s"]
+    del stats["wall_time_s"], stats["lane_sweeps"]  # how it ran, not what
     trace.append(repr(stats).encode())
     trace.append(state.encode_snapshot(state.engine_state(engine)))
     return trace
 
 
+def force_inline(monkeypatch):
+    """Put both lane thresholds out of reach: every sweep runs inline."""
+    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 1 << 62)
+    monkeypatch.setattr(posterior, "_LANE_POINTS", 1 << 62)
+
+
 def inline_then_two_lanes(monkeypatch, jobs, play):
     """``play()`` inline, then on two lanes; returns both results."""
-    monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 1 << 62)
+    force_inline(monkeypatch)
     inline = play()
     assert not jobs
     monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 0)
@@ -978,3 +985,111 @@ def test_fleet_sized_sweeps_stay_inline(monkeypatch):
     feed(heads, home, rng, 1)
     engine.posterior(home)
     assert not submitted
+
+
+# -- when the lanes engage -------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, jobs", [
+    ("shared", 1),  # one correlation group: one fill, the solves split
+    ("edgebol", 2),  # two groups: the fills split, then the solves
+])
+def test_paper_grid_one_row_sweeps_use_two_lanes(kind, jobs, lane_jobs):
+    """At the module's thresholds, a three-head one-row extension on the
+    paper's 11^4 grid takes the worker: the grid reaches
+    ``_LANE_POINTS`` though its rows x M stay below ``_LANE_ELEMENTS``."""
+    grid = TestbedConfig(n_levels=11).control_grid()
+    assert grid.shape[0] >= posterior._LANE_POINTS
+    assert 3 * grid.shape[0] < posterior._LANE_ELEMENTS
+    rng = np.random.default_rng(66)
+    heads = lane_heads(kind)
+    engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+    home = rng.random(CONTEXT_DIM)
+    feed(heads, home, rng, 5)
+    engine.posterior(home)
+    feed(heads, home, rng, 1)
+    lane_jobs.clear()
+    engine.posterior(home)
+    assert engine.stats.extensions == 3
+    assert len(lane_jobs) == jobs
+    assert engine.stats.lane_sweeps == 2
+    engine.posterior(home)  # a cache hit: no new rows, no hand-off
+    assert len(lane_jobs) == jobs
+    assert engine.stats.lane_sweeps == 2
+
+
+def test_mid_sized_grid_sweeps_stay_inline(lane_jobs):
+    """On a 7^4 = 2,401-point grid, below ``_LANE_POINTS``, three-head
+    one-row and 10-row sweeps never reach the worker."""
+    grid = TestbedConfig(n_levels=7).control_grid()
+    assert grid.shape[0] < posterior._LANE_POINTS
+    assert 3 * 10 * grid.shape[0] < posterior._LANE_ELEMENTS
+    rng = np.random.default_rng(67)
+    heads = lane_heads("edgebol")
+    engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+    home = rng.random(CONTEXT_DIM)
+    for rows in (10, 1, 10, 1):
+        feed(heads, home, rng, rows)
+        engine.posterior(home)  # a 10-row rebuild, then extensions
+    assert engine.stats.extensions == 9
+    assert not lane_jobs
+    assert engine.stats.lane_sweeps == 0
+
+
+def test_one_row_extensions_at_the_module_thresholds_match_inline(
+        monkeypatch, lane_jobs):
+    """One-row extensions on a grid of exactly ``_LANE_POINTS`` points
+    leave the same moments, ``v`` rows and stats on two lanes as
+    forced inline."""
+
+    n_points = posterior._LANE_POINTS
+
+    def play():
+        rng = np.random.default_rng(68)
+        grid = make_grid(rng, n_points)
+        heads = lane_heads("edgebol")
+        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM)
+        home = rng.random(CONTEXT_DIM)
+        trace = []
+        feed(heads, home, rng, 4)
+        for _ in range(6):
+            batch = engine.posterior(home)
+            for name in batch.heads:
+                trace.append(batch.mean(name).tobytes())
+                trace.append(batch.variance(name).tobytes())
+            for head in engine._cache[home.tobytes()][1].values():
+                trace.append(head.v[:head.n].tobytes())
+            feed(heads, home, rng, 1)
+        stats = engine.stats.snapshot()
+        del stats["wall_time_s"]
+        return trace, stats.pop("lane_sweeps"), stats
+
+    lanes, lane_sweeps, stats = play()
+    assert lane_jobs and lane_sweeps == 6
+    lane_jobs.clear()
+    force_inline(monkeypatch)
+    inline, inline_sweeps, inline_stats = play()
+    assert not lane_jobs and inline_sweeps == 0
+    assert len(lanes) == len(inline)
+    for got, want in zip(lanes, inline):
+        assert got == want
+    assert stats == inline_stats
+
+
+@pytest.mark.parametrize("levels", [11, 5])
+def test_lane_sweeps_count_the_edgebol_sweeps_on_two_lanes(levels,
+                                                           lane_jobs):
+    """On the paper grid every three-head sweep after the first (which
+    has no observations, so no rows) runs on two lanes; on the fleet's
+    625-point grid none does.  The run log's engine table carries the
+    count."""
+    testbed = TestbedConfig(n_levels=levels)
+    env = static_scenario(n_users=1, rng=3, config=testbed)
+    agent = EdgeBOL(testbed.control_grid(), ServiceConstraints(),
+                    CostWeights(1.0, 1.0))
+    log = run_agent(env, agent, 6)
+    stats = log.engine_stats
+    assert stats["queries"] == 6 and stats["head_queries"] == 18
+    expected = stats["queries"] - 1 if levels == 11 else 0
+    assert stats["lane_sweeps"] == expected
+    assert bool(lane_jobs) == bool(expected)

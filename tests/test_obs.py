@@ -595,6 +595,47 @@ class TestDiagnose:
         assert "Safe-set fraction" in text
         assert "Cumulative regret" in text
 
+    def test_interleaved_series_are_flagged_one_by_one(self):
+        """Two cells' records interleaved period by period raise each
+        cell's own flags, named by its cell and agent; a cell whose
+        records are clean raises none."""
+        alone = diagnose.detect_anomalies(synthetic_records())
+        flagged = [dict(r, cell="s0", agent="cell000")
+                   for r in synthetic_records()]
+        clean = [dict(r, cell="s0", agent="cell001", degraded=False,
+                      quarantined=None, drift={"flag": False},
+                      calibration={}, margins={})
+                 for r in synthetic_records()]
+        records = [r for pair in zip(flagged, clean) for r in pair]
+        flags = diagnose.detect_anomalies(records)
+        assert flags == [dict(f, cell="s0", agent="cell000") for f in alone]
+
+    def test_fleet_trace_flags_and_timeline_stay_within_a_cell(
+            self, tmp_path):
+        """On an interleaved 8-cell, 12-period fleet trace no flag spans
+        cells, and the timeline draws one 12-period line per cell."""
+        assert cli.main([
+            "run", "fleet", "--sweep", "cells=8", "--set", "periods=12",
+            "--out", str(tmp_path), "--no-store", "--trace-decisions",
+        ]) == 0
+        records = read_records(tmp_path / "fleet_decisions.jsonl")
+        assert len(records) == 96
+        agents = [r["agent"] for r in records[:8]]
+        assert len(set(agents)) == 8  # interleaved: one period per cell
+        flags = diagnose.detect_anomalies(records)
+        for flag in flags:
+            assert flag["agent"] in agents and flag["cell"] == "cells=8"
+            if "length" in flag:
+                assert flag["end_t"] - flag["start_t"] + 1 == flag["length"]
+                assert flag["length"] <= 12
+        text = diagnose.render_dashboard(records, anomalies=flags)
+        timeline = text[text.index("Event timeline"):].splitlines()
+        rows = [line for line in timeline if line.startswith("t=")]
+        assert len(rows) == 8
+        assert all(len(line.split()[-1]) == 12 for line in rows)
+        headers = [line for line in timeline if line.startswith("cell=")]
+        assert headers == [f"cell=cells=8 agent={agent}" for agent in agents]
+
     def test_diagnose_path_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"
         sink = JsonlSink(path)

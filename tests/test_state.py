@@ -478,6 +478,7 @@ class TestEngineCacheState:
         for gp in heads.values():
             gp.fit(x, y)
         monkeypatch.setattr(posterior, "_LANE_ELEMENTS", 1 << 62)
+        monkeypatch.setattr(posterior, "_LANE_POINTS", 1 << 62)
         engine = SurrogateEngine(heads, ENGINE_GRID, context_dim=1)
         for context, block, only in (([0.2], 0, None), ([0.7], 3, None),
                                      ([0.2], 1, ["a", "c"]),
