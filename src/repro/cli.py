@@ -27,8 +27,8 @@ round — safe set, margins, calibration, drift, regret — merged across
 sweep cells) / ``--faults plan.json`` (install a deterministic
 fault-injection plan for the run, see ``docs/ROBUSTNESS.md``) /
 ``--numerics MODE`` + ``--gp-budget N`` (GP numerics mode: dense, or
-a sparse observation budget, exported via environment so sweep
-workers inherit it — see ``docs/NUMERICS.md``) / ``--store DIR`` +
+a sparse observation budget, installed for the run and carried to
+every sweep cell — see ``docs/NUMERICS.md``) / ``--store DIR`` +
 ``--no-store`` (the content-addressed experiment store, by default
 ``<out>/store``: each completed cell is stored as it finishes, and
 cells whose exact configuration was already computed are served from
@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
+from repro.core.numerics import NumericsConfig, active_numerics
 from repro.experiments import parallel
 from repro.experiments import spec as spec_registry
 from repro.faults import FaultPlan
-from repro.faults import runtime as faults
 from repro.store import ENV_STORE, resolve_store_dir
 from repro.store.results_cli import add_results_command
 from repro.telemetry import runtime as telemetry
@@ -116,6 +116,25 @@ def _load_fault_plan(path: "Path | None") -> "FaultPlan | None":
         return FaultPlan.from_json(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"repro: cannot load fault plan {path}: {exc}") from None
+
+
+def _numerics(mode: "str | None",
+              budget: "int | None") -> "NumericsConfig | None":
+    """The ``--numerics``/``--gp-budget`` config (``None``: no flag).
+
+    An unset flag keeps the installed config's value.
+    """
+    if mode is None and budget is None:
+        return None
+    installed = active_numerics()
+    try:
+        config = replace(installed, sparse_budget=budget) if mode is None \
+            else NumericsConfig.from_mode(mode, sparse_budget=(
+                installed.sparse_budget if budget is None else budget))
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from None
+    print(f"numerics mode: {config.mode}")
+    return config
 
 
 def resolve_decision_path(trace_decisions, spec, out: Path) -> "Path | None":
@@ -387,34 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_numerics_flags(args) -> None:
-    """Export ``--numerics``/``--gp-budget`` to the environment.
-
-    The selection is written to ``os.environ`` (via
-    :func:`repro.core.numerics.numerics_env`) rather than threaded
-    through every constructor: sweep worker processes inherit the
-    environment, so agents built deep inside parallel cells pick the
-    mode up through :func:`repro.core.numerics.active_numerics`.
-    """
-    mode = getattr(args, "numerics", None)
-    budget = getattr(args, "gp_budget", None)
-    if mode is None and budget is None:
-        return
-    from repro.core.numerics import numerics_env
-
-    try:
-        config = numerics_env(mode, sparse_budget=budget)
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}") from None
-    print(f"numerics mode: {config.mode}")
-
-
 def main(argv=None) -> int:
     """Entry point (also exposed as ``python -m repro``)."""
     args = build_parser().parse_args(argv)
     plan = _load_fault_plan(getattr(args, "faults", None))
-    _apply_numerics_flags(args)
-    with faults.use(plan) if plan is not None else nullcontext():
+    numerics = _numerics(getattr(args, "numerics", None),
+                         getattr(args, "gp_budget", None))
+    with telemetry.configure(plan=plan, numerics=numerics):
         trace_path = getattr(args, "telemetry", None)
         if trace_path is not None:
             with telemetry.record(trace_path):

@@ -34,7 +34,7 @@ from repro.core.numerics import (
 from repro.core.posterior import PosteriorBatch, SurrogateEngine
 from repro.core.safeset import SafeSetEstimator
 from repro.core.sparse import make_eviction_policy
-from repro.faults import runtime as faults
+from repro.faults import make_injector
 from repro.telemetry import runtime as telemetry
 from repro.testbed.config import (
     ControlPolicy,
@@ -127,10 +127,10 @@ class EdgeBOLConfig:
         Numerics-mode override (:class:`~repro.core.numerics.
         NumericsConfig`): dense, or sparse with an observation budget.
         ``None`` (default) follows the process-wide
-        :func:`~repro.core.numerics.active_numerics` resolution
-        (environment variables, else dense) —
-        which is how the experiment CLIs' ``--numerics`` flags reach
-        agents constructed deep inside sweep workers.
+        :func:`~repro.core.numerics.active_numerics` (the config the
+        run installed, else dense) — which is how the experiment CLIs'
+        ``--numerics`` flags reach agents constructed deep inside sweep
+        workers.
     quarantine_spike_factor:
         Robust outlier gate: once ``quarantine_min_history`` clean
         observations exist, a cost exceeding this multiple of the
@@ -251,13 +251,12 @@ class EdgeBOL:
         # Fault-injection hook (None unless a fault plan with GP specs
         # is installed): all heads share one injector so "one forced
         # Cholesky failure" means one event across the agent.
-        gp_injector = faults.make_injector("gp")
+        gp_injector = make_injector("gp")
         self._gp_fault_hook = (
             gp_injector.gp_hook if gp_injector is not None else None
         )
         # Numerics mode (dense / sparse budget): an explicit config
-        # wins, else the process-wide resolution (installed config >
-        # environment > dense defaults).
+        # wins, else the run's installed config, else dense.
         self.numerics = (
             self.config.numerics if self.config.numerics is not None
             else active_numerics()

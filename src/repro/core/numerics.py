@@ -13,29 +13,19 @@ All GP linear algebra is dense numpy/scipy.  The one numerics choice a
 run makes is whether each GP head keeps every observation (``dense``,
 the default) or a bounded inducing subset (``sparse``, see
 :mod:`repro.core.sparse`).  :class:`NumericsConfig` describes that
-choice; it is resolved from the environment variables below, then from
-the dense defaults.  The environment is the only way to select a mode:
-it is what carries a CLI ``--numerics`` choice into sweep worker
-processes, so the mode a store key names is the mode every worker ran.
-The config is read once per agent, store key or sweep, never per kernel
-call.
-
-Environment variables
----------------------
-
-``REPRO_SPARSE_GP``
-    ``1``/``true`` enables the inducing-subset sparse mode (observation
-    budget per GP head).
-``REPRO_GP_BUDGET``
-    Sparse-mode observation budget (default 256).
+choice.  A run installs it in the process state
+(:func:`repro.telemetry.runtime.configure`, the CLI's ``--numerics`` /
+``--gp-budget``), and every sweep cell receives it in its
+:class:`~repro.telemetry.runtime.RunContext`, so the mode a store key
+names is the mode every worker ran.  The config is read once per agent,
+store key or sweep, never per kernel call.
 
 See ``docs/NUMERICS.md`` for the full selection and trade-off guide.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -49,9 +39,6 @@ __all__ = [
     "BASE_JITTER_REL",
     "NumericsConfig",
     "active_numerics",
-    "numerics_env",
-    "ENV_SPARSE",
-    "ENV_BUDGET",
 ]
 
 #: Bounded retry budget of the jitter escalation ladder.
@@ -59,14 +46,6 @@ MAX_JITTER_RETRIES = 4
 
 #: First jitter level, relative to the mean Gram diagonal.
 BASE_JITTER_REL = 1e-10
-
-#: Environment variable enabling the sparse observation-budget mode.
-ENV_SPARSE = "REPRO_SPARSE_GP"
-#: Environment variable overriding the sparse observation budget.
-ENV_BUDGET = "REPRO_GP_BUDGET"
-
-#: Values of a boolean environment variable that count as "on".
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -205,64 +184,7 @@ class NumericsConfig:
             kwargs["sparse_budget"] = sparse_budget
         return cls(**kwargs)
 
-    @classmethod
-    def from_env(cls, environ=None) -> "NumericsConfig":
-        """Config read from the selection environment variables."""
-        environ = os.environ if environ is None else environ
-        kwargs = {}
-        sparse = environ.get(ENV_SPARSE)
-        if sparse is not None:
-            kwargs["sparse"] = sparse.strip().lower() in _TRUTHY
-        budget = environ.get(ENV_BUDGET)
-        if budget:
-            try:
-                kwargs["sparse_budget"] = int(budget)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_BUDGET} must be an integer, got {budget!r}"
-                ) from None
-        return cls(**kwargs)
-
-    def env_vars(self) -> dict:
-        """The environment variables that reproduce this config.
-
-        Setting these in ``os.environ`` is how the CLI carries a
-        ``--numerics`` selection into sweep worker processes.
-        """
-        return {
-            ENV_SPARSE: "1" if self.sparse else "0",
-            ENV_BUDGET: str(self.sparse_budget),
-        }
-
 
 def active_numerics() -> NumericsConfig:
-    """The resolved numerics config: environment > defaults."""
-    return NumericsConfig.from_env()
-
-
-def numerics_env(mode: str | None = None, *,
-                 sparse_budget: int | None = None,
-                 environ=None) -> NumericsConfig:
-    """Resolve CLI-style numerics flags and export them to ``environ``.
-
-    ``mode``/``sparse_budget`` override the corresponding
-    environment-derived values; an unspecified one keeps its current
-    environment (or default) setting.  The resolved config's
-    :meth:`NumericsConfig.env_vars` are written back to ``environ``
-    (default ``os.environ``) so worker processes inherit the selection,
-    and the config is returned.
-    """
-    environ = os.environ if environ is None else environ
-    config = NumericsConfig.from_env(environ)
-    if mode is not None:
-        config = NumericsConfig.from_mode(
-            mode,
-            sparse_budget=(
-                sparse_budget if sparse_budget is not None
-                else config.sparse_budget
-            ),
-        )
-    elif sparse_budget is not None:
-        config = replace(config, sparse_budget=sparse_budget)
-    environ.update(config.env_vars())
-    return config
+    """The installed numerics config, else the dense default."""
+    return telemetry.context().numerics or NumericsConfig()

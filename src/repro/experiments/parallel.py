@@ -14,6 +14,11 @@ into independent cells and executes them:
   crosses the process boundary, and sweep their posteriors on one lane
   (:func:`repro.core.posterior.keep_one_lane`), so process and lane
   parallelism do not stack;
+* **run context** — every cell receives one frozen
+  :class:`~repro.telemetry.runtime.RunContext` (the fault plan, the
+  numerics config, whether timing is on and which records are kept)
+  and enters it through :func:`repro.telemetry.runtime.cell`, whether
+  it runs in-process or in a pool worker;
 * **cell keys** — every cell is identified by its canonical
   configuration hash (spec + params + seed node + fault plan +
   numerics + code fingerprint, see :func:`repro.store.key.cell_key`);
@@ -37,10 +42,9 @@ into independent cells and executes them:
   still fails after ``max_retries`` is *quarantined* — reported with its
   error in :attr:`SweepResult.quarantined` instead of aborting the sweep
   (``sweep.cell.quarantined``) and never stored, so the next run
-  re-executes it.  When a fault plan is
-  installed (or passed via ``fault_plan``) it is re-installed inside
-  every cell scope with the cell's spawn key, so chaos runs are
-  bit-identical per seed at any ``--jobs`` (see ``docs/ROBUSTNESS.md``).
+  re-executes it.  An installed fault plan is entered by every cell
+  scope with the cell's spawn key, so chaos runs are bit-identical per
+  seed at any ``--jobs`` (see ``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +61,7 @@ from repro.core.numerics import active_numerics
 from repro.core.posterior import keep_one_lane
 from repro.experiments import spec as registry
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import runtime as faults
-from repro.faults.injector import InjectedWorkerCrash
-from repro.faults.plan import FaultPlan
+from repro.faults.injector import InjectedWorkerCrash, make_injector
 from repro.store import ExperimentStore, cell_key, code_fingerprint
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.export import JsonlSink
@@ -193,7 +194,7 @@ def _maybe_inject_worker_fault(cell: SweepCell, attempt: int) -> None:
     path).  Faults fire only on ``attempt == 0``, so the retry ladder
     always recovers.
     """
-    injector = faults.make_injector("worker")
+    injector = make_injector("worker")
     if injector is None:
         return
     spec = injector.worker_decision(cell.index, attempt)
@@ -207,59 +208,40 @@ def _maybe_inject_worker_fault(cell: SweepCell, attempt: int) -> None:
     )
 
 
-@contextmanager
-def _cell_records(cell: SweepCell, collect: bool):
-    """Run one cell under its own record stream when ``collect`` is set.
-
-    Yields the cell's :class:`~repro.telemetry.export.InMemorySink` (the
-    only sink inside the block, see :func:`repro.telemetry.runtime.capture`),
-    with every label-less record stamped ``cell: <cell id>``; yields
-    ``None`` and changes nothing otherwise.
-    """
-    if not collect:
-        yield None
-        return
-    with telemetry.capture() as sink, telemetry.scope(cell.cell_id):
-        yield sink
-
-
 def _decisions(sink) -> "list | None":
     """The decision records a cell's sink collected (``None``: untraced)."""
     return None if sink is None else _jsonable(sink.of_type("decision"))
 
 
-def _execute_cell(spec_name: str, cell: SweepCell, collect_telemetry: bool,
-                  fault_plan: dict | None = None,
-                  attempt: int = 0,
-                  collect_decisions: bool = False) -> CellResult:
+def _init_worker() -> None:
+    """Pool initializer: one posterior lane, timing off.
+
+    A forked worker inherits the parent's timing flag; starting it off
+    lets a timed cell's scope record into a fresh registry.
+    """
+    keep_one_lane()
+    telemetry.disable()
+
+
+def _execute_cell(spec_name: str, cell: SweepCell,
+                  ctx: telemetry.RunContext, attempt: int = 0) -> CellResult:
     """Run one cell — the worker-process entry point.
 
     Top-level so it pickles under any multiprocessing start method;
     looks the spec up by name after (re-)loading the registry.  The
-    fault plan crosses the process boundary as a plain dict and is
-    installed for the cell scope with the cell's spawn key, so fault
-    streams are per-cell reproducible regardless of which worker runs
-    the cell.  With ``collect_decisions`` the cell's records are
-    collected by :func:`_cell_records` and its decision records ride
-    back on the result for the parent to merge.
+    cell enters ``ctx`` (:func:`repro.telemetry.runtime.cell`), so its
+    fault streams are per-cell reproducible regardless of which worker
+    runs it; a timed cell's metrics and a collecting cell's decision
+    records ride back on the result for the parent to merge.
     """
     registry.load_all()
     spec = registry.get(spec_name)
-    plan = FaultPlan.from_dict(fault_plan) if fault_plan is not None else None
     metrics = None
-    with faults.use(plan, seed_path=cell.spawn_key):
+    with telemetry.cell(ctx, cell.cell_id, cell.spawn_key) as sink:
         _maybe_inject_worker_fault(cell, attempt)
-        with _cell_records(cell, collect_decisions) as sink:
-            if collect_telemetry:
-                telemetry.reset_metrics()
-                telemetry.enable()
-                try:
-                    rows = spec.run_cell(cell.params, cell.seed_sequence())
-                    metrics = telemetry.metrics_snapshot()
-                finally:
-                    telemetry.disable()
-            else:
-                rows = spec.run_cell(cell.params, cell.seed_sequence())
+        rows = spec.run_cell(cell.params, cell.seed_sequence())
+        if ctx.timing:
+            metrics = telemetry.metrics_snapshot()
     return CellResult(
         index=cell.index,
         cell_id=cell.cell_id,
@@ -273,8 +255,8 @@ def _execute_cell(spec_name: str, cell: SweepCell, collect_telemetry: bool,
 
 
 def _run_cell_inprocess(spec: ExperimentSpec, cell: SweepCell,
-                        attempt: int = 0,
-                        collect_decisions: bool = False) -> CellResult:
+                        ctx: telemetry.RunContext,
+                        attempt: int = 0) -> CellResult:
     """Serial path: telemetry spans nest under the caller's trace.
 
     A collected cell's spans and other non-decision records reach the
@@ -286,8 +268,8 @@ def _run_cell_inprocess(spec: ExperimentSpec, cell: SweepCell,
         if sp:
             sp.set("spec", spec.name)
             sp.set("cell", cell.cell_id)
-        _maybe_inject_worker_fault(cell, attempt)
-        with _cell_records(cell, collect_decisions) as sink:
+        with telemetry.cell(ctx, cell.cell_id, cell.spawn_key) as sink:
+            _maybe_inject_worker_fault(cell, attempt)
             rows = spec.run_cell(cell.params, cell.seed_sequence())
         for record in sink.records() if sink is not None else ():
             if record.get("type") != "decision":
@@ -307,11 +289,11 @@ def _run_cell_inprocess(spec: ExperimentSpec, cell: SweepCell,
 
 
 def _cell_keys(spec: ExperimentSpec, cells: "list[SweepCell]",
-               plan: "FaultPlan | None") -> dict[str, str]:
+               ctx: telemetry.RunContext) -> dict[str, str]:
     """Each cell's content key (:func:`repro.store.key.cell_key`)."""
     numerics = active_numerics()
     fingerprint = code_fingerprint()
-    plan_dict = plan.to_dict() if plan is not None else None
+    plan_dict = ctx.plan.to_dict() if ctx.plan is not None else None
     return {
         cell.cell_id: cell_key(
             spec.name, cell.params,
@@ -523,8 +505,8 @@ def _backoff(retry_backoff_s: float, attempt: int) -> None:
         time.sleep(retry_backoff_s * (2.0 ** attempt))
 
 
-def _run_serial(spec, pending, complete, plan, max_retries,
-                retry_backoff_s, collect_decisions=False):
+def _run_serial(spec, pending, complete, ctx, max_retries,
+                retry_backoff_s):
     """In-process execution with the same retry/quarantine ladder."""
     for cell in pending:
         result = None
@@ -533,11 +515,7 @@ def _run_serial(spec, pending, complete, plan, max_retries,
             if attempt:
                 _backoff(retry_backoff_s, attempt - 1)
             try:
-                with faults.use(plan, seed_path=cell.spawn_key):
-                    result = _run_cell_inprocess(
-                        spec, cell, attempt,
-                        collect_decisions=collect_decisions,
-                    )
+                result = _run_cell_inprocess(spec, cell, ctx, attempt)
                 break
             except Exception as exc:  # noqa: BLE001 — quarantine ladder
                 failure = exc
@@ -546,9 +524,8 @@ def _run_serial(spec, pending, complete, plan, max_retries,
         complete(cell, result)
 
 
-def _run_pool(spec, pending, complete, plan_dict, collect_telemetry,
-              jobs, max_retries, retry_backoff_s, cell_timeout_s,
-              collect_decisions=False):
+def _run_pool(spec, pending, complete, ctx, jobs, max_retries,
+              retry_backoff_s, cell_timeout_s):
     """Pool execution: retries, per-cell deadlines, poison quarantine.
 
     A timed-out future cannot be preempted inside a
@@ -557,14 +534,11 @@ def _run_pool(spec, pending, complete, plan_dict, collect_telemetry,
     itself when its cell body eventually returns.
     """
     with ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
-                             initializer=keep_one_lane) as pool:
+                             initializer=_init_worker) as pool:
 
         def submit(cell: SweepCell, attempt: int) -> None:
             """Submit one cell attempt and start its deadline clock."""
-            future = pool.submit(
-                _execute_cell, spec.name, cell, collect_telemetry,
-                plan_dict, attempt, collect_decisions,
-            )
+            future = pool.submit(_execute_cell, spec.name, cell, ctx, attempt)
             deadline = (
                 time.monotonic() + cell_timeout_s
                 if cell_timeout_s is not None else None
@@ -626,7 +600,6 @@ def run_sweep(
     max_retries: int = 2,
     retry_backoff_s: float = 0.05,
     cell_timeout_s: float | None = None,
-    fault_plan: "FaultPlan | None" = None,
     decision_path: "Path | str | None" = None,
     store: "ExperimentStore | Path | str | None" = None,
 ) -> SweepResult:
@@ -647,9 +620,6 @@ def run_sweep(
     cell_timeout_s:
         Per-cell wall-clock deadline (pool mode only — a serial cell
         cannot be preempted); ``None`` disables it.
-    fault_plan:
-        Fault plan to install inside every cell scope; defaults to the
-        process's active plan (``repro run --faults plan.json``).
     decision_path:
         JSONL file for the merged decision trace
         (``--trace-decisions``): every cell runs under its own record
@@ -675,9 +645,12 @@ def run_sweep(
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     cells = _build_cells(spec, params, seed, sweep_overrides)
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    collect_telemetry = telemetry.enabled() and jobs > 1
-    collect_decisions = decision_path is not None or telemetry.has_sinks()
+    # The one thing every cell receives: the installed plan and
+    # numerics, the timing flag, and which records the run keeps.
+    ctx = telemetry.context()
+    if decision_path is not None and ctx.collect == "none":
+        ctx = replace(ctx, collect="decision")
+    collect_decisions = ctx.collect != "none"
 
     store_obj = (
         store if isinstance(store, ExperimentStore) or store is None
@@ -685,7 +658,7 @@ def run_sweep(
     )
     results: dict[str, CellResult] = {}
     if store_obj is not None:
-        keys = _cell_keys(spec, cells, plan)
+        keys = _cell_keys(spec, cells, ctx)
         results = _store_scan(store_obj, cells, keys, collect_decisions)
         store_meta = {
             "spec": spec.name,
@@ -702,16 +675,13 @@ def run_sweep(
                        store_meta)
 
     if jobs == 1 or len(pending) <= 1:
-        _run_serial(spec, pending, complete, plan, max_retries,
-                    retry_backoff_s, collect_decisions=collect_decisions)
+        _run_serial(spec, pending, complete, ctx, max_retries,
+                    retry_backoff_s)
     else:
-        _run_pool(spec, pending, complete,
-                  plan.to_dict() if plan is not None else None,
-                  collect_telemetry, jobs, max_retries,
-                  retry_backoff_s, cell_timeout_s,
-                  collect_decisions=collect_decisions)
+        _run_pool(spec, pending, complete, ctx, jobs, max_retries,
+                  retry_backoff_s, cell_timeout_s)
 
-    if collect_telemetry:
+    if ctx.timing and jobs > 1:
         merged = merge_metrics(
             [r.metrics for r in results.values() if r.metrics]
         )

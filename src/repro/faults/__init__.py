@@ -8,23 +8,23 @@ The subsystem has three parts:
   sweep-worker crash/hang, fleet cell crash/stall, snapshot corruption,
   mailbox overflow) and *when* it fires;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the seeded
-  per-layer decision engine with telemetry counters;
-* :mod:`repro.faults.runtime` — process-local plan installation, the
-  hook every instrumented layer consults at construction time.
+  per-layer decision engine with telemetry counters, and
+  :func:`make_injector`, the hook every instrumented layer consults at
+  construction time.
 
+The plan itself lives in the run's one process state
+(:mod:`repro.telemetry.runtime`): ``configure(plan=...)`` installs it
+for a run, and every sweep cell enters it with its own seed path.
 Every experiment CLI accepts ``--faults plan.json``; the degradation
 paths the faults exercise are documented in ``docs/ROBUSTNESS.md``.
 """
 
-from repro.faults.injector import FaultInjector, InjectedWorkerCrash
-from repro.faults.plan import KINDS, MODES, FaultPlan, FaultSpec
-from repro.faults.runtime import (
-    active_plan,
-    install,
+from repro.faults.injector import (
+    FaultInjector,
+    InjectedWorkerCrash,
     make_injector,
-    uninstall,
-    use,
 )
+from repro.faults.plan import KINDS, MODES, FaultPlan, FaultSpec
 
 __all__ = [
     "FaultInjector",
@@ -33,9 +33,5 @@ __all__ = [
     "FaultSpec",
     "KINDS",
     "MODES",
-    "active_plan",
-    "install",
     "make_injector",
-    "uninstall",
-    "use",
 ]

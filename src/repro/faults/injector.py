@@ -7,11 +7,13 @@ the fault-free run only by the injected faults themselves.  Every
 firing increments both a local ``counts`` dict (assertable without
 telemetry) and the ``faults.<kind>.<mode>`` telemetry counters.
 
-Injectors are handed out by :mod:`repro.faults.runtime`, which seeds
-them from the plan seed, the consuming layer and (inside sweep workers)
-the cell's seed-tree spawn key — the same SeedSequence discipline as
-:func:`repro.utils.rng.seed_tree`, so chaos runs are bit-identical for
-a given seed.
+Injectors are handed out by :func:`make_injector`, which seeds them
+from the installed plan's seed, the consuming layer and (inside sweep
+cells) the cell's seed-tree spawn key — the same SeedSequence
+discipline as :func:`repro.utils.rng.seed_tree`, so chaos runs are
+bit-identical for a given seed.  The plan is installed in the run's
+process state (:func:`repro.telemetry.runtime.configure` for a run,
+:func:`repro.telemetry.runtime.cell` for a sweep cell).
 """
 
 from __future__ import annotations
@@ -19,11 +21,35 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.numerics import MAX_JITTER_RETRIES
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import KINDS, FaultSpec
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import ensure_rng
 
-__all__ = ["FaultInjector", "InjectedWorkerCrash"]
+__all__ = ["FaultInjector", "InjectedWorkerCrash", "make_injector"]
+
+
+def make_injector(kind: str) -> "FaultInjector | None":
+    """An injector for one layer, or ``None`` when no fault applies.
+
+    Consumers call this once at construction; with no plan installed,
+    or none of ``kind``, the fault-free path stays allocation-free.
+    Seeded from ``SeedSequence(plan.seed, spawn_key=(kind_id,
+    *seed_path, instance))``: the cell's spawn key, then how many
+    ``kind`` injectors the plan's scope handed out before this one.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"fault kind must be one of {KINDS}, got {kind!r}")
+    plan = telemetry.context().plan
+    if plan is None:
+        return None
+    specs = plan.for_kind(kind)
+    if not specs:
+        return None
+    seed = np.random.SeedSequence(
+        plan.seed,
+        spawn_key=(KINDS.index(kind), *telemetry.next_fault_key(kind)),
+    )
+    return FaultInjector(specs, rng=np.random.default_rng(seed), kind=kind)
 
 
 class InjectedWorkerCrash(RuntimeError):

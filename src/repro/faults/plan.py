@@ -43,7 +43,7 @@ from repro.utils.validation import check_non_negative, check_probability
 __all__ = ["FaultSpec", "FaultPlan", "KINDS", "MODES"]
 
 #: Recognised fault kinds, by the layer they strike.  Append-only: the
-#: kind's index seeds its injector stream (:mod:`repro.faults.runtime`).
+#: kind's index seeds its injector stream (:func:`repro.faults.make_injector`).
 KINDS = ("sensor", "gp", "bus", "worker", "cell", "loop", "snapshot",
          "mailbox")
 

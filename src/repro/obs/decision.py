@@ -350,12 +350,13 @@ def make_tracer(agent, oracle_cost: float | None = None,
                 label: str | None = None) -> "DecisionTracer | None":
     """A :class:`DecisionTracer` for ``agent``, or ``None``.
 
-    Returns ``None`` when no telemetry sink is attached (the untraced
+    Returns ``None`` when no attached sink keeps decisions (the untraced
     hot path: the agent keeps its ``tracer is None`` fast checks) or
     when the agent does not support tracing (no ``attach_tracer``).
     ``label`` stamps an ``agent`` field on every record, for callers
     tracing several agents into one sink.
     """
-    if not telemetry.has_sinks() or not hasattr(agent, "attach_tracer"):
+    if not telemetry.has_sinks("decision") \
+            or not hasattr(agent, "attach_tracer"):
         return None
     return DecisionTracer(agent, oracle_cost=oracle_cost, label=label)

@@ -24,7 +24,8 @@ Sweep and fleet traces interleave the records of several cells: a
 sweep stamps each record with its sweep ``cell``, a fleet with the
 fleet cell's ``agent``.  Every detector but the storm one runs on each
 (``cell``, ``agent``) series alone, each of its flags names that
-``cell``/``agent``, and the timeline draws one line per series.
+``cell``/``agent``; the dashboard summarises each series in its own
+row, and its charts and timeline draw one line per series.
 
 Supervised fleet runs interleave *supervision events* (records with an
 ``event`` field: ``cell_crash``, ``cell_stall``, ``recovery``,
@@ -303,6 +304,44 @@ def _series(records: list[dict], getter) -> list[float]:
     return values
 
 
+def _summary_row(series: list[dict], anomalies: list[dict],
+                 location: dict) -> list:
+    """One summary-table row over one series' period records."""
+    final = series[-1]
+    robustness = final.get("robustness") or {}
+    grid = (final.get("safe_set") or {}).get("grid")
+    costs = _series(series, lambda r: (r.get("outcome") or {}).get("cost"))
+    return [
+        len(series),
+        final.get("numerics_mode") or "?",
+        grid if grid is not None else "?",
+        sum(
+            1 for r in series
+            if (r.get("outcome") or {}).get("delay_violation")
+            or (r.get("outcome") or {}).get("map_violation")
+        ),
+        robustness.get("quarantined", 0),
+        robustness.get("degraded_periods", 0),
+        sum(
+            1 for a in anomalies if a["kind"] == "drift_episode"
+            and all(a.get(k) == v for k, v in location.items())
+        ),
+        (float(np.nanmean(costs)) if np.isfinite(costs).any()
+         else float("nan")),
+    ]
+
+
+def _per_series(groups, name: str, getter) -> dict[str, list[float]]:
+    """One chart line per series: ``{name: values}`` for a single one,
+    else keyed by each series' ``cell``/``agent`` values."""
+    if len(groups) == 1:
+        return {name: _series(groups[0][1], getter)}
+    return {
+        "/".join(str(v) for v in location.values()): _series(series, getter)
+        for location, series in groups
+    }
+
+
 def render_dashboard(records: list[dict],
                      anomalies: "list[dict] | None" = None) -> str:
     """The full ASCII dashboard over one trace (string, print-ready)."""
@@ -315,33 +354,19 @@ def render_dashboard(records: list[dict],
         lines = ["trace holds supervision events only (no decision records):"]
         lines += [f"  - {json.dumps(e, sort_keys=True)}" for e in events]
         return "\n".join(lines)
-    final = records[-1]
-    outcome_costs = _series(
-        records, lambda r: (r.get("outcome") or {}).get("cost")
-    )
-    sections = []
-
-    robustness = final.get("robustness") or {}
-    grid = (final.get("safe_set") or {}).get("grid")
-    sections.append(render_table(
-        ["periods", "numerics", "grid", "violations", "quarantined",
-         "degraded", "drift episodes", "mean cost"],
-        [[
-            len(records),
-            final.get("numerics_mode") or "?",
-            grid if grid is not None else "?",
-            sum(
-                1 for r in records
-                if (r.get("outcome") or {}).get("delay_violation")
-                or (r.get("outcome") or {}).get("map_violation")
-            ),
-            robustness.get("quarantined", 0),
-            robustness.get("degraded_periods", 0),
-            sum(1 for a in anomalies if a["kind"] == "drift_episode"),
-            (float(np.nanmean(outcome_costs))
-             if np.isfinite(outcome_costs).any() else float("nan")),
-        ]],
-    ))
+    groups = _by_series(records)
+    columns = ["periods", "numerics", "grid", "violations", "quarantined",
+               "degraded", "drift episodes", "mean cost"]
+    if len(groups) == 1:
+        table = render_table(columns, [_summary_row(records, anomalies, {})])
+    else:
+        names = list(dict.fromkeys(k for loc, _ in groups for k in loc))
+        table = render_table(names + columns, [
+            [location.get(k, "-") for k in names]
+            + _summary_row(series, anomalies, location)
+            for location, series in groups
+        ])
+    sections = [table]
 
     # Records replayed from the content-addressed experiment store are
     # stamped `store_hit` by the sweep engine — surface the split so a
@@ -367,30 +392,37 @@ def render_dashboard(records: list[dict],
         )
 
     sections.append(render_chart(
-        {"safe fraction": _series(
-            records, lambda r: (r.get("safe_set") or {}).get("fraction")
-        )},
+        _per_series(groups, "safe fraction",
+                    lambda r: (r.get("safe_set") or {}).get("fraction")),
         title="Safe-set fraction of the control grid per period",
         height=10,
     ))
 
-    coverage_series = {}
-    for head in sorted(final.get("calibration") or {}):
-        coverage_series[head] = _series(
-            records,
-            lambda r, h=head: (r.get("calibration") or {})
-            .get(h, {}).get("coverage"),
-        )
-    if coverage_series:
-        expected = (final["calibration"][next(iter(coverage_series))]
-                    .get("expected"))
-        if isinstance(expected, (int, float)):
-            coverage_series["nominal"] = [float(expected)] * len(records)
+    # One series: one chart, a line per head plus the nominal level.
+    # Several: a chart per head, a line per series.
+    finals = [s[-1] for _, s in groups if s[-1].get("calibration")]
+    coverage = {
+        head: _per_series(groups, head, lambda r, h=head: (
+            (r.get("calibration") or {}).get(h, {}).get("coverage")))
+        for head in sorted({h for f in finals for h in f["calibration"]})
+    }
+    expected = (finals[0]["calibration"][min(finals[0]["calibration"])]
+                .get("expected") if finals else None)
+    known = isinstance(expected, (int, float))
+    if coverage and len(groups) == 1:
+        lines = {h: v for chart in coverage.values() for h, v in chart.items()}
+        if known:
+            lines["nominal"] = [float(expected)] * len(records)
         sections.append(render_chart(
-            coverage_series,
-            title="Running z-score coverage per head (vs nominal)",
+            lines, title="Running z-score coverage per head (vs nominal)",
             height=10,
         ))
+    elif coverage:
+        level = f"{expected:.3g}" if known else "?"
+        sections += [render_chart(
+            lines, height=10, title=f"Running z-score coverage of the "
+            f"{head} head per series (nominal {level})",
+        ) for head, lines in coverage.items()]
 
     for key, title in (
         ("delay_slack_s", "Certified delay slack of chosen control (s)"),
@@ -405,12 +437,13 @@ def render_dashboard(records: list[dict],
         + _timeline(records, events=events)
     )
 
-    regret = _series(
-        records, lambda r: (r.get("regret") or {}).get("cumulative")
+    regret = _per_series(
+        groups, "cumulative regret",
+        lambda r: (r.get("regret") or {}).get("cumulative"),
     )
-    if np.isfinite(regret).any():
+    if any(np.isfinite(values).any() for values in regret.values()):
         sections.append(render_chart(
-            {"cumulative regret": regret},
+            regret,
             title="Cumulative regret vs oracle (cost units)",
             height=10,
         ))

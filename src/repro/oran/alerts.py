@@ -175,7 +175,7 @@ class AlertRouter:
         self.history.append(alert)
         if len(self.history) > self.history_limit:
             del self.history[: len(self.history) - self.history_limit]
-        if telemetry.has_sinks():
+        if telemetry.has_sinks("alert"):
             telemetry.emit_record(alert.to_record())
         if self.bus is not None:
             post(self.bus, self.topic, alert.to_record())

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from types import CoroutineType
 
-from repro.faults import runtime as faults
+from repro.faults import make_injector
 from repro.oran.loop import Future, VirtualTimeLoop
 from repro.telemetry import runtime as telemetry
 from repro.telemetry import spans
@@ -244,7 +244,7 @@ class AsyncMessageBus:
         self._history: dict[str, deque] = defaultdict(
             lambda: deque(maxlen=history_limit)
         )
-        self._bus_faults = faults.make_injector("bus")
+        self._bus_faults = make_injector("bus")
         self._delayed: dict[str, list[list]] = defaultdict(list)
         self._closed = False
 

@@ -377,8 +377,8 @@ class FleetRuntime:
 
     def _emit_kpis(self, cell: FleetCell, t: int, merged,
                    cost: float) -> None:
-        """Stream the period's KPI record while a sink is attached."""
-        if telemetry.has_sinks():
+        """Stream the period's KPI record while a sink keeps KPIs."""
+        if telemetry.has_sinks("kpi"):
             telemetry.emit_record(self._kpi_record(cell, t, merged, cost))
 
     def _set_cell_load(self, cell: FleetCell, t: int) -> None:
@@ -489,15 +489,15 @@ class FleetRuntime:
         # Causal tracing: on this period's sampling cadence every cell
         # gets a `fleet.round` root span whose context each stage slice
         # runs under, so the round's bus hops stitch into one tree (see
-        # repro.fleetobs.tracing).  An attached sink turns spans on for
-        # sampled periods only — interior spans (env.step, solver) and
+        # repro.fleetobs.tracing).  A sink that keeps spans turns them
+        # on for sampled periods only — interior spans (env.step, solver) and
         # counters then cost nothing on the other periods, which is
         # what keeps the metrics-store overhead inside its budget
         # (benchmarks/test_perf_observability.py).  An outer whole-run
         # --telemetry scope is respected and never toggled.
         sampled = t % self.trace_rounds_every == 0
         toggled = False
-        if sampled and telemetry.has_sinks() and not telemetry.enabled():
+        if sampled and telemetry.has_sinks("span") and not telemetry.enabled():
             telemetry.enable()
             toggled = True
         rounds = None

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import state as snapshots
-from repro.faults import runtime as faults
+from repro.faults import make_injector
 from repro.telemetry import runtime as telemetry
 
 __all__ = ["FleetSupervisor", "SupervisorPolicy"]
@@ -160,10 +160,10 @@ class FleetSupervisor:
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.enabled = bool(enabled)
         self._books = [_CellBooks() for _ in runtime.cells]
-        self._cell_faults = faults.make_injector("cell")
-        self._loop_faults = faults.make_injector("loop")
-        self._snapshot_faults = faults.make_injector("snapshot")
-        self._mailbox_faults = faults.make_injector("mailbox")
+        self._cell_faults = make_injector("cell")
+        self._loop_faults = make_injector("loop")
+        self._snapshot_faults = make_injector("snapshot")
+        self._mailbox_faults = make_injector("mailbox")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -480,7 +480,7 @@ class FleetSupervisor:
 
     def _emit(self, event: str, t: int, cell, **extra) -> None:
         """Stream one supervision event: a ``decision`` record + ``event``."""
-        if telemetry.has_sinks():
+        if telemetry.has_sinks("decision"):
             telemetry.emit_record({
                 "type": "decision", "event": event, "t": int(t),
                 "agent": cell.cell_id, **extra,

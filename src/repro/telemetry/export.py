@@ -43,15 +43,21 @@ def _jsonable(value):
 
 
 class InMemorySink:
-    """Buffer records in arrival order — the test/notebook/sweep sink."""
+    """Buffer records in arrival order — the test/notebook/sweep sink.
 
-    def __init__(self) -> None:
+    ``types`` (record ``type`` values) keeps only those records; ``None``
+    keeps every record.
+    """
+
+    def __init__(self, types=None) -> None:
         """Create an empty sink."""
         self._records: list[dict] = []
+        self.types = None if types is None else frozenset(types)
 
     def emit(self, record: dict) -> None:
-        """Append one record."""
-        self._records.append(record)
+        """Append one record (unless ``types`` excludes it)."""
+        if self.types is None or record.get("type") in self.types:
+            self._records.append(record)
 
     def close(self) -> None:
         """No-op (memory needs no flushing)."""

@@ -38,23 +38,36 @@ Recording a run is one context manager::
 which attaches a JSONL sink, enables timing, appends a final metrics
 snapshot and restores the previous state on exit.  ``python -m repro
 report results/trace.jsonl`` renders every record type the file holds.
+
+The same state holds the run's fault plan (read by
+:func:`repro.faults.make_injector`) and GP numerics config (read by
+:func:`repro.core.numerics.active_numerics`), installed by
+:func:`configure`.  :func:`context` freezes it all into the one
+:class:`RunContext` a sweep cell receives; :func:`cell` enters it.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.telemetry.export import InMemorySink, JsonlSink
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS_S, MetricsRegistry
 from repro.telemetry.spans import NULL_SPAN, Span, current_span
+
+if TYPE_CHECKING:  # both import this module at load time
+    from repro.core.numerics import NumericsConfig
+    from repro.faults.plan import FaultPlan
 
 __all__ = [
     "enabled", "enable", "disable", "add_sink", "remove_sink", "attach",
     "capture", "has_sinks", "get_registry", "reset_metrics",
     "metrics_snapshot", "span", "trace", "current_span", "inc", "observe",
     "set_gauge", "record", "emit_record", "emit_metrics", "scope",
-    "suppress",
+    "suppress", "RunContext", "context", "configure", "cell",
+    "next_fault_key",
 ]
 
 
@@ -66,19 +79,111 @@ class _Runtime:
     """
 
     __slots__ = ("enabled", "registry", "sinks", "lock", "label",
-                 "suppressed")
+                 "suppressed", "plan", "seed_path", "instances", "numerics")
 
     def __init__(self) -> None:
-        """Start disabled, with an empty registry and no sinks."""
+        """Start disabled and fault-free, with no sinks."""
         self.enabled = False
         self.registry = MetricsRegistry()
         self.sinks: tuple = ()
         self.lock = threading.Lock()
         self.label: str | None = None
         self.suppressed = False
+        self.plan: FaultPlan | None = None
+        self.seed_path: tuple[int, ...] = ()
+        self.instances: dict[str, int] = {}
+        self.numerics: NumericsConfig | None = None
 
 
 _STATE = _Runtime()
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """A frozen, picklable snapshot of the process state for one cell.
+
+    The installed fault ``plan``, the GP ``numerics`` config (``None``:
+    dense), whether ``timing`` is on, and which records the run keeps:
+    ``collect`` is ``"none"``, ``"decision"`` or ``"all"``.
+    """
+
+    plan: FaultPlan | None = None
+    numerics: NumericsConfig | None = None
+    timing: bool = False
+    collect: str = "none"
+
+
+def context() -> RunContext:
+    """Freeze the current process state into a :class:`RunContext`."""
+    collect = ("none" if not _STATE.sinks
+               else "all" if has_sinks("span") else "decision")
+    return RunContext(_STATE.plan, _STATE.numerics, _STATE.enabled, collect)
+
+
+def _install(*config) -> tuple:
+    """Swap in ``(plan, seed_path, instances, numerics)``; return the old."""
+    previous = (_STATE.plan, _STATE.seed_path, _STATE.instances,
+                _STATE.numerics)
+    (_STATE.plan, _STATE.seed_path, _STATE.instances,
+     _STATE.numerics) = config
+    return previous
+
+
+@contextmanager
+def configure(*, plan: FaultPlan | None = None,
+              numerics: NumericsConfig | None = None):
+    """Install a fault plan and/or a numerics config for the block.
+
+    The run-level scope (the CLI's ``--faults``, ``--numerics``,
+    ``--gp-budget``): ``None`` keeps what is installed, a new plan
+    starts with fresh injector counters, and exit restores it all.
+    """
+    kept = (_STATE.plan, _STATE.seed_path, _STATE.instances)
+    previous = _install(*(kept if plan is None else (plan, (), {})),
+                        numerics or _STATE.numerics)
+    try:
+        yield
+    finally:
+        _install(*previous)
+
+
+@contextmanager
+def cell(ctx: RunContext, label: str, seed_path: tuple[int, ...] = ()):
+    """Enter ``ctx`` for one sweep cell; yields its capture sink or ``None``.
+
+    The plan is installed at ``seed_path`` (the cell's spawn key) with
+    fresh injector counters, so fault streams are per-cell reproducible
+    in any process.  A timed context whose process is not timing yet
+    (a pool worker) times the cell over a fresh registry.  A collecting
+    context runs the cell under its own :func:`capture`, keeping only
+    decision records when ``collect`` is ``"decision"``, with
+    label-less records stamped ``cell: <label>``.  Exit restores it all.
+    """
+    previous = _install(ctx.plan, tuple(int(k) for k in seed_path), {},
+                        ctx.numerics)
+    timed = ctx.timing and not _STATE.enabled
+    if timed:
+        reset_metrics()
+        _STATE.enabled = True
+    try:
+        if ctx.collect == "none":
+            yield None
+        else:
+            types = ("decision",) if ctx.collect == "decision" else None
+            with capture(types) as sink, scope(label):
+                yield sink
+    finally:
+        if timed:
+            _STATE.enabled = False
+        _install(*previous)
+
+
+def next_fault_key(kind: str) -> tuple[int, ...]:
+    """Claim the next ``kind`` injector's spawn-key tail under the plan:
+    ``(*seed_path, instance)``, advancing the kind's counter."""
+    instance = _STATE.instances.get(kind, 0)
+    _STATE.instances[kind] = instance + 1
+    return (*_STATE.seed_path, instance)
 
 
 # -- switching ----------------------------------------------------------
@@ -101,9 +206,20 @@ def disable() -> None:
     _STATE.enabled = False
 
 
-def has_sinks() -> bool:
-    """Whether at least one sink is attached (records are streamed)."""
-    return bool(_STATE.sinks)
+def has_sinks(record_type: str | None = None) -> bool:
+    """Whether a sink is attached that keeps ``record_type`` records.
+
+    With no type, whether any sink is attached.  Producers ask for
+    their own type before building a record, so a cell that collects
+    only decisions builds no span or KPI record.
+    """
+    sinks = _STATE.sinks
+    if record_type is None:
+        return bool(sinks)
+    return any(
+        getattr(sink, "types", None) is None or record_type in sink.types
+        for sink in sinks
+    )
 
 
 def add_sink(sink) -> None:
@@ -136,16 +252,17 @@ def attach(sink):
 
 
 @contextmanager
-def capture():
+def capture(types=None):
     """Route the block's spans and records to one fresh in-memory sink.
 
-    The yielded :class:`~repro.telemetry.export.InMemorySink` is the
-    *only* sink inside the block; the previous sinks are reattached on
-    exit.  Sweep cells run under it so each cell's records are
-    collected once, whether the cell runs in this process or in a
-    forked worker that inherited the parent's sinks.
+    The yielded :class:`~repro.telemetry.export.InMemorySink` (keeping
+    only ``types`` records when given) is the *only* sink inside the
+    block; the previous sinks are reattached on exit.  Sweep cells run
+    under it so each cell's records are collected once, whether the
+    cell runs in this process or in a forked worker that inherited the
+    parent's sinks.
     """
-    sink = InMemorySink()
+    sink = InMemorySink(types)
     with _STATE.lock:
         previous, _STATE.sinks = _STATE.sinks, (sink,)
     try:

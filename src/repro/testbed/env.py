@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.faults import runtime as faults
+from repro.faults import make_injector
 from repro.service.detection import SyntheticDetector
 from repro.service.images import SyntheticCocoDataset
 from repro.service.pipeline import ServiceModel, UserEquipment
@@ -142,7 +142,7 @@ class EdgeAIEnvironment:
         # Sensor fault injection (docs/ROBUSTNESS.md): None unless a
         # fault plan with `sensor` specs is installed; faulted readings
         # replace the *noisy* KPI samples the agent would have seen.
-        self._sensor_faults = faults.make_injector("sensor")
+        self._sensor_faults = make_injector("sensor")
         self._current_snrs = [float(ch.step()) for ch in self.channels]
 
     @property

@@ -18,21 +18,13 @@ import repro.experiments  # noqa: F401  (populate the spec registry)
 from repro.cli import main
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import run_sweep
-from repro.faults import FaultPlan, uninstall
+from repro.faults import FaultPlan
 from repro.telemetry import runtime as telemetry
 
 PLAN_PATH = (
     Path(__file__).resolve().parent.parent
     / "examples" / "faults" / "chaos_plan.json"
 )
-
-
-@pytest.fixture(autouse=True)
-def _fault_free():
-    """Every test starts and ends with no plan installed."""
-    uninstall()
-    yield
-    uninstall()
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +63,9 @@ def test_convergence_survives_the_chaos_plan_end_to_end(chaos_plan):
     telemetry.reset_metrics()
     telemetry.enable()
     try:
-        result = run_sweep(spec, params, seed=11, jobs=2,
-                           fault_plan=chaos_plan, retry_backoff_s=0.0)
+        with telemetry.configure(plan=chaos_plan):
+            result = run_sweep(spec, params, seed=11, jobs=2,
+                               retry_backoff_s=0.0)
         counters = telemetry.metrics_snapshot().get("counters", {})
     finally:
         telemetry.disable()
@@ -94,18 +87,18 @@ def test_convergence_survives_the_chaos_plan_end_to_end(chaos_plan):
 
 def test_chaos_runs_are_bit_identical_for_a_seed(chaos_plan):
     spec, params = _convergence()
-    first = run_sweep(spec, params, seed=11, jobs=2,
-                      fault_plan=chaos_plan, retry_backoff_s=0.0)
-    second = run_sweep(spec, params, seed=11, jobs=2,
-                       fault_plan=chaos_plan, retry_backoff_s=0.0)
+    with telemetry.configure(plan=chaos_plan):
+        first = run_sweep(spec, params, seed=11, jobs=2, retry_backoff_s=0.0)
+        second = run_sweep(spec, params, seed=11, jobs=2, retry_backoff_s=0.0)
     assert [c.rows for c in first.cells] == [c.rows for c in second.cells]
 
 
 def test_chaos_cost_stays_near_the_fault_free_baseline(chaos_plan):
     spec, params = _convergence()
     baseline = run_sweep(spec, params, seed=11, jobs=1)
-    chaotic = run_sweep(spec, params, seed=11, jobs=2,
-                        fault_plan=chaos_plan, retry_backoff_s=0.0)
+    with telemetry.configure(plan=chaos_plan):
+        chaotic = run_sweep(spec, params, seed=11, jobs=2,
+                            retry_backoff_s=0.0)
     base = float(np.mean(_tail_costs(baseline)))
     chaos = float(np.mean(_tail_costs(chaotic)))
     assert abs(chaos - base) <= 0.15 * abs(base), (

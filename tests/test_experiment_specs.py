@@ -6,7 +6,7 @@ import pytest
 
 import repro.experiments  # noqa: F401  (populate the spec registry)
 from repro.cli import main
-from repro.core.numerics import ENV_SPARSE
+from repro.core.numerics import NumericsConfig
 from repro.experiments import parallel
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import merge_metrics, run_sweep
@@ -14,6 +14,7 @@ from repro.experiments.runner import ConstraintSchedule, band
 from repro.experiments.spec import ExperimentSpec, ParamSpec, cell_id
 from repro.faults import FaultPlan, FaultSpec
 from repro.store import ENV_FINGERPRINT, ExperimentStore
+from repro.telemetry import runtime as telemetry
 from repro.testbed.config import ServiceConstraints
 
 # -- CLI smoke: every registered spec end-to-end with tiny budgets -------
@@ -237,17 +238,17 @@ def test_changed_configuration_forces_recompute(tmp_path, monkeypatch,
     spec = _toy_spec()
     params = spec.resolve({})
     run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
-    plan = None
+    plan = numerics = None
     if change == "faults":
         plan = FaultPlan(specs=(FaultSpec(kind="sensor", mode="nan",
                                           at=(1,)),))
     elif change == "numerics":
-        monkeypatch.setenv(ENV_SPARSE, "1")
+        numerics = NumericsConfig(sparse=True)
     else:
         monkeypatch.setenv(ENV_FINGERPRINT, "edited-code")
     _CALLS.clear()
-    rerun = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path,
-                      fault_plan=plan)
+    with telemetry.configure(plan=plan, numerics=numerics):
+        rerun = run_sweep(spec, params, seed=3, jobs=1, store=tmp_path)
     assert rerun.store_hits == 0
     assert _CALLS == [1, 2, 3]
 

@@ -1,4 +1,4 @@
-"""Tests for the fault-injection subsystem (plan, injector, runtime).
+"""Tests for the fault-injection subsystem (plan, injector, run scope).
 
 Layer-level behaviour: spec validation, deterministic firing, sensor
 corruption in the testbed, bus loss/delay, and the GP fault hook's
@@ -11,26 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core.numerics import MAX_JITTER_RETRIES
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    install,
-    make_injector,
-    uninstall,
-    use,
-)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, make_injector
 from repro.oran.bus import post
+from repro.telemetry import runtime as telemetry
 from repro.testbed.config import ControlPolicy, TestbedConfig
 from repro.testbed.scenarios import static_scenario
-
-
-@pytest.fixture(autouse=True)
-def _fault_free():
-    """Every test starts and ends with no plan installed."""
-    uninstall()
-    yield
-    uninstall()
 
 
 # -- plan validation and serialisation -----------------------------------
@@ -84,24 +69,26 @@ def test_for_kind_filters_in_order():
     assert plan.for_kind("worker") == ()
 
 
-# -- runtime: install / use / make_injector ------------------------------
+# -- run scope: configure / cell / make_injector -------------------------
 
 
 def test_make_injector_returns_none_when_fault_free():
     assert make_injector("sensor") is None
-    install(FaultPlan(specs=(FaultSpec(kind="bus", mode="loss", at=(0,)),)))
-    assert make_injector("sensor") is None  # no sensor specs in the plan
-    assert make_injector("bus") is not None
+    plan = FaultPlan(specs=(FaultSpec(kind="bus", mode="loss", at=(0,)),))
+    with telemetry.configure(plan=plan):
+        assert make_injector("sensor") is None  # no sensor specs in the plan
+        assert make_injector("bus") is not None
+    assert make_injector("bus") is None
 
 
 def test_use_restores_previous_plan():
     outer = FaultPlan(specs=(FaultSpec(kind="bus", mode="loss", at=(0,)),))
     inner = FaultPlan(specs=(FaultSpec(kind="sensor", mode="nan", at=(0,)),))
-    install(outer)
-    with use(inner):
-        assert make_injector("sensor") is not None
-    assert make_injector("sensor") is None
-    assert make_injector("bus") is not None
+    with telemetry.configure(plan=outer):
+        with telemetry.configure(plan=inner):
+            assert make_injector("sensor") is not None
+        assert make_injector("sensor") is None
+        assert make_injector("bus") is not None
 
 
 def test_injector_streams_are_deterministic():
@@ -109,26 +96,35 @@ def test_injector_streams_are_deterministic():
         specs=(FaultSpec(kind="sensor", mode="dropout", probability=0.3),),
         seed=7,
     )
+    ctx = telemetry.RunContext(plan=plan)
 
-    def draw_firings():
-        install(plan, seed_path=(4, 2))
-        injector = make_injector("sensor")
+    def draw_firings(seed_path):
+        with telemetry.cell(ctx, "c", seed_path):
+            injector = make_injector("sensor")
         return [
             injector.corrupt_reading("server_power", 100.0) == 0.0
             for _ in range(50)
         ]
 
-    first, second = draw_firings(), draw_firings()
+    first, second = draw_firings((4, 2)), draw_firings((4, 2))
     assert first == second
     assert any(first)
     # A different seed path (another sweep cell) gives a different stream.
-    install(plan, seed_path=(4, 3))
-    other = make_injector("sensor")
-    third = [
-        other.corrupt_reading("server_power", 100.0) == 0.0
-        for _ in range(50)
-    ]
-    assert third != first
+    assert draw_firings((4, 3)) != first
+
+
+def test_injector_seed_is_the_plan_seed_tree_node():
+    plan = FaultPlan(
+        specs=(FaultSpec(kind="sensor", mode="dropout", probability=0.3),),
+        seed=7,
+    )
+    with telemetry.cell(telemetry.RunContext(plan=plan), "c", (4, 2)):
+        first, second = make_injector("sensor"), make_injector("sensor")
+    for instance, injector in enumerate((first, second)):
+        # kind index 0 ("sensor"), the cell's seed path, the instance.
+        seed = np.random.SeedSequence(7, spawn_key=(0, 4, 2, instance))
+        want = np.random.default_rng(seed).random(4)
+        assert injector._rng.random(4).tolist() == want.tolist()
 
 
 # -- firing decisions ----------------------------------------------------
@@ -226,7 +222,7 @@ def test_environment_injects_sensor_faults_only_when_noisy():
         FaultSpec(kind="sensor", mode="nan", target="server_power",
                   probability=1.0),
     ))
-    with use(plan):
+    with telemetry.configure(plan=plan):
         env = static_scenario(mean_snr_db=35.0, rng=0,
                               config=TestbedConfig(n_levels=3))
         policy = ControlPolicy.max_resources()
@@ -239,12 +235,9 @@ def test_environment_injects_sensor_faults_only_when_noisy():
 
 def test_environment_is_bit_identical_without_a_plan():
     def run(plan):
-        if plan is not None:
-            install(plan)
-        else:
-            uninstall()
-        env = static_scenario(mean_snr_db=35.0, rng=0,
-                              config=TestbedConfig(n_levels=3))
+        with telemetry.configure(plan=plan):
+            env = static_scenario(mean_snr_db=35.0, rng=0,
+                                  config=TestbedConfig(n_levels=3))
         obs = env.step(ControlPolicy.max_resources())
         return (obs.delay_s, obs.map_score, obs.server_power_w, obs.bs_power_w)
 
@@ -267,7 +260,7 @@ def test_bus_loss_drops_messages_deterministically(new_bus):
     plan = FaultPlan(specs=(
         FaultSpec(kind="bus", mode="loss", target="e2.control", at=(1,)),
     ))
-    with use(plan):
+    with telemetry.configure(plan=plan):
         bus = new_bus()
         seen = []
         bus.subscribe("e2.control", seen.append)
@@ -285,7 +278,7 @@ def test_bus_delay_reorders_but_eventually_delivers(new_bus):
         FaultSpec(kind="bus", mode="delay", target="a1", at=(0,),
                   magnitude=2.0),
     ))
-    with use(plan):
+    with telemetry.configure(plan=plan):
         bus = new_bus()
         seen = []
         bus.subscribe("a1", seen.append)

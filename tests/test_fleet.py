@@ -23,7 +23,7 @@ import pytest
 from repro.core import EdgeBOL
 from repro.experiments.fleet import run_fleet_cell_sim, run_fleet_spec_cell
 from repro.experiments.runner import run_agent
-from repro.faults import FaultPlan, FaultSpec, use
+from repro.faults import FaultPlan, FaultSpec
 from repro.oran import (
     AlertRouter,
     AlertRule,
@@ -104,7 +104,7 @@ class TestBitIdentity:
             FaultSpec(kind="bus", mode="delay", target="cell000.e2.control",
                       at=(4,), magnitude=2.0),
         ))
-        with use(plan):
+        with telemetry.configure(plan=plan):
             env, agent = _make_cell(3)
             log = run_agent(env, agent, 10, plane="async")
         assert _digest(log.as_rows()) == (

@@ -436,3 +436,71 @@ class TestDiagnoseDirectory:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="no .*jsonl"):
             cli.main(["report", str(tmp_path)])
+
+
+class TestSweepCellRecords:
+    """A fleet sweep cell builds only the records its run keeps."""
+
+    ARGS = ["run", "fleet", "--sweep", "cells=8", "--set", "periods=12",
+            "--no-store"]
+
+    @staticmethod
+    def _types(path):
+        counts: dict = {}
+        for record in read_records(path):
+            counts[record["type"]] = counts.get(record["type"], 0) + 1
+        return counts
+
+    def test_decision_trace_builds_decision_records_only(
+            self, tmp_path, monkeypatch):
+        import hashlib
+
+        from repro.experiments import parallel
+        from repro.oran.runtime import FleetRuntime
+
+        kept, built = [], {"kpi": 0, "enable": 0}
+        decisions, kpi_record = parallel._decisions, FleetRuntime._kpi_record
+        enable = telemetry.enable
+
+        def spy_decisions(sink):
+            kept.extend(sink.records())
+            return decisions(sink)
+
+        def spy_kpi(runtime, *args):
+            built["kpi"] += 1
+            return kpi_record(runtime, *args)
+
+        def spy_enable(*sinks):
+            built["enable"] += 1
+            enable(*sinks)
+
+        monkeypatch.setattr(parallel, "_decisions", spy_decisions)
+        monkeypatch.setattr(FleetRuntime, "_kpi_record", spy_kpi)
+        monkeypatch.setattr(telemetry, "enable", spy_enable)
+        assert cli.main([*self.ARGS, "--trace-decisions",
+                         "--out", str(tmp_path)]) == 0
+        assert [r["type"] for r in kept] == ["decision"] * 96
+        assert built == {"kpi": 0, "enable": 0}  # no KPI, no span
+        trace = (tmp_path / "fleet_decisions.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == (
+            "f5f37f23ad84359dca9647a37df45ce5f7b9709a004a76d8c49374e002435e34"
+        )
+
+    def test_metrics_dir_keeps_every_record(self, tmp_path):
+        metrics = tmp_path / "metrics"
+        assert cli.main([*self.ARGS, "--set", f"metrics={metrics}",
+                         "--out", str(tmp_path / "observed")]) == 0
+        assert cli.main([*self.ARGS, "--out", str(tmp_path / "plain")]) == 0
+        assert self._types(metrics / "cells008_metrics.jsonl") == {
+            "decision": 96, "kpi": 96, "span": 288,
+        }
+        assert (tmp_path / "observed" / "fleet.csv").read_bytes() \
+            == (tmp_path / "plain" / "fleet.csv").read_bytes()
+
+    def test_telemetry_trace_keeps_every_record(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main([*self.ARGS, "--trace-decisions", "--telemetry",
+                         str(trace), "--out", str(tmp_path)]) == 0
+        assert self._types(trace) == {
+            "decision": 96, "kpi": 96, "metrics": 1, "span": 1017,
+        }

@@ -1,8 +1,9 @@
 """Tests for the numerics-mode configuration and the sparse policy.
 
 Covers :class:`~repro.core.numerics.NumericsConfig`
-construction/validation and its resolution from the environment (the
-only way to select a mode) — plus the deterministic inducing-subset selection of
+construction/validation and its selection through the run's process
+state (:func:`repro.telemetry.runtime.configure`, the CLI flags) — plus
+the deterministic inducing-subset selection of
 :mod:`repro.core.sparse` and its conservative-variance property (the
 argument that makes sparse mode safe for eq.-8 certification).
 """
@@ -10,23 +11,12 @@ argument that makes sparse mode safe for eq.-8 certification).
 import numpy as np
 import pytest
 
-from repro.core.numerics import (
-    ENV_BUDGET,
-    ENV_SPARSE,
-    NumericsConfig,
-    active_numerics,
-    numerics_env,
-)
+from repro.cli import _numerics
+from repro.core.numerics import NumericsConfig, active_numerics
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
 from repro.core.sparse import greedy_inducing_indices, make_eviction_policy
-
-
-@pytest.fixture(autouse=True)
-def _no_numerics_env(monkeypatch):
-    """Every test starts with no numerics selection in the environment."""
-    monkeypatch.delenv(ENV_SPARSE, raising=False)
-    monkeypatch.delenv(ENV_BUDGET, raising=False)
+from repro.telemetry import runtime as telemetry
 
 
 class TestNumericsConfig:
@@ -65,49 +55,32 @@ class TestNumericsConfig:
         with pytest.raises(ValueError):
             NumericsConfig(recent_fraction=1.5)
 
-    def test_from_env_parses_variables(self):
-        environ = {ENV_SPARSE: "true", ENV_BUDGET: "77"}
-        config = NumericsConfig.from_env(environ)
-        assert config.sparse
-        assert config.sparse_budget == 77
-
-    def test_from_env_bad_budget_raises(self):
-        with pytest.raises(ValueError, match=ENV_BUDGET):
-            NumericsConfig.from_env({ENV_BUDGET: "many"})
-
-    def test_env_vars_round_trip(self):
-        config = NumericsConfig(sparse=True, sparse_budget=128)
-        assert NumericsConfig.from_env(config.env_vars()) == config
-
-    def test_environment_selects_mode(self, monkeypatch):
+    def test_installed_config_selects_mode(self):
         assert active_numerics() == NumericsConfig()
-        monkeypatch.setenv(ENV_SPARSE, "1")
-        monkeypatch.setenv(ENV_BUDGET, "8")
-        assert active_numerics() == NumericsConfig(sparse=True,
-                                                   sparse_budget=8)
-        monkeypatch.setenv(ENV_SPARSE, "0")
-        assert not active_numerics().sparse
+        sparse = NumericsConfig(sparse=True, sparse_budget=8)
+        with telemetry.configure(numerics=sparse):
+            assert active_numerics() == sparse
+            with telemetry.configure():  # nothing given: keep it
+                assert active_numerics() == sparse
+        assert active_numerics() == NumericsConfig()
 
-    def test_numerics_env_resolves_and_exports(self):
-        environ = {ENV_BUDGET: "99"}
-        config = numerics_env("sparse", environ=environ)
-        assert config.mode == "sparse"
-        assert config.sparse_budget == 99  # env value kept
-        assert environ[ENV_SPARSE] == "1"
+    def test_mode_flag_keeps_installed_budget(self, capsys):
+        with telemetry.configure(numerics=NumericsConfig(sparse_budget=99)):
+            config = _numerics("sparse", None)
+        assert config == NumericsConfig(sparse=True, sparse_budget=99)
+        assert "numerics mode: sparse" in capsys.readouterr().out
 
-    def test_numerics_env_flag_overrides_win(self):
-        environ = {ENV_SPARSE: "1", ENV_BUDGET: "99"}
-        config = numerics_env("dense", sparse_budget=11, environ=environ)
-        assert config.mode == "dense"
-        assert config.sparse_budget == 11
-        assert environ[ENV_SPARSE] == "0"
-        assert environ[ENV_BUDGET] == "11"
+    def test_flags_override_installed_config(self):
+        installed = NumericsConfig(sparse=True, sparse_budget=99)
+        with telemetry.configure(numerics=installed):
+            assert _numerics("dense", 11) == NumericsConfig(sparse_budget=11)
+            assert _numerics(None, 11) == NumericsConfig(sparse=True,
+                                                         sparse_budget=11)
+        with pytest.raises(SystemExit, match="sparse_budget"):
+            _numerics("sparse", 0)
 
-    def test_numerics_env_without_flags_keeps_environment(self):
-        environ = {ENV_SPARSE: "yes"}
-        config = numerics_env(environ=environ)
-        assert config.sparse
-        assert environ[ENV_SPARSE] == "1"  # normalised back
+    def test_no_flags_keep_installed_config(self):
+        assert _numerics(None, None) is None
 
 
 class TestGreedyInducingSelection:

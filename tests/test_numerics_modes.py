@@ -10,7 +10,7 @@ claims the sparse observation budget makes:
   exactly the dense trajectory;
 * **the mode is observable** — agents expose ``numerics_mode``,
   decision records carry it, ``repro report`` stamps it on anomaly
-  flags, and the CLI flags export the selection to the environment.
+  flags, and the CLI flags select the mode for their own run only.
 """
 
 import os
@@ -20,27 +20,13 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import EdgeBOL, EdgeBOLConfig
-from repro.core.numerics import ENV_BUDGET, ENV_SPARSE, NumericsConfig
+from repro.core.numerics import NumericsConfig, active_numerics
 from repro.obs.decision import make_tracer
 from repro.obs.diagnose import detect_anomalies, render_dashboard
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.export import InMemorySink
+from repro.telemetry.export import InMemorySink, read_records
 from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 from repro.testbed.scenarios import static_scenario
-
-ENV_VARS = (ENV_SPARSE, ENV_BUDGET)
-
-
-@pytest.fixture
-def clean_numerics_env():
-    """Snapshot and restore the numerics environment variables."""
-    saved = {var: os.environ.pop(var, None) for var in ENV_VARS}
-    yield
-    for var, value in saved.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
 
 
 def run_trajectory(agent_config=None, reset_at=None, n_periods=28):
@@ -206,24 +192,29 @@ class TestCliNumericsFlags:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["dynamic", *argv])
 
-    def test_flags_export_env_and_run(self, clean_numerics_env, tmp_path,
-                                      capsys):
+    @staticmethod
+    def _modes(tmp_path, *flags):
+        """The numerics modes one in-process traced ``dynamic`` run used."""
         code = main([
-            "dynamic", "--periods", "5", "--levels", "3",
-            "--out", str(tmp_path), "--numerics", "sparse",
-            "--gp-budget", "24",
+            "dynamic", "--periods", "3", "--levels", "3", "--no-store",
+            "--out", str(tmp_path), "--trace-decisions", *flags,
         ])
         assert code == 0
-        assert os.environ[ENV_SPARSE] == "1"
-        assert os.environ[ENV_BUDGET] == "24"
-        assert "numerics mode: sparse" in capsys.readouterr().out
-        assert (tmp_path / "dynamic.csv").exists()
+        records = read_records(tmp_path / "dynamic_decisions.jsonl")
+        return {r["numerics_mode"] for r in records if "numerics_mode" in r}
 
-    def test_no_flags_leave_environment_alone(self, clean_numerics_env,
-                                              tmp_path):
-        code = main([
-            "dynamic", "--periods", "3", "--levels", "3",
-            "--out", str(tmp_path),
-        ])
-        assert code == 0
-        assert ENV_SPARSE not in os.environ
+    def test_flags_select_mode_for_their_run_only(self, tmp_path, capsys):
+        environ = dict(os.environ)
+        assert self._modes(tmp_path / "a", "--numerics", "sparse",
+                           "--gp-budget", "24") == {"sparse"}
+        assert "numerics mode: sparse" in capsys.readouterr().out
+        # The next in-process run without flags is dense again.
+        assert self._modes(tmp_path / "b") == {"dense"}
+        assert active_numerics() == NumericsConfig()
+        assert dict(os.environ) == environ
+
+    def test_no_flags_leave_environment_alone(self, tmp_path, capsys):
+        environ = dict(os.environ)
+        assert self._modes(tmp_path) == {"dense"}
+        assert "numerics mode" not in capsys.readouterr().out
+        assert dict(os.environ) == environ

@@ -9,6 +9,7 @@ collection and merging in the sweep engine, the ``repro report``
 anomaly detector/dashboard, and the CLI wiring.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -609,6 +610,43 @@ class TestDiagnose:
         records = [r for pair in zip(flagged, clean) for r in pair]
         flags = diagnose.detect_anomalies(records)
         assert flags == [dict(f, cell="s0", agent="cell000") for f in alone]
+
+    def test_single_series_dashboard_is_unchanged(self):
+        """One series renders one summary row and one line per chart,
+        whether or not its records name a cell (pinned output)."""
+        plain = diagnose.render_dashboard(synthetic_records())
+        located = diagnose.render_dashboard(
+            [dict(r, cell="s0", agent="cell000") for r in synthetic_records()]
+        )
+        assert [hashlib.sha256(text.encode()).hexdigest()
+                for text in (plain, located)] == [
+            "fb82b99fbf1f54cbb756c054b4f5a1dcd05a608cea8d83a95ce91f274d43ab20",
+            "20afb84b26b1f6c135d902d9f840e3c78f96fa5cbc1c3ca6bf27f5fb1b50af70",
+        ]
+
+    def test_dashboard_summarises_and_draws_each_series(self):
+        """Interleaved cells get one summary row each and one line each
+        in the safe-set, coverage and regret charts."""
+        flagged = [dict(r, cell="s0", agent="cell000")
+                   for r in synthetic_records()]
+        clean = [dict(r, cell="s0", agent="cell001", degraded=False,
+                      drift={"flag": False})
+                 for r in synthetic_records(n=20)]
+        records = [*flagged[:10], *clean, *flagged[10:]]
+        text = diagnose.render_dashboard(records)
+        table = text.split("\n\n")[0].splitlines()
+        assert table[0].split()[:5] == ["cell", "|", "agent", "|", "periods"]
+        rows = [[cell.strip() for cell in line.split("|")]
+                for line in table[2:]]
+        assert [row[:3] for row in rows] == [
+            ["s0", "cell000", "30"], ["s0", "cell001", "20"],
+        ]
+        assert [row[8] for row in rows] == ["1", "0"]  # drift episodes
+        legend = "* s0/cell000   o s0/cell001"
+        for title in ("Safe-set fraction", "of the cost head per series",
+                      "Cumulative regret"):
+            chart = text[text.index(title):].split("\n\n")[0]
+            assert chart.splitlines()[-1].strip() == legend
 
     def test_fleet_trace_flags_and_timeline_stay_within_a_cell(
             self, tmp_path):

@@ -330,9 +330,9 @@ class TestReleaseDueReentrancy:
         ))
 
     def test_async_bus_no_duplicate_release(self, new_bus):
-        from repro.faults import use
+        from repro.telemetry import runtime as telemetry
 
-        with use(self._plan()):
+        with telemetry.configure(plan=self._plan()):
             bus = new_bus()
             seen = []
             fired = []

@@ -7,23 +7,23 @@ without losing completed work (``docs/ROBUSTNESS.md``).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 import repro.experiments  # noqa: F401  (populate the spec registry)
+from repro.cli import main
 from repro.experiments import spec as spec_registry
 from repro.experiments.parallel import run_sweep
-from repro.faults import FaultPlan, FaultSpec, uninstall
+from repro.faults import FaultPlan, FaultSpec
 from repro.store import ExperimentStore
 from repro.telemetry import runtime as telemetry
+from repro.telemetry.export import read_records
 
-
-@pytest.fixture(autouse=True)
-def _fault_free():
-    """Every test starts and ends with no plan installed."""
-    uninstall()
-    yield
-    uninstall()
+CHAOS_PLAN = (
+    Path(__file__).resolve().parent.parent
+    / "examples" / "faults" / "chaos_plan.json"
+)
 
 
 @pytest.fixture
@@ -103,8 +103,8 @@ def test_serial_crash_is_retried_and_rows_match_fault_free(
     plan = FaultPlan(specs=(
         FaultSpec(kind="worker", mode="crash", at=(0, 2), max_events=2),
     ))
-    chaotic = run_sweep(spec, params, seed=5, jobs=1,
-                        fault_plan=plan)
+    with telemetry.configure(plan=plan):
+        chaotic = run_sweep(spec, params, seed=5, jobs=1)
     assert chaotic.retries == 2
     assert chaotic.quarantined == []
     assert _counter(metrics, "sweep.cell.retries") == 2
@@ -118,11 +118,33 @@ def test_pool_crash_is_retried_and_rows_match_fault_free(convergence):
     plan = FaultPlan(specs=(
         FaultSpec(kind="worker", mode="crash", at=(0,), max_events=1),
     ))
-    chaotic = run_sweep(spec, params, seed=5, jobs=2,
-                        fault_plan=plan)
+    with telemetry.configure(plan=plan):
+        chaotic = run_sweep(spec, params, seed=5, jobs=2)
     assert chaotic.retries >= 1
     assert chaotic.quarantined == []
     assert [c.rows for c in chaotic.cells] == [c.rows for c in clean.cells]
+
+
+def test_sparse_chaos_sweep_is_equal_in_process_and_in_the_pool(tmp_path):
+    """``--numerics`` and ``--faults`` reach every cell through its one
+    run context: at ``--jobs`` 1 and 2 (where the plan's worker crash
+    forces a retry) the rows and the decision trace are byte-equal, and
+    every cell ran sparse."""
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([
+            "run", "static", "--sweep", "delta2=1,8", "--set", "periods=40",
+            "--set", "levels=3", "--numerics", "sparse", "--gp-budget", "24",
+            "--faults", str(CHAOS_PLAN), "--trace-decisions", "--no-store",
+            "--jobs", str(jobs), "--out", str(out),
+        ]) == 0
+        outputs[jobs] = [(out / name).read_bytes()
+                         for name in ("static.csv", "static_decisions.jsonl")]
+    assert outputs[1] == outputs[2]
+    records = read_records(tmp_path / "jobs2" / "static_decisions.jsonl")
+    assert len({r["cell"] for r in records}) == 6
+    assert {r["numerics_mode"] for r in records} == {"sparse"}
 
 
 def test_poison_cell_is_quarantined_then_recovers_on_resume(
@@ -133,8 +155,9 @@ def test_poison_cell_is_quarantined_then_recovers_on_resume(
         FaultSpec(kind="worker", mode="crash", at=(1,)),
     ))
     # No retry budget: the injected crash poisons the cell outright.
-    poisoned = run_sweep(spec, params, seed=5, jobs=1, store=store,
-                         fault_plan=plan, max_retries=0)
+    with telemetry.configure(plan=plan):
+        poisoned = run_sweep(spec, params, seed=5, jobs=1, store=store,
+                             max_retries=0)
     assert len(poisoned.quarantined) == 1
     bad = poisoned.quarantined[0]
     assert bad.index == 1 and bad.rows == [] and "InjectedWorkerCrash" in bad.error
@@ -159,9 +182,9 @@ def test_hung_worker_times_out_and_the_retry_recovers(convergence, metrics):
         FaultSpec(kind="worker", mode="hang", at=(0,), magnitude=3.0,
                   max_events=1),
     ))
-    result = run_sweep(spec, params, seed=5, jobs=2,
-                       fault_plan=plan, cell_timeout_s=0.5,
-                       retry_backoff_s=0.0)
+    with telemetry.configure(plan=plan):
+        result = run_sweep(spec, params, seed=5, jobs=2, cell_timeout_s=0.5,
+                           retry_backoff_s=0.0)
     assert _counter(metrics, "sweep.cell.timeouts") == 1
     assert result.retries >= 1
     assert result.quarantined == []

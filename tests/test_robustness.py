@@ -13,7 +13,8 @@ from repro.core import EdgeBOL, EdgeBOLConfig, NumericalInstabilityError
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import RBF
 from repro.core.numerics import MAX_JITTER_RETRIES, robust_cholesky
-from repro.faults import FaultPlan, FaultSpec, uninstall, use
+from repro.faults import FaultPlan, FaultSpec
+from repro.telemetry import runtime as telemetry
 from repro.testbed.config import (
     ControlPolicy,
     CostWeights,
@@ -23,14 +24,6 @@ from repro.testbed.config import (
 from repro.testbed.env import TestbedObservation
 from repro.testbed.powermeter import PowerMeter
 from repro.testbed.scenarios import static_scenario
-
-
-@pytest.fixture(autouse=True)
-def _fault_free():
-    """Every test starts and ends with no plan installed."""
-    uninstall()
-    yield
-    uninstall()
 
 
 def _make_gp(fault_hook=None):
@@ -232,7 +225,7 @@ def test_edgebol_degrades_to_s0_and_recovers():
     plan = FaultPlan(specs=(
         FaultSpec(kind="gp", mode="persistent", at=(6, 7), max_events=2),
     ))
-    with use(plan):
+    with telemetry.configure(plan=plan):
         agent = _make_agent()
         env = static_scenario(mean_snr_db=35.0, rng=0,
                               config=TestbedConfig(n_levels=3))

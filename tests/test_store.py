@@ -118,6 +118,30 @@ def test_cell_key_changes_with_any_field(change):
     assert _key(**change) != _key()
 
 
+#: One static cell's digest under a pinned code fingerprint, as keyed
+#: while the numerics mode still travelled through the environment: the
+#: payload is ``asdict(NumericsConfig)`` however the config is installed.
+_PINNED_DIGESTS = {
+    "dense": "ed082a5be82dd20b4f570e9f9cba414c05ca0c5b1f9547794e8efa008c293373",
+    "sparse": "c9fa9a01e7124ba322ee35540507ee4e15456a1ff7ec57c856ae67ca105db373",
+}
+
+
+@pytest.mark.parametrize("config", [
+    NumericsConfig(), NumericsConfig.from_mode("sparse", sparse_budget=24),
+], ids=["dense", "sparse"])
+def test_cell_key_digest_is_pinned(config):
+    params = {"setting": "lax", "delta2": 8.0, "periods": 40}
+
+    def key(**numerics):
+        return cell_key("static", params, entropy=0, spawn_key=(1,),
+                        code="pinned", **numerics)
+
+    with telemetry.configure(numerics=config):
+        installed = key()
+    assert key(numerics=config) == installed == _PINNED_DIGESTS[config.mode]
+
+
 # -- the store itself ----------------------------------------------------
 
 KEY_A = "aa" + "0" * 62

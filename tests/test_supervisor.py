@@ -13,7 +13,6 @@ import warnings
 
 import pytest
 
-from repro import faults
 from repro.core import EdgeBOL, state
 from repro.experiments.fleet import run_fleet_cell_sim, run_fleet_spec_cell
 from repro.faults import FaultPlan, FaultSpec
@@ -57,7 +56,7 @@ def series(result):
 
 
 def run_chaos(plan, n_cells=3, n_periods=10, snapshot_every=4, **kwargs):
-    with faults.use(plan):
+    with telemetry.configure(plan=plan):
         return run_fleet_cell_sim(
             n_cells=n_cells, n_periods=n_periods, seed=SEED, levels=4,
             supervise=True, snapshot_every=snapshot_every, **kwargs,
@@ -109,7 +108,7 @@ class TestCrashRecovery:
             FaultSpec(kind="cell", mode="crash", target="cell000",
                       at=(5,), max_events=1),
         ))
-        with faults.use(plan):
+        with telemetry.configure(plan=plan):
             result = run_fleet_cell_sim(
                 n_cells=2, n_periods=10, seed=SEED, levels=4,
                 supervise=False,
@@ -126,7 +125,7 @@ class TestCrashRecovery:
             FaultSpec(kind="cell", mode="crash", target="cell000",
                       at=(3,), max_events=1),
         ))
-        with faults.use(plan):
+        with telemetry.configure(plan=plan):
             off = run_fleet_cell_sim(n_cells=1, n_periods=6, seed=SEED,
                                      levels=4, supervise=False)
         assert off.recovery["cell000"]["crashes"] == 1
@@ -248,7 +247,7 @@ class TestQuarantine:
         ))
         policy = SupervisorPolicy(snapshot_every=2, max_restarts=2,
                                   restart_window=50)
-        with faults.use(plan):
+        with telemetry.configure(plan=plan):
             runtime = make_runtime(2, supervise=True,
                                    supervisor_policy=policy)
             result = runtime.run(8)

@@ -76,7 +76,6 @@ class TestDisabledMode:
         """The untraced hot path: no tracer, no KPI/alert/event record
         and not one stream call, on either plane or a supervised fleet
         replaying a crash."""
-        from repro import faults
         from repro.experiments.runner import run_agent
         from repro.faults import FaultPlan, FaultSpec
         from repro.obs.decision import DecisionTracer
@@ -96,7 +95,7 @@ class TestDisabledMode:
             FaultSpec(kind="cell", mode="crash", target="cell001",
                       at=(3,), max_events=1),
         ))
-        with faults.use(plan):
+        with telemetry.configure(plan=plan):
             result = FleetRuntime(
                 [_cell(1), _cell(2)], supervise=True, snapshot_every=2,
                 alert_rules=(_ALWAYS,),
@@ -292,7 +291,6 @@ class TestRecordStream:
         """One supervised fleet under a crash plan feeds spans, KPI,
         decision, alert, supervision-event and metrics records to every
         attached sink in one order."""
-        from repro import faults
         from repro.faults import FaultPlan, FaultSpec
         from repro.oran.runtime import FleetRuntime
 
@@ -301,7 +299,7 @@ class TestRecordStream:
                       at=(3,), max_events=1),
         ))
         jsonl = JsonlSink(tmp_path / "stream.jsonl")
-        with faults.use(plan), telemetry.record() as sink:
+        with telemetry.configure(plan=plan), telemetry.record() as sink:
             with telemetry.attach(jsonl):
                 FleetRuntime(
                     [_cell(1), _cell(2)], supervise=True, snapshot_every=2,
